@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate bench-serve
+.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test bench-serve
 
-check: vet build race short trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate
+check: vet build race short trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test
 
 vet:
 	$(GO) vet ./...
@@ -25,10 +25,11 @@ short:
 	$(GO) test -short ./...
 
 # Trace overhead gate: tracing disabled must stay allocation-free on the
-# per-access hot path (a nil Recorder is one pointer compare), and a traced
-# end-to-end run must keep producing valid output from every machine layer.
+# per-access hot path (a nil Recorder is one pointer compare), the event
+# queue must stay allocation-free in steady state, and a traced end-to-end
+# run must keep producing valid output from every machine layer.
 trace-gate:
-	$(GO) test -run 'TestGETMStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc' ./internal/core/ ./internal/tm/ ./internal/trace/
+	$(GO) test -run 'TestGETMStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc' ./internal/core/ ./internal/tm/ ./internal/trace/ ./internal/sim/
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
 
 # Persistence & cancellation gate: stored metrics must round-trip exactly
@@ -59,6 +60,11 @@ par-gate:
 
 test:
 	$(GO) test ./...
+
+# The benchmark's own smoke and unit tests (about 5 s). perf/ is a module of
+# its own, so `go test ./...` at the root does not reach it.
+perf-test:
+	cd perf && $(GO) test .
 
 # Perf baselines (see BENCH_harness.json / BENCH_hotpath.json for recorded
 # numbers).

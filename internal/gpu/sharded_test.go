@@ -1,7 +1,11 @@
 package gpu_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	. "getm/internal/gpu"
@@ -58,6 +62,54 @@ func TestShardedIdenticalAcrossWorkers(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestShardedGoldenDigests pins sharded-class results across commits. The
+// other sharded tests compare runs within one build, so a change that moved
+// the engine's cross-shard mail order would silently re-key every stored
+// -shards record. Each digest is the SHA-256 of the stdout of
+// `getm-sim -proto getm -bench <bench> -scale 0.3 -shards 2`, whose report
+// lines the builder below reproduces.
+func TestShardedGoldenDigests(t *testing.T) {
+	for _, tc := range []struct{ bench, sha256 string }{
+		{"ht-h", "59585e0313d461ac79e796f95362d9d699c872c49125487926d5e43210c690d9"},
+		{"atm", "fc0b80cb28e70beb03db2918ffb08bc53121df6898a7308ba2b69cef1484f5ed"},
+	} {
+		cfg := DefaultConfig(ProtoGETM)
+		cfg.Shards = 2
+		k, err := workloads.Build(tc.bench, workloads.TM, workloads.Params{Scale: 0.3, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(cfg, k)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.bench, err)
+		}
+		m := res.Metrics
+		var b strings.Builder
+		fmt.Fprintf(&b, "benchmark        %s (getm, %d cores, conc NL)\n", tc.bench, cfg.Cores)
+		fmt.Fprintf(&b, "total cycles     %d\n", m.TotalCycles)
+		fmt.Fprintf(&b, "tx exec cycles   %d\n", m.TxExecCycles)
+		fmt.Fprintf(&b, "tx wait cycles   %d\n", m.TxWaitCycles)
+		fmt.Fprintf(&b, "commits          %d\n", m.Commits)
+		fmt.Fprintf(&b, "aborts           %d (%.0f per 1K commits)\n", m.Aborts, m.AbortsPer1KCommits())
+		fmt.Fprintf(&b, "xbar traffic     %d B up, %d B down\n", m.XbarUpBytes, m.XbarDownBytes)
+		if m.SilentCommits > 0 {
+			fmt.Fprintf(&b, "silent commits   %d\n", m.SilentCommits)
+		}
+		if m.MetaAccessCycles.Total() > 0 {
+			fmt.Fprintf(&b, "meta access      %.3f cycles/request\n", m.MetaAccessCycles.Mean())
+			fmt.Fprintf(&b, "stall buffer     max %d queued, %.2f reqs/addr\n",
+				m.StallBufMaxOccupancy, m.StallBufPerAddr.Mean())
+		}
+		if len(m.AbortsByCause) > 0 {
+			fmt.Fprintf(&b, "abort causes     %v\n", m.AbortsByCause)
+		}
+		sum := sha256.Sum256([]byte(b.String()))
+		if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+			t.Errorf("%s -shards 2 report digest %s, want %s; report:\n%s", tc.bench, got, tc.sha256, b.String())
 		}
 	}
 }

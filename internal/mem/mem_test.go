@@ -208,6 +208,36 @@ func TestPartitionServiceSerialization(t *testing.T) {
 	}
 }
 
+// TestPartitionServiceRate pins that a partition admits exactly ServiceRate
+// starts per cycle: with rate 2, two requests start in cycle c and the third
+// waits for c+1. (The rate used to be ignored above 1, admitting any number
+// of starts per cycle.)
+func TestPartitionServiceRate(t *testing.T) {
+	eng := sim.NewEngine()
+	p := newTestPartition(eng)
+	p.Cfg.ServiceRate = 2
+	const c = 10
+	var starts []sim.Cycle
+	eng.At(c, func() {
+		for i := 0; i < 5; i++ {
+			starts = append(starts, p.serviceSlot())
+		}
+	})
+	eng.Run(0)
+	want := []sim.Cycle{c, c, c + 1, c + 1, c + 2}
+	for i := range want {
+		if starts[i] != want[i] {
+			t.Fatalf("service starts = %v, want %v", starts, want)
+		}
+	}
+	// A later cycle with a free slot starts at once, with a full budget.
+	eng.At(c+5, func() { starts = append(starts[:0], p.serviceSlot(), p.serviceSlot(), p.serviceSlot()) })
+	eng.Run(0)
+	if starts[0] != c+5 || starts[1] != c+5 || starts[2] != c+6 {
+		t.Fatalf("service starts at cycle %d = %v, want [%d %d %d]", c+5, starts, c+5, c+5, c+6)
+	}
+}
+
 func TestPartitionAtomicCAS(t *testing.T) {
 	eng := sim.NewEngine()
 	p := newTestPartition(eng)

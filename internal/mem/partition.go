@@ -46,7 +46,8 @@ type Partition struct {
 	LLC   *LLC
 	DRAM  *DRAM
 
-	nextService sim.Cycle
+	nextService sim.Cycle // earliest cycle with a free service slot
+	slotStarts  int       // requests already started in cycle nextService
 	atomicNext  sim.Cycle
 	// AtomicsServed counts atomic operations (lock traffic).
 	AtomicsServed uint64
@@ -71,14 +72,17 @@ func NewPartition(id int, eng *sim.Engine, img *Image, cfg PartitionConfig) *Par
 }
 
 // serviceSlot reserves the next issue slot at the partition's service rate
-// and returns its cycle.
+// and returns its cycle: each cycle admits ServiceRate starts (at least one),
+// and further requests queue into later cycles.
 func (p *Partition) serviceSlot() sim.Cycle {
-	now := p.Eng.Now()
-	start := now
-	if p.nextService > start {
-		start = p.nextService
+	if now := p.Eng.Now(); now > p.nextService {
+		p.nextService, p.slotStarts = now, 0
 	}
-	p.nextService = start + sim.Cycle(1/maxInt(p.Cfg.ServiceRate, 1))
+	start := p.nextService
+	p.slotStarts++
+	if p.slotStarts >= maxInt(p.Cfg.ServiceRate, 1) {
+		p.nextService, p.slotStarts = start+1, 0
+	}
 	return start
 }
 

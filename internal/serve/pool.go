@@ -127,16 +127,20 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 
 	js := &jobState{id: id, spec: sp, client: client, done: make(chan struct{}), queuedAt: time.Now()}
 	js.setStatus(statusQueued)
+	// Count the task before a worker can pop it: a worker that finishes it
+	// first would otherwise drive taskWG negative.
+	p.taskWG.Add(1)
 	switch err := p.fq.push(client, js); err {
 	case nil:
 		p.insertLocked(id, sp, js)
-		p.taskWG.Add(1)
 		p.s.span(stageMiss, client, id, 0, 0)
 		p.s.span(stageEnqueue, client, id, 0, 0)
 		return js, admitOK
 	case errClientFull:
+		p.taskWG.Done()
 		return nil, admitClientFull
 	default: // errQueueFull, errQueueDone
+		p.taskWG.Done()
 		return nil, admitFull
 	}
 }

@@ -7,21 +7,22 @@ import (
 
 // chunkWorkload schedules a deterministic self-extending event mix on eng and
 // returns the pointer to its execution log: each event appends its id, and
-// some events reschedule follow-ups at 0, 1, or larger delays so the
-// same-cycle FIFO, the heap, and cross-chunk boundaries all get exercised.
-func chunkWorkload(eng *Engine, n int) *[]int {
+// some events reschedule follow-ups at delay 0 or at a delay spread over the
+// whole queue (see wideDelay), so same-cycle spawns, wheel wrap-around, the
+// overflow heap, and cross-chunk boundaries all get exercised.
+func chunkWorkload(eng testQueue, n int) *[]int {
 	log := &[]int{}
 	var spawn func(id int, depth int)
 	spawn = func(id, depth int) {
 		*log = append(*log, id)
 		if depth > 0 {
 			eng.Schedule(0, func() { spawn(id*10+1, depth-1) })
-			eng.Schedule(Cycle(1+id%7), func() { spawn(id*10+2, depth-1) })
+			eng.Schedule(wideDelay(uint(id)), func() { spawn(id*10+2, depth-1) })
 		}
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		eng.Schedule(Cycle(i%13), func() { spawn(i, 3) })
+		eng.At(wideDelay(uint(n+i)), func() { spawn(i, 3) })
 	}
 	return log
 }
@@ -44,8 +45,13 @@ func TestRunChunkedIdentical(t *testing.T) {
 	ref := NewEngine()
 	refLog := chunkWorkload(ref, 20)
 	refEnd := ref.Run(0)
+	oracle := &oracleEngine{}
+	oracleLog := chunkWorkload(oracle, 20)
+	if oracleEnd := oracle.Run(0); oracleEnd != refEnd || !equalLogs(*oracleLog, *refLog) {
+		t.Fatalf("unchunked run diverged from the oracle: end %d vs %d", refEnd, oracleEnd)
+	}
 
-	for _, chunk := range []Cycle{1, 2, 3, 7, 16, 1000} {
+	for _, chunk := range []Cycle{1, 2, 3, 7, 16, 1000, wheelSize + 1, 5000} {
 		eng := NewEngine()
 		log := chunkWorkload(eng, 20)
 		boundaries := 0

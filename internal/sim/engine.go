@@ -7,6 +7,8 @@
 // with a fixed seed is fully reproducible.
 package sim
 
+import "math/bits"
+
 // Cycle is a point in simulated time, measured in interconnect-clock cycles.
 type Cycle uint64
 
@@ -25,32 +27,65 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
+// The timing wheel has one bucket per cycle for the next wheelSize cycles.
+// 2^10 covers every delay the timing model schedules except retry backoff
+// and badly congested ports: crossbar hops, VU/CU service, LLC (60) and DRAM
+// (~236) round trips and compute latencies all fall well inside it.
+const (
+	wheelBits  = 10
+	wheelSize  = 1 << wheelBits
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// node is one pending wheel event. Nodes live in Engine.nodes and link by
+// index; index 0 is a sentinel, so a zero link means "none".
+type node struct {
+	fn   func()
+	next int32
+}
+
+// bucket is an intrusive FIFO of the nodes due at one cycle.
+type bucket struct{ head, tail int32 }
+
 // Engine is a discrete-event simulator. The zero value is ready to use.
 //
-// The event queue is split in two for speed — this pop/push pair is the
-// innermost loop of every simulation:
+// The event queue is a timing wheel — its push/pop pair is the innermost
+// loop of every simulation:
 //
-//   - pq is a hand-rolled binary min-heap over a plain []event. Unlike
-//     container/heap it needs no heap.Interface indirection and no
-//     interface{} boxing, so Schedule/Run allocate nothing per event beyond
-//     slice growth.
-//   - imm is a FIFO for events scheduled *for the current cycle while that
-//     cycle is executing* (the delay-0 wakeup idiom used throughout the
-//     timing model). These bypass the heap entirely: appended in seq order
-//     and drained in seq order.
+//   - Every event due in [now, now+wheelSize) sits in bucket when&wheelMask,
+//     a FIFO of nodes drawn from one slab with a freelist and int32 links
+//     (no per-bucket slices). The occ bitmap finds the next non-empty bucket
+//     with bits.TrailingZeros64. Push appends to a tail and dispatch pops a
+//     head, both O(1); a delay-0 event simply appends to the current bucket.
+//   - pq, a binary min-heap over (when, seq), is only the overflow: events
+//     due at or beyond now+wheelSize when scheduled, and cross-shard mail
+//     (atDelivery).
 //
-// Correct interleaving between the two is guaranteed by a single invariant:
-// whenever imm is non-empty, every heap event at the current cycle carries a
-// smaller seq than every imm event. This holds because current-cycle events
-// are routed to imm exactly when imm is non-empty or a Run is executing, so
-// the heap can only gain a current-cycle event while imm is empty — i.e.
-// before any of imm's (later, larger-seq) events existed. The run loop
-// therefore drains current-cycle heap events first, then imm, which is
-// precisely (when, seq) order — bit-identical to a single global heap.
+// Dispatch is exactly (when, seq) order over one global queue, with mail in
+// its own seq band (see mailSeqBase). At cycle t:
+//
+//  1. overflow events due at t run first — they were scheduled at least
+//     wheelSize cycles earlier, so they carry smaller seqs than any bucket-t
+//     event;
+//  2. then the bucket-t events scheduled before the clock reached t, in FIFO
+//     (= seq) order; mark is the last of them;
+//  3. then atDelivery mail due at t;
+//  4. last, the same-cycle spawns appended to bucket t after mark.
+//
+// An event scheduled at Now() while no Run is executing joins step 2 if step
+// 4 is empty (its seq is above every earlier local event's and below mail's)
+// and step 4 otherwise, behind the spawns already queued — exactly where the
+// single global order puts it.
 type Engine struct {
-	pq      []event // binary min-heap ordered by eventLess
-	imm     []event // same-cycle FIFO; imm[immHead:] are pending
-	immHead int
+	buckets [wheelSize]bucket
+	occ     [wheelWords]uint64 // bit b set iff buckets[b] is non-empty
+	nodes   []node             // slab; nodes[0] is the nil sentinel
+	free    int32              // freelist head
+	inWheel int                // nodes pending in the wheel
+	mark    int32              // last step-2 node of the current bucket, or 0
+
+	pq      []event // overflow min-heap ordered by eventLess
 	now     Cycle
 	seq     uint64
 	mailSeq uint64 // cross-shard deliveries; offset by mailSeqBase
@@ -69,8 +104,7 @@ func (e *Engine) Now() Cycle { return e.now }
 // Schedule runs fn after delay cycles (delay 0 means later this cycle, after
 // all events already scheduled for the current cycle).
 func (e *Engine) Schedule(delay Cycle, fn func()) {
-	e.seq++
-	e.push(event{when: e.now + delay, seq: e.seq, fn: fn})
+	e.push(e.now+delay, fn)
 }
 
 // At runs fn at the given absolute cycle, which must not be in the past.
@@ -78,38 +112,82 @@ func (e *Engine) At(when Cycle, fn func()) {
 	if when < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	e.seq++
-	e.push(event{when: when, seq: e.seq, fn: fn})
+	e.push(when, fn)
 }
 
-// push routes an event to the same-cycle FIFO or the heap. Current-cycle
-// events go to the FIFO whenever a run is executing or the FIFO already has
-// pending events — see the invariant on Engine.
-func (e *Engine) push(ev event) {
-	if ev.when == e.now && (e.running || e.immHead < len(e.imm)) {
-		e.imm = append(e.imm, ev)
+// push appends an event to its wheel bucket, or to the overflow heap when it
+// is due beyond the wheel's horizon.
+func (e *Engine) push(when Cycle, fn func()) {
+	e.seq++
+	if when-e.now >= wheelSize {
+		e.heapPush(event{when: when, seq: e.seq, fn: fn})
 		return
 	}
-	e.heapPush(ev)
+	b := uint(when) & wheelMask
+	bk := &e.buckets[b]
+	// Outside a Run, a current-cycle event with no spawns queued ahead of it
+	// extends step 2 (see the order on Engine).
+	toStep2 := when == e.now && !e.running && bk.tail == e.mark
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+		e.nodes[i] = node{fn: fn}
+	} else {
+		if len(e.nodes) == 0 {
+			e.nodes = append(e.nodes, node{}) // sentinel
+		}
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{fn: fn})
+	}
+	if bk.tail != 0 {
+		e.nodes[bk.tail].next = i
+	} else {
+		bk.head = i
+		e.occ[b>>6] |= 1 << (b & 63)
+	}
+	bk.tail = i
+	e.inWheel++
+	if toStep2 {
+		e.mark = i
+	}
+}
+
+// popBucket removes the head of bucket b, which must be the current cycle's
+// and non-empty, and returns its callback.
+func (e *Engine) popBucket(b uint) func() {
+	bk := &e.buckets[b]
+	i := bk.head
+	n := &e.nodes[i]
+	fn := n.fn
+	bk.head = n.next
+	if n.next == 0 {
+		bk.tail = 0
+		e.occ[b>>6] &^= 1 << (b & 63)
+	}
+	n.fn = nil // release fn for GC
+	n.next = e.free
+	e.free = i
+	e.inWheel--
+	if i == e.mark {
+		e.mark = 0
+	}
+	return fn
 }
 
 // Stop aborts the current Run after the in-flight event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) + len(e.imm) - e.immHead }
+func (e *Engine) Pending() int { return e.inWheel + len(e.pq) }
 
 // mailSeqBase is the seq band for cross-shard deliveries. Placing deliveries
 // above every locally assigned seq makes their position in the (when, seq)
 // order a function of canonical data only — (send cycle, source shard, send
 // index) — rather than of when the barrier that inserted them happened to
 // fall. At an equal cycle the order is therefore always: events scheduled
-// from earlier cycles, then deliveries, then same-cycle delay-0 spawns
-// (which the FIFO already runs last). This deliberately steps outside the
-// imm-invariant documented on Engine: a delivery at the current cycle may
-// carry a larger seq than pending FIFO entries, but the run loop drains
-// current-cycle heap events before the FIFO regardless, which is exactly the
-// order the band encodes.
+// from earlier cycles, then deliveries, then same-cycle delay-0 spawns. The
+// run loop holds mail back until the current bucket's step-2 events have run,
+// which puts it before the spawns queued after mark.
 const mailSeqBase = uint64(1) << 63
 
 // atDelivery schedules a cross-shard delivery at an absolute future cycle.
@@ -123,17 +201,43 @@ func (e *Engine) atDelivery(when Cycle, fn func()) {
 	e.heapPush(event{when: when, seq: mailSeqBase + e.mailSeq, fn: fn})
 }
 
+// nextBucket returns the cycle of the earliest non-empty wheel bucket; ok is
+// false when the wheel is empty. Every wheel event is due in
+// [now, now+wheelSize), so scanning the bitmap circularly from now's bucket
+// visits the buckets in time order.
+func (e *Engine) nextBucket() (when Cycle, ok bool) {
+	if e.inWheel == 0 {
+		return 0, false
+	}
+	start := uint(e.now) & wheelMask
+	w := start >> 6
+	word := e.occ[w] &^ (1<<(start&63) - 1)
+	for i := 0; i <= wheelWords; i++ {
+		if word != 0 {
+			b := w<<6 | uint(bits.TrailingZeros64(word))
+			return e.now + Cycle((b-start)&wheelMask), true
+		}
+		w = (w + 1) % wheelWords
+		word = e.occ[w]
+	}
+	panic("sim: wheel count and bitmap disagree")
+}
+
 // nextWhen returns the earliest pending event time; ok is false when the
 // queue is empty.
 func (e *Engine) nextWhen() (when Cycle, ok bool) {
-	if e.immHead < len(e.imm) {
-		// FIFO entries are always at e.now, never later than the heap top.
-		return e.imm[e.immHead].when, true
-	}
-	if len(e.pq) > 0 {
+	when, ok = e.nextBucket()
+	if len(e.pq) > 0 && (!ok || e.pq[0].when < when) {
 		return e.pq[0].when, true
 	}
-	return 0, false
+	return when, ok
+}
+
+// advance moves the clock to t; everything already in t's bucket becomes
+// step 2 of its cycle.
+func (e *Engine) advance(t Cycle) {
+	e.now = t
+	e.mark = e.buckets[uint(t)&wheelMask].tail
 }
 
 // Run executes events until the queue empties, Stop is called, or the
@@ -170,47 +274,28 @@ func (e *Engine) run(limited bool, limit Cycle) Cycle {
 	e.running = true
 	defer func() { e.running = false }()
 	for !e.stopped {
-		// Select the next event source: current-cycle heap events precede
-		// the FIFO (smaller seq, per the Engine invariant); otherwise the
-		// FIFO holds the oldest pending current-cycle events.
-		hasImm := e.immHead < len(e.imm)
-		hasHeap := len(e.pq) > 0
-		var fromHeap bool
-		var when Cycle
-		switch {
-		case hasImm && hasHeap && e.pq[0].when == e.now:
-			fromHeap, when = true, e.now
-		case hasImm:
-			fromHeap, when = false, e.imm[e.immHead].when
-		case hasHeap:
-			fromHeap, when = true, e.pq[0].when
-		default:
-			return e.now
-		}
-		if limited && when > limit {
-			// Leave it queued so a subsequent Run can resume. limit >= e.now
-			// is guaranteed by the callers, so this never rewinds the clock.
-			e.now = limit
-			return e.now
-		}
-		var ev event
-		if fromHeap {
-			ev = e.heapPop()
+		var fn func()
+		b := uint(e.now) & wheelMask
+		if len(e.pq) > 0 && e.pq[0].when == e.now && (e.pq[0].seq < mailSeqBase || e.mark == 0) {
+			fn = e.heapPop().fn // step 1, or step 3 once step 2 is done
+		} else if e.buckets[b].head != 0 {
+			fn = e.popBucket(b) // steps 2 and 4
 		} else {
-			ev = e.imm[e.immHead]
-			e.imm[e.immHead] = event{} // release fn for GC
-			e.immHead++
-			if e.immHead == len(e.imm) {
-				e.imm = e.imm[:0]
-				e.immHead = 0
+			when, ok := e.nextWhen()
+			if !ok {
+				return e.now
 			}
+			if limited && when > limit {
+				// Leave it queued so a subsequent Run can resume. limit >= e.now
+				// is guaranteed by the callers, so this never rewinds the clock.
+				e.advance(limit)
+				return e.now
+			}
+			e.advance(when)
+			continue
 		}
-		if ev.when < e.now {
-			panic("sim: time moved backwards")
-		}
-		e.now = ev.when
 		e.Executed++
-		ev.fn()
+		fn()
 	}
 	return e.now
 }
@@ -257,7 +342,7 @@ func (e *Engine) RunChunked(limit, chunk Cycle, between func(now Cycle) bool) Cy
 	}
 }
 
-// heapPush inserts an event into the binary min-heap.
+// heapPush inserts an event into the overflow min-heap.
 func (e *Engine) heapPush(ev event) {
 	pq := append(e.pq, ev)
 	i := len(pq) - 1

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -57,9 +58,11 @@ type stopRec struct {
 
 // buildNested schedules the deterministic nested workload used by the
 // stop/resume and fuzz tests: one root per input byte, each event fanning out
-// into a same-cycle child and a future child. onExec (if non-nil via the
-// returned setter) runs inside every event, after tracing.
-func buildNested(e *Engine, data []byte) (trace *[]stopRec, setHook func(func())) {
+// into a same-cycle child and a future child, with delays spread over the
+// whole queue (see wideDelay) and every third event placed with At. onExec
+// (if non-nil via the returned setter) runs inside every event, after
+// tracing.
+func buildNested(e testQueue, data []byte) (trace *[]stopRec, setHook func(func())) {
 	tr := &[]stopRec{}
 	var hook func()
 	id := 0
@@ -67,37 +70,50 @@ func buildNested(e *Engine, data []byte) (trace *[]stopRec, setHook func(func())
 	add = func(d Cycle, depth int) {
 		me := id
 		id++
-		e.Schedule(d, func() {
+		fn := func() {
 			*tr = append(*tr, stopRec{me, e.Now()})
 			if hook != nil {
 				hook()
 			}
 			if depth > 0 {
-				add(0, depth-1) // same-cycle FIFO traffic
-				add(d%5+1, depth-1)
+				add(0, depth-1) // same-cycle traffic
+				add(wideDelay(uint(d)+uint(me)), depth-1)
 			}
-		})
+		}
+		if me%3 == 2 {
+			e.At(e.Now()+d, fn)
+		} else {
+			e.Schedule(d, fn)
+		}
 	}
 	for _, b := range data {
-		add(Cycle(b%16), int(b%3))
+		add(wideDelay(uint(b)), int(b%3))
 	}
 	return tr, func(fn func()) { hook = fn }
 }
 
 // TestEngineStopEveryEventIdentical proves the Stop/resume audit claim: a run
-// interrupted by Stop after every single event — including mid-drain of the
-// same-cycle FIFO — replays imm[immHead:] in seq order and is bit-identical
-// to an uninterrupted run.
+// interrupted by Stop after every single event — including in the middle of
+// a bucket's same-cycle spawns — is bit-identical to an uninterrupted run, and
+// both match the container/heap oracle.
 func TestEngineStopEveryEventIdentical(t *testing.T) {
 	workloads := [][]byte{
 		{0, 1, 2, 3, 4, 5, 6, 7},
 		{2, 2, 2, 2},          // heavy same-cycle fan-out
 		{15, 14, 13, 3, 1, 0}, // mixed delays
+		[]byte("every wheel bucket and the overflow heap"),
 	}
 	for wi, data := range workloads {
+		oracle := &oracleEngine{}
+		ref, _ := buildNested(oracle, data)
+		oracle.Run(0)
+
 		plain := NewEngine()
 		want, _ := buildNested(plain, data)
 		plain.Run(0)
+		if !slices.Equal(*want, *ref) {
+			t.Fatalf("workload %d: uninterrupted run diverged from the oracle", wi)
+		}
 
 		interrupted := NewEngine()
 		got, setHook := buildNested(interrupted, data)
@@ -131,17 +147,21 @@ func TestEngineStopEveryEventIdentical(t *testing.T) {
 // FuzzEngineEquivalence fuzzes random (delay, Stop, RunChunked-chunk, limit)
 // schedules: whatever mix of limited runs, chunked runs, hard stops, and
 // stop-after-every-event resumes the control bytes select, the execution
-// trace must equal a single uninterrupted Run(0).
+// trace must equal one uninterrupted run of the container/heap oracle.
+// Limits and chunk boundaries are offset from the next pending event, so
+// every driver step runs at least one event however far apart they are, and
+// the offsets land between occupied buckets and across the wheel horizon.
 func FuzzEngineEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5}, []byte{0, 1, 2, 3})
 	f.Add([]byte{2, 2, 2, 2, 9, 9}, []byte{3, 0, 0, 1})
 	f.Add([]byte{15, 0, 7, 8}, []byte{2, 2, 2})
 	f.Add([]byte{}, []byte{})
+	f.Add([]byte("timing wheel"), []byte{4, 253, 130, 7, 1, 66})
 	f.Fuzz(func(t *testing.T, data, ctl []byte) {
 		if len(data) > 64 {
 			data = data[:64] // bound workload size
 		}
-		oracle := NewEngine()
+		oracle := &oracleEngine{}
 		want, _ := buildNested(oracle, data)
 		oracle.Run(0)
 
@@ -157,17 +177,19 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if step > 10*len(*want)+100 {
 				t.Fatalf("no progress after %d driver steps", step)
 			}
+			next, _ := subject.nextWhen()
+			off := Cycle(c/4) * 37 // 0 .. 2331
 			switch c % 4 {
-			case 0: // limited run; +1 guarantees progress and avoids the 0 sentinel
-				subject.Run(subject.Now() + Cycle(c/4%9) + 1)
+			case 0: // limited run; +1 avoids the 0 sentinel
+				subject.Run(next + off + 1)
 			case 1: // stop after every event, then resume
 				setHook(subject.Stop)
 				subject.Run(0)
 				setHook(nil)
 			case 2: // chunked with a pause (and stop) at the first boundary
-				subject.RunChunked(0, Cycle(c/4%7)+1, func(Cycle) bool { return false })
+				subject.RunChunked(0, next-subject.Now()+off+1, func(Cycle) bool { return false })
 			case 3: // chunked with a limit
-				subject.RunChunked(subject.Now()+Cycle(c/4%13)+1, 3, nil)
+				subject.RunChunked(next+off+1, Cycle(c%7)*150+3, nil)
 			}
 		}
 		if len(*got) != len(*want) {

@@ -33,9 +33,11 @@ type oracleEngine struct {
 
 func (e *oracleEngine) Now() Cycle { return e.now }
 
-func (e *oracleEngine) Schedule(delay Cycle, fn func()) {
+func (e *oracleEngine) Schedule(delay Cycle, fn func()) { e.At(e.now+delay, fn) }
+
+func (e *oracleEngine) At(when Cycle, fn func()) {
 	e.seq++
-	heap.Push(&e.pq, event{when: e.now + delay, seq: e.seq, fn: fn})
+	heap.Push(&e.pq, event{when: when, seq: e.seq, fn: fn})
 }
 
 func (e *oracleEngine) Stop() { e.stopped = true }
@@ -235,50 +237,83 @@ func TestEngineAtCurrentCycleDuringRun(t *testing.T) {
 	}
 }
 
+// testQueue is the scheduling surface the test workloads drive, so one
+// workload runs on both the Engine and the container/heap oracle.
+type testQueue interface {
+	Now() Cycle
+	Schedule(Cycle, func())
+	At(Cycle, func())
+}
+
+// wideDelay hashes x onto a delay that reaches every part of the queue:
+// short hops including same-cycle, both sides of the wheel horizon, anywhere
+// up to four wheel turns ahead, the current bucket index on a later turn, and
+// far beyond the wheel.
+func wideDelay(x uint) Cycle {
+	h := Mix64(uint64(x))
+	switch r := h >> 3; h % 5 {
+	case 0:
+		return Cycle(r % 16)
+	case 1:
+		return wheelSize - 3 + Cycle(r%7)
+	case 2:
+		return Cycle(r % (4*wheelSize + 1))
+	case 3:
+		return Cycle(r%4) * wheelSize
+	default:
+		return 8*wheelSize + Cycle(r%64)
+	}
+}
+
 // TestEngineMatchesOracle is the load-bearing equivalence property: a
 // randomized workload of delays — with nested rescheduling, heavy same-cycle
-// fan-out, and limited/resumed runs — must execute in exactly the same order
-// at exactly the same cycles on the fast queue as on the original
+// fan-out, delays across the wheel horizon and far beyond it, and limited runs
+// that stop between occupied buckets — must execute in exactly the same order
+// at exactly the same cycles on the timing wheel as on the original
 // container/heap engine.
 func TestEngineMatchesOracle(t *testing.T) {
 	type rec struct {
 		id   int
 		when Cycle
 	}
-	// drive runs the same deterministic scenario against either engine via
-	// the shared schedule/run closures.
-	drive := func(delays []uint8, schedule func(Cycle, func()), run func(Cycle) Cycle, now func() Cycle) []rec {
+	// drive runs the same deterministic scenario against either engine.
+	drive := func(delays []uint16, q testQueue, run func(Cycle) Cycle) []rec {
 		var trace []rec
 		id := 0
 		var add func(d Cycle, depth int)
 		add = func(d Cycle, depth int) {
 			me := id
 			id++
-			schedule(d, func() {
-				trace = append(trace, rec{me, now()})
+			fn := func() {
+				trace = append(trace, rec{me, q.Now()})
 				if depth > 0 {
 					// Deterministic nested fan-out: one same-cycle event and
 					// one future event per level.
 					add(0, depth-1)
-					add(d%5+1, depth-1)
+					add(wideDelay(uint(d)+uint(me)), depth-1)
 				}
-			})
+			}
+			if me%4 == 3 {
+				q.At(q.Now()+d, fn)
+			} else {
+				q.Schedule(d, fn)
+			}
 		}
 		for _, d := range delays {
-			add(Cycle(d%16), int(d%3))
+			add(wideDelay(uint(d)), int(d%3))
 		}
 		// Run in limited slices, then to completion.
-		run(4)
-		run(9)
-		run(0)
+		for _, limit := range []Cycle{4, 9, wheelSize - 1, wheelSize + 2, 3*wheelSize + 17, 0} {
+			run(limit)
+		}
 		return trace
 	}
 
-	prop := func(delays []uint8) bool {
+	prop := func(delays []uint16) bool {
 		fast := NewEngine()
-		ft := drive(delays, fast.Schedule, fast.Run, fast.Now)
+		ft := drive(delays, fast, fast.Run)
 		oracle := &oracleEngine{}
-		ot := drive(delays, oracle.Schedule, oracle.Run, oracle.Now)
+		ot := drive(delays, oracle, oracle.Run)
 		if len(ft) != len(ot) {
 			return false
 		}
@@ -291,6 +326,82 @@ func TestEngineMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineSameCycleOrder pins the order of every kind of event due at one
+// cycle T: an overflow event (scheduled a full wheel turn ahead), then an
+// event scheduled before the clock reached T, then cross-shard mail, then
+// delay-0 spawns, then a Schedule(0) made while stopped with spawns pending.
+// A Schedule(0) made while stopped with no spawn pending has a smaller seq
+// than the mail and runs before it.
+func TestEngineSameCycleOrder(t *testing.T) {
+	const T = wheelSize + 5
+	for _, tc := range []struct {
+		stopIn string // the event that calls Stop
+		want   []string
+	}{
+		{"spawn1", []string{"overflow", "earlier", "mail", "spawn1", "spawn2", "stopped"}},
+		{"overflow", []string{"overflow", "earlier", "stopped", "mail", "spawn1", "spawn2"}},
+	} {
+		e := NewEngine()
+		var got []string
+		ev := func(name string, body func()) func() {
+			return func() {
+				got = append(got, name)
+				if body != nil {
+					body()
+				}
+				if name == tc.stopIn {
+					e.Stop()
+				}
+			}
+		}
+		e.Schedule(T, ev("overflow", nil))
+		e.At(T-10, func() {
+			e.Schedule(10, ev("earlier", func() {
+				e.Schedule(0, ev("spawn1", nil))
+				e.Schedule(0, ev("spawn2", nil))
+			}))
+		})
+		e.atDelivery(T, ev("mail", nil))
+		if len(e.pq) != 2 {
+			t.Fatalf("overflow heap holds %d events, want the overflow event and the mail", len(e.pq))
+		}
+		e.Run(0)
+		if e.Now() != T {
+			t.Fatalf("stopped at cycle %d, want %d", e.Now(), T)
+		}
+		e.Schedule(0, ev("stopped", nil))
+		e.Run(0)
+		if len(got) != len(tc.want) {
+			t.Fatalf("stop in %s: order %v, want %v", tc.stopIn, got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("stop in %s: order %v, want %v", tc.stopIn, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestEngineSteadyStateZeroAlloc gates the queue's steady state: once the
+// node slab and the overflow heap have grown, Schedule, At and Run allocate
+// nothing, whichever part of the queue an event lands in.
+func TestEngineSteadyStateZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	nop := func() {}
+	round := func() {
+		for i := 0; i < 256; i++ {
+			e.Schedule(Cycle(i%8), nop)
+			e.Schedule(Cycle(i)*19, nop) // up to past four wheel turns
+			e.At(e.Now()+Cycle(i%3)*wheelSize, nop)
+		}
+		e.Run(0)
+	}
+	round() // warm-up: grow the slab and the heap
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("steady-state Schedule/At/Run allocated %.1f times per round, want 0", allocs)
 	}
 }
 

@@ -32,7 +32,7 @@ const modelSendMin = 8
 // shardModel is a deterministic random workload: seeded root events per
 // domain, each event folds (id, now) into its domain's order-sensitive hash
 // and spawns a few children — mostly local (delay 0..5, exercising the
-// same-cycle FIFO), sometimes cross-domain (delay modelSendMin..+7). All
+// same-cycle spawns), sometimes cross-domain (delay modelSendMin..+7). All
 // randomness derives from (seed, event id), never from execution order, so
 // every backend generates the identical event tree.
 type shardModel struct {
@@ -148,10 +148,10 @@ func runSharded(seed uint64, domains, workers int, quantum Cycle, cross bool,
 // events scheduled from an earlier cycle (ordered by a scheduling counter),
 // class 1 is cross-domain deliveries (ordered by send cycle, then source
 // domain, then per-source send index), and class 2 is same-cycle delay-0
-// spawns (the serial engine's imm FIFO, ordered by the counter). Cross-domain
-// messages are inserted eagerly at send time — there are no windows or
-// barriers here, which is the point: if barrier placement influenced order,
-// this executor would disagree with the windowed one.
+// spawns (the serial engine's events after mark, ordered by the counter).
+// Cross-domain messages are inserted eagerly at send time — there are no
+// windows or barriers here, which is the point: if barrier placement
+// influenced order, this executor would disagree with the windowed one.
 
 type refEvent struct {
 	when  Cycle
