@@ -25,11 +25,12 @@ short:
 	$(GO) test -short ./...
 
 # Trace overhead gate: tracing disabled must stay allocation-free on the
-# per-access hot path (a nil Recorder is one pointer compare), the event
-# queue must stay allocation-free in steady state, and a traced end-to-end
-# run must keep producing valid output from every machine layer.
+# per-access hot path (a nil Recorder is one pointer compare), the GETM and
+# WarpTM access and commit paths, the SIMT core's transaction step and the
+# event queue must stay allocation-free in steady state, and a traced
+# end-to-end run must keep producing valid output from every machine layer.
 trace-gate:
-	$(GO) test -run 'TestGETMStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc' ./internal/core/ ./internal/tm/ ./internal/trace/ ./internal/sim/
+	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestCoreTxStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc' ./internal/core/ ./internal/warptm/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
 
 # Persistence & cancellation gate: stored metrics must round-trip exactly
@@ -66,8 +67,9 @@ test:
 perf-test:
 	cd perf && $(GO) test .
 
-# Perf baselines (see BENCH_harness.json / BENCH_hotpath.json for recorded
-# numbers).
+# Micro-benchmarks: the event engine and the serial paper suite. The
+# end-to-end benchmark with recorded numbers is `bash perf/run.sh` (see
+# perf/README.md); the BENCH_*.json files are history from earlier hosts.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkSuite' -benchtime 1x .

@@ -55,7 +55,11 @@ type Protocol struct {
 	trans tm.Transport
 	cores int
 
-	active     map[int]*tm.WarpTx // running (pre-commit) transactions
+	// active holds the running (pre-commit) transactions per core, each
+	// list sorted by gwid, so a broadcast delivery visits its core's warps
+	// in a fixed order (early-abort notices and their trace records are
+	// reproducible) without a per-delivery sort.
+	active     [][]*tm.WarpTx
 	committing map[int]*activeSig // gwid -> in-flight commit signature
 	// commitOrder mirrors committing, kept sorted by owner gwid so the
 	// pause-target choice among several matches is deterministic without a
@@ -92,7 +96,7 @@ func New(inner *warptm.Protocol, eng *sim.Engine, trans tm.Transport, cores int)
 		eng:        eng,
 		trans:      trans,
 		cores:      cores,
-		active:     make(map[int]*tm.WarpTx),
+		active:     make([][]*tm.WarpTx, cores),
 		committing: make(map[int]*activeSig),
 	}
 }
@@ -112,8 +116,24 @@ func (p *Protocol) Inner() *warptm.Protocol { return p.inner }
 
 // Begin implements tm.Protocol.
 func (p *Protocol) Begin(w *tm.WarpTx) {
-	p.active[w.GWID] = w
+	// Insert keeping the core's list sorted by gwid.
+	act := append(p.active[w.Core], w)
+	for i := len(act) - 1; i > 0 && act[i-1].GWID > w.GWID; i-- {
+		act[i], act[i-1] = act[i-1], act[i]
+	}
+	p.active[w.Core] = act
 	p.inner.Begin(w)
+}
+
+// dropActive removes the warp's running transaction (it is committing).
+func (p *Protocol) dropActive(w *tm.WarpTx) {
+	act := p.active[w.Core]
+	for i, x := range act {
+		if x.GWID == w.GWID {
+			p.active[w.Core] = append(act[:i], act[i+1:]...)
+			return
+		}
+	}
 }
 
 // getSig pops a pooled signature record (maps and slices keep capacity).
@@ -177,7 +197,7 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 // one 64-bit message per core), early-abort doomed transactions, then run
 // WarpTM's two-round-trip commit.
 func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resume func(tm.CommitOutcome)) {
-	delete(p.active, w.GWID)
+	p.dropActive(w)
 
 	as := p.getSig(w.GWID)
 	for _, e := range w.Log.Writes {
@@ -233,13 +253,15 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 
 // earlyAbortDoomed aborts running transactions on core whose read sets
 // intersect the committing write set: their commit-time validation would
-// fail anyway, so aborting now saves the round trips.
+// fail anyway, so aborting now saves the round trips. Notices go out in
+// ascending gwid order.
 func (p *Protocol) earlyAbortDoomed(core, committer int, words map[uint64]bool) {
 	if p.abortSink == nil {
 		return
 	}
-	for gwid, w := range p.active {
-		if gwid == committer || w.Core != core {
+	for _, w := range p.active[core] {
+		gwid := w.GWID
+		if gwid == committer {
 			continue
 		}
 		var doomed isa.LaneMask

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -162,28 +163,22 @@ func newTestPartition(eng *sim.Engine) *Partition {
 	return NewPartition(0, eng, NewImage(), cfg)
 }
 
-func TestPartitionReadWrite(t *testing.T) {
+// TestPartitionAccessDelay pins the data-path latency: a cold line pays the
+// LLC and DRAM latencies, and the same line accessed once the first access
+// has completed (a free service slot) hits in exactly the LLC latency.
+func TestPartitionAccessDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	p := newTestPartition(eng)
-	var got uint64
-	var writeDone, readDone sim.Cycle
-	eng.Schedule(0, func() {
-		p.Write(0x40, 99, func() { writeDone = eng.Now() })
-	})
+	var miss, hit sim.Cycle
+	eng.Schedule(0, func() { miss = p.AccessDelay(0x40) })
 	eng.Run(0)
-	eng.Schedule(0, func() {
-		p.Read(0x40, func(v uint64) { got, readDone = v, eng.Now() })
-	})
+	eng.At(miss, func() { hit = p.AccessDelay(0x40) })
 	eng.Run(0)
-	if got != 99 {
-		t.Fatalf("read %d, want 99", got)
+	if miss < p.Cfg.LLCLatency+sim.Cycle(p.Cfg.DRAMLatency) {
+		t.Fatalf("miss too fast: %d", miss)
 	}
-	// First access misses (LLC + DRAM); second hits (LLC only).
-	if writeDone < sim.Cycle(p.Cfg.LLCLatency)+sim.Cycle(p.Cfg.DRAMLatency) {
-		t.Fatalf("miss too fast: %d", writeDone)
-	}
-	if readDone-writeDone > p.Cfg.LLCLatency+5 {
-		t.Fatalf("hit too slow: %d", readDone-writeDone)
+	if hit != p.Cfg.LLCLatency {
+		t.Fatalf("hit took %d cycles, want the LLC latency %d", hit, p.Cfg.LLCLatency)
 	}
 }
 
@@ -194,13 +189,14 @@ func TestPartitionServiceSerialization(t *testing.T) {
 	eng.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
 			addr := uint64(i * 8) // same line -> all hit after first
-			p.Read(addr, func(uint64) { done = append(done, eng.Now()) })
+			done = append(done, eng.Now()+p.AccessDelay(addr))
 		}
 	})
 	eng.Run(0)
 	if len(done) != 4 {
 		t.Fatalf("completed %d/4", len(done))
 	}
+	slices.Sort(done)
 	for i := 1; i < len(done); i++ {
 		if done[i] < done[i-1]+1 {
 			t.Fatalf("service rate violated: %v", done)
@@ -211,16 +207,21 @@ func TestPartitionServiceSerialization(t *testing.T) {
 // TestPartitionServiceRate pins that a partition admits exactly ServiceRate
 // starts per cycle: with rate 2, two requests start in cycle c and the third
 // waits for c+1. (The rate used to be ignored above 1, admitting any number
-// of starts per cycle.)
+// of starts per cycle.) Every access hits a warmed line, so each start is its
+// completion minus the LLC latency.
 func TestPartitionServiceRate(t *testing.T) {
 	eng := sim.NewEngine()
 	p := newTestPartition(eng)
 	p.Cfg.ServiceRate = 2
+	p.LLC.Access(0)
+	start := func(i int) sim.Cycle {
+		return eng.Now() + p.AccessDelay(uint64(8*i)) - p.Cfg.LLCLatency
+	}
 	const c = 10
 	var starts []sim.Cycle
 	eng.At(c, func() {
 		for i := 0; i < 5; i++ {
-			starts = append(starts, p.serviceSlot())
+			starts = append(starts, start(i))
 		}
 	})
 	eng.Run(0)
@@ -231,7 +232,7 @@ func TestPartitionServiceRate(t *testing.T) {
 		}
 	}
 	// A later cycle with a free slot starts at once, with a full budget.
-	eng.At(c+5, func() { starts = append(starts[:0], p.serviceSlot(), p.serviceSlot(), p.serviceSlot()) })
+	eng.At(c+5, func() { starts = append(starts[:0], start(0), start(1), start(2)) })
 	eng.Run(0)
 	if starts[0] != c+5 || starts[1] != c+5 || starts[2] != c+6 {
 		t.Fatalf("service starts at cycle %d = %v, want [%d %d %d]", c+5, starts, c+5, c+5, c+6)

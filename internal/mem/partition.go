@@ -114,23 +114,6 @@ func (p *Partition) AccessDelay(addr uint64) sim.Cycle {
 	return d
 }
 
-// Read performs a timed read; done receives the value.
-func (p *Partition) Read(addr uint64, done func(val uint64)) {
-	d := p.AccessDelay(addr)
-	p.Eng.Schedule(d, func() { done(p.Image.Read(addr)) })
-}
-
-// Write performs a timed write.
-func (p *Partition) Write(addr, val uint64, done func()) {
-	d := p.AccessDelay(addr)
-	p.Eng.Schedule(d, func() {
-		p.Image.Write(addr, val)
-		if done != nil {
-			done()
-		}
-	})
-}
-
 // WriteNow updates the image immediately (used by commit units that already
 // charged their own timing) while still touching the LLC tags.
 func (p *Partition) WriteNow(addr, val uint64) {

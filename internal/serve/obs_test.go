@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -165,6 +166,14 @@ func TestSpanRecorderConcurrentNoLoss(t *testing.T) {
 				}
 				if resp.Header.Get("X-Getm-Shed") != "0" {
 					t.Errorf("unexpected shedding: %s", resp.Header.Get("X-Getm-Shed"))
+				}
+				// Read the body to EOF before closing: the handler records
+				// its respond span after writing the body, and a body larger
+				// than the response buffer sends the headers mid-write, so
+				// only EOF (sent once the handler returns) orders the span
+				// before the count below.
+				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+					t.Errorf("batch body: %v", err)
 				}
 				resp.Body.Close()
 			}

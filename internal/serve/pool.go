@@ -125,6 +125,11 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 		return js, admitOK
 	}
 
+	// Re-check under p.mu: drain flips the flag under the same lock, so a
+	// task counted here is counted before drain starts waiting on taskWG.
+	if p.draining.Load() {
+		return nil, admitDraining
+	}
 	js := &jobState{id: id, spec: sp, client: client, done: make(chan struct{}), queuedAt: time.Now()}
 	js.setStatus(statusQueued)
 	// Count the task before a worker can pop it: a worker that finishes it
@@ -319,7 +324,9 @@ func (p *pool) snapshotRunners() []*harness.Runner {
 // finish, cancels whatever remains (engines stop within one chunk of
 // simulated cycles), and stops the workers.
 func (p *pool) drain(timeout time.Duration) error {
+	p.mu.Lock() // orders the flip against admit's taskWG.Add (see admit)
 	p.draining.Store(true)
+	p.mu.Unlock()
 	finished := make(chan struct{})
 	go func() {
 		p.taskWG.Wait()

@@ -49,10 +49,17 @@ type Core struct {
 	issuePending bool
 	nextIssue    sim.Cycle
 	lastWarp     int
+	issueFn      func() // c.issue, bound once (a method value allocates)
 
 	// storePool is a freelist of fire-and-forget store buffers (single
 	// goroutine per machine, so no locking).
 	storePool *storeBuf
+	// logPool is the free list of transaction logs. Logs belong to
+	// transaction slots: a warp takes one in startTx and returns it in endTx,
+	// so a core never holds more logs than its peak number of concurrent
+	// transactions. The list is per core, not per machine, because sharded
+	// cores run in separate domains on different goroutines.
+	logPool []*tm.TxLog
 
 	rec *trace.Recorder
 
@@ -80,6 +87,7 @@ func NewCore(id int, eng *sim.Engine, cfg Config, protocol tm.Protocol, memsys M
 		dispatch: dispatch,
 	}
 	c.Stats.AbortsByCause = stats.Counters{}
+	c.issueFn = c.issue
 	// Warp contexts are built lazily in Start: a warp's register file alone
 	// is WarpWidth×NumRegs words, and at small workload scales most of a
 	// core's slots never receive a program, so eager construction would
@@ -110,8 +118,8 @@ func (c *Core) admitQueued() {
 	}
 }
 
-// newWarpFor constructs the warp context for a slot with its two prebound
-// completion closures (allocated once per warp, here).
+// newWarpFor constructs the warp context for a slot with its prebound
+// completion and commit closures (allocated once per warp, here).
 func (c *Core) newWarpFor(slot int) *Warp {
 	w := newWarp(slot, c.ID*c.cfg.WarpsPerCore+slot)
 	w.accDone = func(results []tm.AccessResult) { c.txAccessDone(w, results) }
@@ -121,6 +129,10 @@ func (c *Core) newWarpFor(slot int) *Warp {
 		}
 		c.wake(w)
 	}
+	w.wakeFn = func() { c.wake(w) }
+	w.commitFn = func() { c.txCommit(w) }
+	w.resumeFn = func(out tm.CommitOutcome) { c.txCommitDone(w, out) }
+	w.retryFn = func() { c.txRetry(w) }
 	c.warps[slot] = w
 	return w
 }
@@ -211,7 +223,7 @@ func (c *Core) scheduleIssue() {
 	if now := c.eng.Now(); c.nextIssue > now {
 		delay = c.nextIssue - now
 	}
-	c.eng.Schedule(delay, c.issue)
+	c.eng.Schedule(delay, c.issueFn)
 }
 
 // pickWarp implements greedy-then-oldest: keep issuing from the same warp
@@ -259,7 +271,7 @@ func (c *Core) execStep(w *Warp) {
 	case isa.Compute:
 		w.top().pc++
 		w.state = wBlocked
-		c.eng.Schedule(sim.Cycle(op.Latency), func() { c.wake(w) })
+		c.eng.Schedule(sim.Cycle(op.Latency), w.wakeFn)
 	case isa.MovImm:
 		for lane := 0; lane < isa.WarpWidth; lane++ {
 			if w.effMask(op).Bit(lane) {
@@ -333,7 +345,7 @@ func (c *Core) frameDone(w *Warp) {
 	if w.pendingStores > 0 {
 		// Drain fire-and-forget stores before retiring the program.
 		w.state = wBlocked
-		w.fence(func() { c.wake(w) })
+		w.fence(w.wakeFn)
 		return
 	}
 	if p := c.dispatch(c.ID, w.slot); p != nil {
@@ -390,7 +402,7 @@ func (c *Core) execMemAccess(w *Warp, op *isa.Op, isWrite bool) {
 		// Read-after-write through memory: drain outstanding stores, then
 		// re-issue this load (pc has not advanced).
 		w.state = wBlocked
-		w.fence(func() { c.wake(w) })
+		w.fence(w.wakeFn)
 		return
 	}
 	w.top().pc++
@@ -489,6 +501,12 @@ func (c *Core) canBegin() bool {
 
 func (c *Core) startTx(w *Warp) {
 	c.txActive++
+	if n := len(c.logPool); n > 0 {
+		w.txLog = c.logPool[n-1]
+		c.logPool = c.logPool[:n-1]
+	} else {
+		w.txLog = tm.NewTxLog()
+	}
 	f := w.top()
 	w.inTx = true
 	w.committing = false
@@ -519,8 +537,9 @@ func (c *Core) beginAttempt(w *Warp) {
 			uint64(w.gwid), uint64(w.txMask), uint64(w.attempts), 0)
 	}
 	w.txLog.Reset()
-	w.warpTx = &tm.WarpTx{GWID: w.gwid, Core: c.ID, Log: w.txLog, StartCycle: c.eng.Now()}
-	c.protocol.Begin(w.warpTx)
+	w.attemptID++
+	w.warpTx = tm.WarpTx{GWID: w.gwid, Core: c.ID, Log: w.txLog, StartCycle: c.eng.Now()}
+	c.protocol.Begin(&w.warpTx)
 	w.attemptStart = c.eng.Now()
 }
 
@@ -629,15 +648,15 @@ func (c *Core) execTxAccess(w *Warp, op *isa.Op, isWrite bool) {
 	w.state = wBlocked
 	w.accIsWrite = isWrite
 	w.accDst = dst
-	w.accAttempt = w.warpTx
-	c.protocol.Access(w.warpTx, isWrite, send, w.accDone)
+	w.accAttempt = w.attemptID
+	c.protocol.Access(&w.warpTx, isWrite, send, w.accDone)
 }
 
 // txAccessDone is the (per-warp prebound) completion callback for a
 // transactional access: it applies per-lane results to the redo log and
 // registers, then wakes the warp.
 func (c *Core) txAccessDone(w *Warp, results []tm.AccessResult) {
-	if w.warpTx != w.accAttempt {
+	if w.attemptID != w.accAttempt {
 		return // stale completion after the attempt ended
 	}
 	for _, r := range results {
@@ -698,9 +717,10 @@ func resolveIntraWarp(log *tm.TxLog, live isa.LaneMask) (losers isa.LaneMask) {
 
 // execTxCommit finishes the warp's transaction: commit-time intra-warp
 // resolution for lazy protocols, the protocol commit, and retry of aborted
-// lanes with probabilistically increasing backoff.
+// lanes with probabilistically increasing backoff. The commit runs through
+// the warp's prebound callbacks (txCommit, txCommitDone, txRetry), with its
+// state in warp fields.
 func (c *Core) execTxCommit(w *Warp) {
-	f := w.top()
 	live := w.live()
 
 	extra := sim.Cycle(0)
@@ -715,63 +735,75 @@ func (c *Core) execTxCommit(w *Warp) {
 		live = w.live()
 	}
 
-	commitMask, abortMask := live, w.deadMask
+	w.commitMask, w.abortMask = live, w.deadMask
 	w.state = wBlocked
 	w.committing = true
-	attempt := w.warpTx
-	c.eng.Schedule(extra, func() {
-		commitStart := c.eng.Now()
-		if commitStart > w.attemptStart {
-			c.Stats.TxExecCycles += uint64(commitStart - w.attemptStart)
-		}
-		c.protocol.Commit(attempt, commitMask, abortMask, func(out tm.CommitOutcome) {
-			c.Stats.TxWaitCycles += uint64(c.eng.Now() - commitStart)
-			failed := out.FailedLanes & commitMask
-			for lane := 0; lane < isa.WarpWidth; lane++ {
-				if failed.Bit(lane) {
-					c.Stats.Aborts++
-					c.Stats.AbortsByCause.Inc(out.Cause.String(), 1)
-					if c.rec != nil {
-						c.rec.Emit(trace.SrcTx, trace.KTxAbort, int32(c.ID),
-							uint64(w.gwid), uint64(lane), uint64(out.Cause), 0)
-					}
-				}
-			}
-			committed := commitMask &^ failed
-			c.Stats.Commits += uint64(committed.Count())
-			if c.rec != nil {
-				c.rec.Emit(trace.SrcTx, trace.KTxCommit, int32(c.ID),
-					uint64(w.gwid), uint64(committed), uint64(failed), 0)
-			}
+	c.eng.Schedule(extra, w.commitFn)
+}
 
-			retry := abortMask | failed
-			if retry != 0 {
-				w.attempts++
-				backoff := c.backoff(w.attempts)
-				c.Stats.TxWaitCycles += uint64(backoff)
-				if c.rec != nil {
-					c.rec.Emit(trace.SrcTx, trace.KTxRetry, int32(c.ID),
-						uint64(w.gwid), uint64(retry), uint64(backoff), 0)
-				}
-				c.eng.Schedule(backoff, func() {
-					w.txMask = retry
-					w.deadMask = 0
-					w.committing = false
-					c.beginAttempt(w)
-					if c.rec != nil {
-						c.rec.Emit(trace.SrcSIMT, trace.KReconverge, int32(c.ID),
-							uint64(w.gwid), uint64(retry), 0, 0)
-					}
-					f.pc = w.txBeginPC + 1
-					c.wake(w)
-				})
-				return
+// txCommit hands the attempt to the protocol once intra-warp resolution has
+// been charged.
+func (c *Core) txCommit(w *Warp) {
+	w.commitStart = c.eng.Now()
+	if w.commitStart > w.attemptStart {
+		c.Stats.TxExecCycles += uint64(w.commitStart - w.attemptStart)
+	}
+	c.protocol.Commit(&w.warpTx, w.commitMask, w.abortMask, w.resumeFn)
+}
+
+// txCommitDone applies the protocol's commit outcome: failed lanes abort and,
+// with the lanes that died during the attempt, retry after a backoff; a
+// fully committed warp leaves the transaction.
+func (c *Core) txCommitDone(w *Warp, out tm.CommitOutcome) {
+	c.Stats.TxWaitCycles += uint64(c.eng.Now() - w.commitStart)
+	failed := out.FailedLanes & w.commitMask
+	for lane := 0; lane < isa.WarpWidth; lane++ {
+		if failed.Bit(lane) {
+			c.Stats.Aborts++
+			c.Stats.AbortsByCause.Inc(out.Cause.String(), 1)
+			if c.rec != nil {
+				c.rec.Emit(trace.SrcTx, trace.KTxAbort, int32(c.ID),
+					uint64(w.gwid), uint64(lane), uint64(out.Cause), 0)
 			}
-			c.endTx(w)
-			f.pc = w.commitPC + 1
-			c.wake(w)
-		})
-	})
+		}
+	}
+	committed := w.commitMask &^ failed
+	c.Stats.Commits += uint64(committed.Count())
+	if c.rec != nil {
+		c.rec.Emit(trace.SrcTx, trace.KTxCommit, int32(c.ID),
+			uint64(w.gwid), uint64(committed), uint64(failed), 0)
+	}
+
+	retry := w.abortMask | failed
+	if retry != 0 {
+		w.attempts++
+		backoff := c.backoff(w.attempts)
+		c.Stats.TxWaitCycles += uint64(backoff)
+		if c.rec != nil {
+			c.rec.Emit(trace.SrcTx, trace.KTxRetry, int32(c.ID),
+				uint64(w.gwid), uint64(retry), uint64(backoff), 0)
+		}
+		w.retryMask = retry
+		c.eng.Schedule(backoff, w.retryFn)
+		return
+	}
+	c.endTx(w)
+	w.top().pc = w.commitPC + 1
+	c.wake(w)
+}
+
+// txRetry starts the next attempt for the lanes that aborted.
+func (c *Core) txRetry(w *Warp) {
+	w.txMask = w.retryMask
+	w.deadMask = 0
+	w.committing = false
+	c.beginAttempt(w)
+	if c.rec != nil {
+		c.rec.Emit(trace.SrcSIMT, trace.KReconverge, int32(c.ID),
+			uint64(w.gwid), uint64(w.retryMask), 0, 0)
+	}
+	w.top().pc = w.txBeginPC + 1
+	c.wake(w)
 }
 
 // backoff returns a random delay in [0, min(base<<attempts, cap)).
@@ -789,10 +821,14 @@ func (c *Core) backoff(attempts int) sim.Cycle {
 	return sim.Cycle(c.rng.Uint64n(limit))
 }
 
-// endTx releases the warp's transactional slot and admits a queued warp.
+// endTx releases the warp's transactional slot (and its log) and admits a
+// queued warp. No protocol keeps WarpTx.Log past the commit's resume, so the
+// log can go straight to the next transaction.
 func (c *Core) endTx(w *Warp) {
 	w.inTx = false
 	w.committing = false
+	c.logPool = append(c.logPool, w.txLog)
+	w.txLog = nil
 	c.txActive--
 	for len(c.txQueue) > 0 && c.canBegin() {
 		next := c.txQueue[0]

@@ -42,7 +42,11 @@ type Warp struct {
 
 	regs [isa.WarpWidth][isa.NumRegs]uint64
 
-	// Transaction state.
+	// Transaction state. txLog belongs to the transaction slot, not the
+	// warp: it is taken from the core's free list in startTx and returned in
+	// endTx (nil outside a transaction). warpTx is reused across attempts;
+	// attemptID numbers them, so a completion from an ended attempt is stale.
+	// attempts counts the retries of the current transaction (backoff).
 	inTx          bool
 	committing    bool
 	txBeginPC     int
@@ -51,7 +55,8 @@ type Warp struct {
 	pendingTxMask isa.LaneMask
 	deadMask      isa.LaneMask
 	txLog         *tm.TxLog
-	warpTx        *tm.WarpTx
+	warpTx        tm.WarpTx
+	attemptID     uint64
 	attempts      int
 
 	// Timing accounting.
@@ -82,18 +87,31 @@ type Warp struct {
 
 	// In-flight access state consumed by the prebound completion callbacks
 	// (accDone for transactional accesses, loadDone for blocking loads); the
-	// closures themselves are allocated once per warp in NewCore.
+	// closures themselves are allocated once per warp in newWarpFor.
 	accIsWrite bool
 	accDst     isa.Reg
-	accAttempt *tm.WarpTx
+	accAttempt uint64
 	accDone    func([]tm.AccessResult)
 	loadDst    isa.Reg
 	loadDone   func([]uint64)
+
+	// Commit state consumed by the prebound commit callbacks: commitFn starts
+	// the protocol commit after intra-warp resolution, resumeFn takes its
+	// outcome, and retryFn restarts the failed lanes after the backoff.
+	commitMask  isa.LaneMask
+	abortMask   isa.LaneMask
+	retryMask   isa.LaneMask
+	commitStart sim.Cycle
+	commitFn    func()
+	resumeFn    func(tm.CommitOutcome)
+	retryFn     func()
+	// wakeFn is the prebound c.wake(w) (compute latency, store fences).
+	wakeFn func()
 }
 
 func newWarp(slot, gwid int) *Warp {
 	return &Warp{
-		slot: slot, gwid: gwid, txLog: tm.NewTxLog(),
+		slot: slot, gwid: gwid,
 		storeWords: make(map[uint64]int),
 		sendBuf:    make([]tm.LaneAccess, 0, isa.WarpWidth),
 		loadLanes:  make([]int, 0, isa.WarpWidth),

@@ -26,9 +26,9 @@ type Protocol struct {
 	// apply. This makes id order a valid serialization for the replay
 	// checker and gives TCD's read-only commits a sound horizon.
 	decided uint64
-	// waiting holds finished-validation transactions awaiting their in-order
+	// waiting holds finished-validation commits awaiting their in-order
 	// decision slot.
-	waiting map[uint64]func()
+	waiting map[uint64]*commitReq
 	// tcdUnsafe marks lanes whose reads touched recently written lines and
 	// therefore cannot silently commit. Indexed by gwid (grown on Begin).
 	tcdUnsafe []isa.LaneMask
@@ -39,16 +39,15 @@ type Protocol struct {
 	startHorizon []uint64
 
 	// Hot-path freelists (single goroutine per machine — no locking): access
-	// states, per-word load requests, and commit-log entry backings. Pooled
-	// objects carry prebuilt closures so steady-state accesses allocate
-	// nothing.
-	accPool   *wtmAccess
-	wordPool  *wordReq
-	entryPool [][]tm.LogEntry
+	// states, per-word load requests, commit objects, and commit-log entry
+	// backings. Pooled objects carry prebuilt closures so steady-state
+	// accesses and commits allocate nothing.
+	accPool    *wtmAccess
+	wordPool   *wordReq
+	commitPool *commitReq
+	entryPool  [][]tm.LogEntry
 	// Per-commit counting-sort scratch (len = #partitions), consumed
 	// synchronously inside Commit.
-	readsBy    [][]tm.LogEntry
-	writesBy   [][]tm.LogEntry
 	readCount  []int
 	writeCount []int
 
@@ -77,9 +76,7 @@ func NewProtocol(cfg Config, eng *sim.Engine, amap mem.AddressMap, trans tm.Tran
 		trans:      trans,
 		vus:        vus,
 		img:        img,
-		waiting:    make(map[uint64]func()),
-		readsBy:    make([][]tm.LogEntry, len(vus)),
-		writesBy:   make([][]tm.LogEntry, len(vus)),
+		waiting:    make(map[uint64]*commitReq),
 		readCount:  make([]int, len(vus)),
 		writeCount: make([]int, len(vus)),
 	}
@@ -143,9 +140,9 @@ type wordReq struct {
 	part      int
 	val       uint64
 	lastWrite sim.Cycle
-	submitFn  func()       // up-crossbar delivery: start the partition read
-	readCb    func(uint64) // partition read completion
-	replyCb   func()       // down-crossbar delivery: resolve sharing lanes
+	submitFn  func() // up-crossbar delivery: start the partition read
+	readFn    func() // partition data read completion
+	replyFn   func() // down-crossbar delivery: resolve sharing lanes
 	next      *wordReq
 }
 
@@ -194,15 +191,16 @@ func (p *Protocol) getWordReq() *wordReq {
 		wr = &wordReq{p: p}
 		wr.submitFn = func() {
 			// Data read through the partition pipeline + TCD lookup.
-			wr.p.vus[wr.part].part.Read(wr.addr, wr.readCb)
+			part := wr.p.vus[wr.part].part
+			part.Eng.Schedule(part.AccessDelay(wr.addr), wr.readFn)
 		}
-		wr.readCb = func(val uint64) {
+		wr.readFn = func() {
 			vu := wr.p.vus[wr.part]
-			wr.val = val
+			wr.val = vu.part.ReadNow(wr.addr)
 			wr.lastWrite = vu.tcd.LastWrite(wr.addr / uint64(mem.WordBytes))
-			wr.p.trans.ToCore(wr.part, wr.st.w.Core, tm.ReplyBytes+tm.TSBytes, wr.replyCb)
+			wr.p.trans.ToCore(wr.part, wr.st.w.Core, tm.ReplyBytes+tm.TSBytes, wr.replyFn)
 		}
-		wr.replyCb = func() { wr.deliver() }
+		wr.replyFn = func() { wr.deliver() }
 	} else {
 		p.wordPool = wr.next
 	}
@@ -299,6 +297,91 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 	}
 }
 
+// commitReq is one warp commit's state. A validating commit carries its id,
+// lane masks, reply and ack counters, involved partitions and entry backing
+// through both round trips; a silent read-only commit uses it only for its
+// one-cycle resume. Pooled per machine; every callback, including one
+// partCommit per partition, is built once with the object and rebound
+// through fields. The object is recycled before resume runs.
+type commitReq struct {
+	p           *Protocol
+	w           *tm.WarpTx
+	cid         uint64
+	validating  isa.LaneMask
+	failed      isa.LaneMask
+	committing  isa.LaneMask
+	repliesLeft int
+	acksLeft    int
+	involved    []int
+	backing     []tm.LogEntry
+	resume      func(tm.CommitOutcome)
+	parts       []partCommit
+	resumeFn    func() // silent commit: the one-cycle resume
+	next        *commitReq
+}
+
+// partCommit is one commit's exchange with one partition: its validation
+// message and the callbacks of both round trips.
+type partCommit struct {
+	msg    ValidationMsg
+	failed isa.LaneMask // this partition's validation reply
+
+	submitFn     func() // up-crossbar delivery: hand msg to the VU
+	replyFn      func() // down-crossbar delivery of the validation reply
+	confirmFn    func() // up-crossbar delivery of the decision
+	ackFn        func() // commit unit done: send the ack home
+	ackDeliverFn func() // down-crossbar delivery of the ack
+}
+
+func (p *Protocol) getCommit() *commitReq {
+	c := p.commitPool
+	if c != nil {
+		p.commitPool = c.next
+		return c
+	}
+	c = &commitReq{p: p, parts: make([]partCommit, len(p.vus))}
+	c.resumeFn = func() {
+		resume := c.resume
+		c.release()
+		resume(tm.CommitOutcome{})
+	}
+	for part := range c.parts {
+		pc := &c.parts[part]
+		vu := p.vus[part]
+		pc.submitFn = func() { vu.Submit(&pc.msg) }
+		pc.msg.Reply = func(f isa.LaneMask) {
+			pc.failed = f
+			p.trans.ToCore(part, c.w.Core, tm.HeaderBytes+4, pc.replyFn)
+		}
+		pc.replyFn = func() {
+			c.failed |= pc.failed
+			c.repliesLeft--
+			if c.repliesLeft == 0 {
+				p.finishCommit(c)
+			}
+		}
+		pc.confirmFn = func() { vu.Confirm(c.cid, c.committing, pc.ackFn) }
+		pc.ackFn = func() { p.trans.ToCore(part, c.w.Core, tm.HeaderBytes, pc.ackDeliverFn) }
+		pc.ackDeliverFn = func() {
+			c.acksLeft--
+			if c.acksLeft > 0 {
+				return
+			}
+			resume, out := c.resume, tm.CommitOutcome{FailedLanes: c.failed, Cause: tm.CauseValidation}
+			p.putEntryBuf(c.backing)
+			c.release()
+			resume(out)
+		}
+	}
+	return c
+}
+
+func (c *commitReq) release() {
+	c.w, c.resume, c.backing = nil, nil, nil
+	c.next = c.p.commitPool
+	c.p.commitPool = c
+}
+
 // Commit implements tm.Protocol: the two-round-trip value-based validation
 // and commit sequence of Fig 2 (top), with TCD silent commits for read-only
 // lanes.
@@ -341,13 +424,16 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 			uint64(w.GWID), uint64(silent), 0, 0)
 	}
 
+	c := p.getCommit()
+	c.resume = resume
 	if validating == 0 {
 		// Nothing needs the commit units; the warp continues immediately.
-		p.eng.Schedule(1, func() { resume(tm.CommitOutcome{}) })
+		p.eng.Schedule(1, c.resumeFn)
 		return
 	}
 
-	cid := p.nextCID
+	c.w, c.cid, c.validating, c.failed = w, p.nextCID, validating, 0
+	c.involved = c.involved[:0]
 	p.nextCID++
 
 	// Build per-partition entry lists for the validating lanes: a stable
@@ -374,68 +460,46 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 			need++
 		}
 	}
-	backing := p.getEntryBuf(need)
+	c.backing = p.getEntryBuf(need)
 	// Carve zero-length exact-capacity sub-slices out of the backing, then
 	// append into them: no reallocation, stable order.
 	pos := 0
 	for part := 0; part < nParts; part++ {
-		p.readsBy[part] = backing[pos : pos : pos+p.readCount[part]]
+		m := &c.parts[part].msg
+		m.Reads = c.backing[pos : pos : pos+p.readCount[part]]
 		pos += p.readCount[part]
-		p.writesBy[part] = backing[pos : pos : pos+p.writeCount[part]]
+		m.Writes = c.backing[pos : pos : pos+p.writeCount[part]]
 		pos += p.writeCount[part]
 	}
 	for _, e := range w.Log.Reads {
 		if validating.Bit(e.Lane) {
-			part := p.amap.Partition(e.Addr)
-			p.readsBy[part] = append(p.readsBy[part], e)
+			m := &c.parts[p.amap.Partition(e.Addr)].msg
+			m.Reads = append(m.Reads, e)
 		}
 	}
 	for _, e := range w.Log.Writes {
 		if validating.Bit(e.Lane) {
-			part := p.amap.Partition(e.Addr)
-			p.writesBy[part] = append(p.writesBy[part], e)
+			m := &c.parts[p.amap.Partition(e.Addr)].msg
+			m.Writes = append(m.Writes, e)
 		}
-	}
-	innerResume := resume
-	resume = func(out tm.CommitOutcome) {
-		p.putEntryBuf(backing)
-		innerResume(out)
 	}
 	if p.rec != nil {
 		p.rec.Emit(trace.SrcWarpTM, trace.KWTMValidate, int32(w.Core),
-			cid, uint64(validating), uint64(need), 0)
+			c.cid, uint64(validating), uint64(need), 0)
 	}
-
-	repliesLeft := nParts
-	var failed isa.LaneMask
-	var involved []int
 
 	// Round trip 1: validation at every partition. Partitions holding none
 	// of the footprint receive a header-only message that just keeps the
 	// commit-id sequence in lockstep and retires immediately.
+	c.repliesLeft = nParts
 	for part := 0; part < nParts; part++ {
-		part := part
-		msg := &ValidationMsg{
-			CID:    cid,
-			Core:   w.Core,
-			Reads:  p.readsBy[part],
-			Writes: p.writesBy[part],
+		pc := &c.parts[part]
+		pc.msg.CID, pc.msg.Core = c.cid, w.Core
+		if len(pc.msg.Reads)+len(pc.msg.Writes) > 0 {
+			c.involved = append(c.involved, part)
 		}
-		if len(msg.Reads)+len(msg.Writes) > 0 {
-			involved = append(involved, part)
-		}
-		bytes := tm.HeaderBytes + len(msg.Reads)*tm.ValidateEntryBytes + len(msg.Writes)*tm.CommitEntryBytes
-		msg.Reply = func(f isa.LaneMask) {
-			p.trans.ToCore(part, w.Core, tm.HeaderBytes+4, func() {
-				failed |= f
-				repliesLeft--
-				if repliesLeft == 0 {
-					p.finishCommit(w, cid, validating, failed, involved, resume)
-				}
-			})
-		}
-		vu := p.vus[part]
-		p.trans.ToPartition(w.Core, part, bytes, func() { vu.Submit(msg) })
+		bytes := tm.HeaderBytes + len(pc.msg.Reads)*tm.ValidateEntryBytes + len(pc.msg.Writes)*tm.CommitEntryBytes
+		p.trans.ToPartition(w.Core, part, bytes, pc.submitFn)
 	}
 }
 
@@ -449,7 +513,7 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 // and acks. Making the data visible one confirmation-latency early is the
 // standard simulator simplification; the hazard window keeps overlapping
 // validations ordered either way.
-func (p *Protocol) finishCommit(w *tm.WarpTx, cid uint64, validating, failed isa.LaneMask, involved []int, resume func(tm.CommitOutcome)) {
+func (p *Protocol) finishCommit(c *commitReq) {
 	if p.cfg.LocalArb {
 		// Local arbitration: decide immediately instead of waiting for the
 		// in-order retirement slot. Conflicting commits are still ordered —
@@ -458,34 +522,35 @@ func (p *Protocol) finishCommit(w *tm.WarpTx, cid uint64, validating, failed isa
 		// so commit-id order remains a valid serialization; p.decided becomes
 		// a count of decisions (an approximate horizon for silent commits).
 		p.decided++
-		p.decide(w, cid, validating, failed, involved, resume)
+		p.decide(c)
 		return
 	}
-	p.waiting[cid] = func() { p.decide(w, cid, validating, failed, involved, resume) }
+	p.waiting[c.cid] = c
 	for {
-		fn, ok := p.waiting[p.decided]
+		next, ok := p.waiting[p.decided]
 		if !ok {
 			return
 		}
 		delete(p.waiting, p.decided)
 		p.decided++
-		fn()
+		p.decide(next)
 	}
 }
 
 // decide retires one commit in id order: the atomic apply, checker record,
 // and the confirmation round trip to the involved commit units.
-func (p *Protocol) decide(w *tm.WarpTx, cid uint64, validating, failed isa.LaneMask, involved []int, resume func(tm.CommitOutcome)) {
-	committing := validating &^ failed
+func (p *Protocol) decide(c *commitReq) {
+	w := c.w
+	c.committing = c.validating &^ c.failed
 	if p.rec != nil {
 		p.rec.Emit(trace.SrcWarpTM, trace.KWTMDecide, int32(w.Core),
-			cid, uint64(failed), uint64(committing), 0)
+			c.cid, uint64(c.failed), uint64(c.committing), 0)
 	}
 
 	// Atomic apply: data and TCD last-write times for all partitions.
 	now := p.eng.Now()
 	for _, e := range w.Log.Writes {
-		if !committing.Bit(e.Lane) {
+		if !c.committing.Bit(e.Lane) {
 			continue
 		}
 		part := p.amap.Partition(e.Addr)
@@ -495,32 +560,21 @@ func (p *Protocol) decide(w *tm.WarpTx, cid uint64, validating, failed isa.LaneM
 
 	if p.Record {
 		for lane := 0; lane < isa.WarpWidth; lane++ {
-			if !committing.Bit(lane) {
+			if !c.committing.Bit(lane) {
 				continue
 			}
 			reads, writes := w.Log.LaneEntries(lane)
 			p.seq++
 			p.Committed = append(p.Committed, tm.CommittedTx{
 				GWID: w.GWID, Lane: lane,
-				SerialTS: 2 * (cid + 1), Seq: p.seq, Reads: reads, Writes: writes,
+				SerialTS: 2 * (c.cid + 1), Seq: p.seq, Reads: reads, Writes: writes,
 			})
 		}
 	}
 
 	// Round trip 2: confirmation and acks, only for the involved partitions.
-	acksLeft := len(involved)
-	for _, part := range involved {
-		part := part
-		vu := p.vus[part]
-		p.trans.ToPartition(w.Core, part, tm.HeaderBytes+4, func() {
-			vu.Confirm(cid, committing, func() {
-				p.trans.ToCore(part, w.Core, tm.HeaderBytes, func() {
-					acksLeft--
-					if acksLeft == 0 {
-						resume(tm.CommitOutcome{FailedLanes: failed, Cause: tm.CauseValidation})
-					}
-				})
-			})
-		})
+	c.acksLeft = len(c.involved)
+	for _, part := range c.involved {
+		p.trans.ToPartition(w.Core, part, tm.HeaderBytes+4, c.parts[part].confirmFn)
 	}
 }

@@ -22,16 +22,31 @@ type ValidationMsg struct {
 	Reply func(failed isa.LaneMask)
 }
 
+// txState is one transaction's validation and commit at a VU, from its start
+// to its ack. Pooled per VU: the validate and apply events are built once,
+// and the write-set map keeps its capacity across commits. msg is the
+// commit's pooled message, which outlives the txState (the protocol recycles
+// it only after this VU's ack).
 type txState struct {
-	msg       ValidationMsg
+	msg       *ValidationMsg
 	validated bool
-	confirm   *pendingConfirm
-	writeSet  map[uint64]bool
-}
-
-type pendingConfirm struct {
+	// The core's decision (Confirm): lanes that commit, and the ack.
+	confirmed   bool
 	commitLanes isa.LaneMask
 	done        func()
+	wrote       bool // some committed write reached this commit unit
+	writeSet    map[uint64]bool
+
+	validateFn func() // validation pipeline completion
+	applyFn    func() // commit unit write completion
+	next       *txState
+}
+
+// retireEv is an empty subcommit's one-cycle reply, pooled per VU.
+type retireEv struct {
+	reply func(failed isa.LaneMask)
+	fn    func()
+	next  *retireEv
 }
 
 // VU is a WarpTM validation/commit unit at one LLC partition. Transactions
@@ -49,6 +64,13 @@ type VU struct {
 	inFlight map[uint64]*txState
 	busyTill sim.Cycle
 
+	// Freelists and scratch (single goroutine per machine — no locking).
+	statePool  *txState
+	retirePool *retireEv
+	// regions is maybeApply's 32-byte coalescing scratch (only its size is
+	// read, so map order never matters).
+	regions map[uint64]bool
+
 	Validations    uint64
 	FailedEntries  uint64
 	CommitsApplied uint64
@@ -64,7 +86,48 @@ func NewVU(cfg Config, eng *sim.Engine, part *mem.Partition, rng *sim.RNG) *VU {
 		tcd:      NewTCD(cfg.TCDWays, cfg.TCDEntries, rng),
 		pending:  make(map[uint64]*ValidationMsg),
 		inFlight: make(map[uint64]*txState),
+		regions:  make(map[uint64]bool),
 	}
+}
+
+func (v *VU) getTxState(msg *ValidationMsg) *txState {
+	st := v.statePool
+	if st == nil {
+		st = &txState{writeSet: make(map[uint64]bool)}
+		st.validateFn = func() { v.finishValidate(st) }
+		st.applyFn = func() { v.finishApply(st) }
+	} else {
+		v.statePool = st.next
+	}
+	st.msg = msg
+	return st
+}
+
+func (v *VU) putTxState(st *txState) {
+	st.msg, st.done = nil, nil
+	st.validated, st.confirmed, st.wrote = false, false, false
+	clear(st.writeSet)
+	st.next = v.statePool
+	v.statePool = st
+}
+
+// retire schedules an empty subcommit's reply one cycle from now.
+func (v *VU) retire(reply func(failed isa.LaneMask)) {
+	r := v.retirePool
+	if r == nil {
+		r = &retireEv{}
+		r.fn = func() {
+			reply := r.reply
+			r.reply = nil
+			r.next = v.retirePool
+			v.retirePool = r
+			reply(0)
+		}
+	} else {
+		v.retirePool = r.next
+	}
+	r.reply = reply
+	v.eng.Schedule(1, r.fn)
 }
 
 // TCD exposes the partition's temporal-conflict filter (loads query it).
@@ -110,8 +173,7 @@ func (v *VU) tryStart() {
 		if len(msg.Reads) == 0 && len(msg.Writes) == 0 {
 			delete(v.pending, v.nextID)
 			v.nextID++
-			reply := msg.Reply
-			v.eng.Schedule(1, func() { reply(0) })
+			v.retire(msg.Reply)
 			continue
 		}
 		if len(v.inFlight) >= v.cfg.MaxInFlight {
@@ -123,7 +185,7 @@ func (v *VU) tryStart() {
 		}
 		delete(v.pending, v.nextID)
 		v.nextID++
-		st := &txState{msg: *msg, writeSet: map[uint64]bool{}}
+		st := v.getTxState(msg)
 		for _, e := range msg.Writes {
 			st.writeSet[e.Addr] = true
 		}
@@ -155,19 +217,23 @@ func (v *VU) validate(st *txState) {
 		llc = v.part.AccessDelay(st.msg.Reads[0].Addr)
 	}
 	v.busyTill = start + cycles
-	v.eng.At(start+cycles+llc, func() {
-		var failed isa.LaneMask
-		for _, e := range st.msg.Reads {
-			v.part.LLC.Access(e.Addr)
-			if v.part.ReadNow(e.Addr) != e.Value {
-				failed = failed.Set(e.Lane)
-				v.FailedEntries++
-			}
+	v.eng.At(start+cycles+llc, st.validateFn)
+}
+
+// finishValidate completes st's validation: logged read values are compared
+// with the current LLC contents and the failed lanes go back to the core.
+func (v *VU) finishValidate(st *txState) {
+	var failed isa.LaneMask
+	for _, e := range st.msg.Reads {
+		v.part.LLC.Access(e.Addr)
+		if v.part.ReadNow(e.Addr) != e.Value {
+			failed = failed.Set(e.Lane)
+			v.FailedEntries++
 		}
-		st.validated = true
-		st.msg.Reply(failed)
-		v.maybeApply(st)
-	})
+	}
+	st.validated = true
+	st.msg.Reply(failed)
+	v.maybeApply(st)
 }
 
 // Confirm delivers the core's commit/abort decision for cid: lanes in
@@ -178,7 +244,7 @@ func (v *VU) Confirm(cid uint64, commitLanes isa.LaneMask, done func()) {
 	if !ok {
 		panic(fmt.Sprintf("warptm: confirm for unknown commit id %d", cid))
 	}
-	st.confirm = &pendingConfirm{commitLanes: commitLanes, done: done}
+	st.confirmed, st.commitLanes, st.done = true, commitLanes, done
 	v.maybeApply(st)
 }
 
@@ -187,19 +253,18 @@ func (v *VU) Confirm(cid uint64, commitLanes isa.LaneMask, done func()) {
 // window and acknowledges. (The data itself was applied atomically at the
 // core's decision instant — see Protocol.finishCommit.)
 func (v *VU) maybeApply(st *txState) {
-	if !st.validated || st.confirm == nil {
+	if !st.validated || !st.confirmed {
 		return
 	}
 	// Coalesce committed writes into 32-byte regions for bandwidth cost.
-	regions := map[uint64]bool{}
-	n := 0
+	clear(v.regions)
 	for _, e := range st.msg.Writes {
-		if st.confirm.commitLanes.Bit(e.Lane) {
-			regions[e.Addr/32] = true
-			n++
+		if st.commitLanes.Bit(e.Lane) {
+			v.regions[e.Addr/32] = true
+			st.wrote = true
 		}
 	}
-	bytes := len(regions) * 32
+	bytes := len(v.regions) * 32
 	cycles := sim.Cycle((bytes + v.cfg.CommitBytesPerCycle - 1) / v.cfg.CommitBytesPerCycle)
 	if cycles == 0 {
 		cycles = 1
@@ -209,20 +274,25 @@ func (v *VU) maybeApply(st *txState) {
 		start = v.busyTill
 	}
 	v.busyTill = start + cycles
-	v.eng.At(start+cycles, func() {
-		for _, e := range st.msg.Writes {
-			if st.confirm.commitLanes.Bit(e.Lane) {
-				v.part.LLC.Access(e.Addr)
-			}
+	v.eng.At(start+cycles, st.applyFn)
+}
+
+// finishApply completes st's commit-unit writes: the hazard window closes, the
+// txState is recycled, and the ack goes out.
+func (v *VU) finishApply(st *txState) {
+	for _, e := range st.msg.Writes {
+		if st.commitLanes.Bit(e.Lane) {
+			v.part.LLC.Access(e.Addr)
 		}
-		if n > 0 {
-			v.CommitsApplied++
-		}
-		done := st.confirm.done
-		delete(v.inFlight, st.msg.CID)
-		done()
-		v.tryStart()
-	})
+	}
+	if st.wrote {
+		v.CommitsApplied++
+	}
+	done := st.done
+	delete(v.inFlight, st.msg.CID)
+	v.putTxState(st)
+	done()
+	v.tryStart()
 }
 
 // InFlight returns the number of unconfirmed transactions (tests).
