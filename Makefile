@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test bench-serve
+.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test bench-serve suite-output
 
 check: vet build race short trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test
 
@@ -95,19 +95,25 @@ obs-gate:
 	$(GO) test -run 'TestPrecomputeProgress|TestRunnerTraceSink' ./internal/harness/
 	$(GO) test ./cmd/getm-top/
 
-# Policy-matrix gate: the four paper protocols selected as matrix presets
-# must stay bit-identical to name selection (golden fingerprints, seed
-# differential, golden store addresses), every invalid combination must be
-# rejected on all three surfaces (API errors.Is, CLI exit 2, serve 400),
-# and the assembled lifecycle engine must stay race-clean.
+# Policy-matrix gate: a run names its protocol once, in gpu.Config.Protocol
+# (a preset name, fglock, or "policy:<tuple>" from gpu.ProtocolOf), so every
+# spelling of every point at every edge — API options, runner pin, serve
+# spec, CLI flag — must give one store key; the four paper protocols must
+# stay bit-identical as presets (golden fingerprints, golden store
+# addresses); unknown protocols and invalid combinations must be rejected
+# on all three surfaces (API errors.Is, CLI exit 2, serve 400), never with a
+# panic; benchdiff -policy must find a point's cells in both store
+# description forms; and the assembled lifecycle engine must stay race-clean.
 policy-gate:
 	$(GO) test -short ./internal/policy/
 	$(GO) test -race -run 'TestPresetFingerprints|TestNonPresetPointsRun' ./internal/policy/
 	$(GO) test -run 'TestKeyStabilityAcrossPolicyRedesign|TestKeyNonPresetPolicies' ./internal/store/
-	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity' .
-	$(GO) test -run 'TestPolicyFlag|TestPolicyPresetSharesStoreRecord' ./cmd/getm-sim/
+	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip' ./internal/gpu/
+	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity|TestProtocolIdentityAcrossEdges' .
+	$(GO) test -run 'TestPolicyFlag|TestPolicyPresetSharesStoreRecord|TestUnknownProtoFlag' ./cmd/getm-sim/
 	$(GO) test -run 'TestPolicyGrid|TestPolicyFlagErrors' ./cmd/getm-sweep/
 	$(GO) test -run 'TestSubmitPolicy|TestPolicyMetricsLabel' ./internal/serve/
+	$(GO) test -run 'TestMatchesPolicy|TestParseStoreDirPolicy' ./cmd/benchdiff/
 
 # Cluster gate: the distributed sweep fabric under the race detector — an
 # in-process 3-node cluster (coordinator + workers) must shard a full paper
@@ -132,6 +138,14 @@ bench-serve:
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkShardedWindows' -benchtime 5x ./internal/sim/
 	$(GO) test -run xxx -bench 'BenchmarkRunEngines' -benchtime 3x ./internal/gpu/
+
+# Regenerate full_suite_output.txt, the raw reproduction-scale report that
+# EXPERIMENTS.md cites: getm-bench's stdout for every experiment (about 40 s
+# on a 2-core host; progress goes to stderr). The file is replaced only when
+# the run succeeds.
+suite-output:
+	$(GO) run ./cmd/getm-bench -scale 1.0 -workers 2 all > full_suite_output.txt.tmp
+	mv full_suite_output.txt.tmp full_suite_output.txt
 
 # Compare two saved bench runs. Capture each side with e.g.
 #   $(GO) test -run xxx -bench . -benchmem ./... > /tmp/old.txt

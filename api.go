@@ -66,15 +66,7 @@ type Options struct {
 }
 
 func (o Options) normalize() Options {
-	if !o.Policy.IsZero() {
-		// Policy drives; keep Protocol coherent where a preset names it so
-		// e.g. the fglock workload-variant check stays name-based.
-		if name, ok := policyPresetName(o.Policy); ok {
-			o.Protocol = name
-		} else {
-			o.Protocol = ""
-		}
-	} else if o.Protocol == "" {
+	if o.Protocol == "" {
 		o.Protocol = "getm"
 	}
 	if o.Benchmark == "" {
@@ -89,26 +81,21 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// config builds the machine configuration the options describe.
-func (o Options) config() gpu.Config {
-	var cfg gpu.Config
-	if o.Cores == 56 {
-		cfg = gpu.ScaledConfig(gpu.Protocol(o.Protocol))
-	} else {
-		cfg = gpu.DefaultConfig(gpu.Protocol(o.Protocol))
-		if o.Cores > 0 {
-			cfg.Cores = o.Cores
-		}
+// job is the harness cell the options describe; its Config is the machine
+// the run builds. A Policy names the protocol through gpu.ProtocolOf.
+func (o Options) job() harness.Job {
+	proto := gpu.Protocol(o.Protocol)
+	if !o.Policy.IsZero() {
+		proto = gpu.ProtocolOf(o.Policy.internal())
 	}
-	cfg.Core.MaxTxWarps = o.Concurrency
-	if o.MetadataEntries > 0 {
-		cfg.GETM.PreciseEntries = o.MetadataEntries
+	return harness.Job{
+		Proto:       proto,
+		Bench:       o.Benchmark,
+		Conc:        o.Concurrency,
+		Cores:       o.Cores,
+		MetaEntries: o.MetadataEntries,
+		Granularity: o.GranularityBytes,
 	}
-	if o.GranularityBytes > 0 {
-		cfg.GETM.GranularityBytes = o.GranularityBytes
-	}
-	cfg.Policy = o.Policy.internal()
-	return cfg
 }
 
 // validate checks the enumerable fields up front so bad options fail with
@@ -205,15 +192,16 @@ func RunContext(ctx context.Context, o Options) (Metrics, error) {
 		return Metrics{}, err
 	}
 
+	j := o.job()
 	variant := workloads.TM
-	if o.Protocol == FGLock {
+	if j.Proto == gpu.ProtoFGLock {
 		variant = workloads.FGLock
 	}
 	k, err := workloads.Build(o.Benchmark, variant, workloads.Params{Scale: o.Scale, Seed: o.Seed})
 	if err != nil {
 		return Metrics{}, err
 	}
-	res, err := gpu.RunContext(ctx, o.config(), k)
+	res, err := gpu.RunContext(ctx, j.Config(), k)
 	if res == nil {
 		return Metrics{}, err
 	}

@@ -299,14 +299,15 @@ func unitRank(unit string) int {
 
 // matchesPolicy reports whether a store record's description names the given
 // policy point. Descriptions are segment-structured — harness job keys are
-// "|"-separated ("getm|ht-h|c8|…", with the canonical tuple as its own
-// segment for non-preset points), CLI descriptions "/"-separated
+// "|"-separated ("getm|ht-h|c8|…"), CLI descriptions "/"-separated
 // ("getm/ht-h", "vm=…,arb=ring/atm") — so the filter compares whole
 // segments, never substrings: "-policy warptm" cannot match a warptm-el
-// cell.
+// cell. A non-preset point's segment is its bare tuple or its protocol
+// identity "policy:<tuple>": harness and serve records lead with the
+// identity, while older ones carried the tuple as a trailing segment.
 func matchesPolicy(desc, needle string) bool {
 	for _, seg := range strings.FieldsFunc(desc, func(r rune) bool { return r == '|' || r == '/' }) {
-		if seg == needle {
+		if strings.TrimPrefix(seg, "policy:") == needle {
 			return true
 		}
 	}

@@ -2,8 +2,13 @@ package main
 
 import (
 	"os"
+	"reflect"
+	"sort"
 	"testing"
 
+	"getm/internal/gpu"
+	"getm/internal/harness"
+	"getm/internal/policy"
 	"getm/internal/stats"
 	"getm/internal/store"
 )
@@ -233,5 +238,44 @@ func TestParseStoreDirPolicyFilter(t *testing.T) {
 	}
 	if v := got[metricKey{"warptm/ht-h", "cycles"}]; v != 5000 {
 		t.Fatalf("cycles = %v, want 5000", v)
+	}
+}
+
+// A non-preset point's cells are found in both description forms: the
+// trailing tuple segment of stores written before the protocol identity was
+// unified ("warptm|…|s0|vm=…"), and the leading "policy:vm=…|…" job key the
+// harness (and so serve) writes now.
+func TestParseStoreDirPolicyDescForms(t *testing.T) {
+	p, err := policy.Parse("vm=lazy,res=fww,arb=local")
+	if err != nil {
+		t.Fatal(err)
+	}
+	needle := p.String()
+	dir := t.TempDir()
+	st := store.Open(dir)
+	old := "warptm|atm|c2|n0|m0|g0|b0|s0|" + p.Canonical()
+	m := stats.NewMetrics()
+	m.TotalCycles = 1
+	if err := st.Put("aaaa", old, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("bbbb", "warptm|atm|c2|n0|m0|g0|b0|s0", m); err != nil {
+		t.Fatal(err)
+	}
+	r := harness.NewRunner(0.02)
+	r.Policy = p
+	r.Store = st
+	if _, err := r.RunE(harness.Job{Proto: gpu.ProtoWarpTM, Bench: "atm", Conc: 2}); err != nil {
+		t.Fatal(err)
+	}
+	cur := "policy:" + p.Canonical() + "|atm|c2|n0|m0|g0|b0|s0"
+
+	_, order, err := parseStoreDir(dir, needle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(order)
+	if want := []string{cur, old}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("-policy %s matched %q, want %q", needle, order, want)
 	}
 }

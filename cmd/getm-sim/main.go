@@ -31,6 +31,7 @@ import (
 	"sort"
 
 	"getm/internal/gpu"
+	"getm/internal/harness"
 	"getm/internal/policy"
 	"getm/internal/stats"
 	"getm/internal/store"
@@ -69,29 +70,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// -policy overrides -proto: a preset behaves exactly like naming the
-	// protocol (same config, same store key); an invalid point is a usage
-	// error, like any other bad flag value.
-	var pol policy.Policy
+	// protocol (same config, same store key). An invalid point or an unknown
+	// protocol is a usage error, like any other bad flag value. label is the
+	// protocol as the header and the store description print it: a
+	// non-preset point as its bare axis tuple.
+	protocol, label := gpu.Protocol(*proto), *proto
 	if *policyFlag != "" {
 		p, err := policy.Parse(*policyFlag)
 		if err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 2
 		}
-		pol = p
-		*proto = p.String()
+		protocol, label = gpu.ProtocolOf(p), p.String()
+	}
+	if _, err := protocol.Resolve(); err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 2
 	}
 
-	var cfg gpu.Config
-	if *cores == 56 {
-		cfg = gpu.ScaledConfig(gpu.Protocol(*proto))
-	} else {
-		cfg = gpu.DefaultConfig(gpu.Protocol(*proto))
-		cfg.Cores = *cores
-	}
-	cfg.Core.MaxTxWarps = *conc
-	cfg.Shards = *shards
-	cfg.Policy = pol
+	cfg := harness.Job{Proto: protocol, Conc: *conc, Cores: *cores, Shards: *shards}.Config()
 
 	if *traceFile != "" {
 		mask, err := trace.ParseSources(*traceFilter)
@@ -107,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	params := workloads.Params{Scale: *scale, Seed: *seed}
 	variant := workloads.TM
-	if gpu.Protocol(*proto) == gpu.ProtoFGLock {
+	if protocol == gpu.ProtoFGLock {
 		variant = workloads.FGLock
 	}
 	k, err := workloads.Build(*bench, variant, params)
@@ -165,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case err != nil:
 			fmt.Fprintln(stderr, "error:", err)
 		case st != nil && !res.Truncated:
-			if perr := st.Put(storeKey, *proto+"/"+*bench, m); perr != nil {
+			if perr := st.Put(storeKey, label+"/"+*bench, m); perr != nil {
 				fmt.Fprintln(stderr, "warning: store:", perr)
 			}
 		}
@@ -179,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "TRUNCATED: partial metrics, run stopped at cycle %d\n", res.TruncatedAt)
 		}
 	}
-	fmt.Fprintf(stdout, "benchmark        %s (%s, %d cores, conc %s)\n", *bench, *proto, cfg.Cores, concStr(*conc))
+	fmt.Fprintf(stdout, "benchmark        %s (%s, %d cores, conc %s)\n", *bench, label, cfg.Cores, concStr(*conc))
 	fmt.Fprintf(stdout, "total cycles     %d\n", m.TotalCycles)
 	fmt.Fprintf(stdout, "tx exec cycles   %d\n", m.TxExecCycles)
 	fmt.Fprintf(stdout, "tx wait cycles   %d\n", m.TxWaitCycles)

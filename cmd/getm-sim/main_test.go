@@ -265,3 +265,22 @@ func TestPolicyPresetSharesStoreRecord(t *testing.T) {
 			out1.String(), out2.String())
 	}
 }
+
+// An unknown -proto is a usage error: exit 2 with a one-line diagnosis
+// before any simulation, never a panic. Only the spellings gpu.ProtocolOf
+// produces name a protocol.
+func TestUnknownProtoFlag(t *testing.T) {
+	for _, bad := range []string{"bogus", "vm=lazy", "policy:getm", "policy:vm=eager,cd=lazy,res=timestamp,arb=local"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-proto", bad, "-bench", "atm", "-scale", "0.01"}, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("-proto %q exited %d, want 2", bad, code)
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "error: unknown protocol") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("-proto %q: want a one-line unknown-protocol error, got:\n%s", bad, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-proto %q wrote to stdout:\n%s", bad, stdout.String())
+		}
+	}
+}

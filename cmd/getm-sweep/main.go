@@ -106,15 +106,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	var pol policy.Policy
+	// label is the protocol as the table title and store descriptions print
+	// it: a non-preset point as its bare axis tuple.
+	protocol, label := gpu.Protocol(*proto), *proto
 	if *policyFlag != "" {
 		p, err := policy.Parse(*policyFlag)
 		if err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 2
 		}
-		pol = p
-		*proto = p.String()
+		protocol, label = gpu.ProtocolOf(p), p.String()
+	}
+	if _, err := protocol.Resolve(); err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 2
 	}
 	if *policyGrid {
 		if *policyFlag != "" {
@@ -145,20 +150,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	tab := report.NewTable("sweep",
-		fmt.Sprintf("%s on %s, sweeping %s", *proto, *bench, *knob),
+		fmt.Sprintf("%s on %s, sweeping %s", label, *bench, *knob),
 		*knob, "cycles", "tx exec", "tx wait", "commits", "aborts/1K", "xbar MB")
 
 	variant := workloads.TM
-	if gpu.Protocol(*proto) == gpu.ProtoFGLock {
+	if protocol == gpu.ProtoFGLock {
 		variant = workloads.FGLock
 	}
 
 	configs := make([]gpu.Config, len(vals))
 	for i, v := range vals {
-		cfg := gpu.DefaultConfig(gpu.Protocol(*proto))
+		cfg := gpu.DefaultConfig(protocol)
 		cfg.Core.MaxTxWarps = *conc
 		cfg.Shards = *shards
-		cfg.Policy = pol
 		switch *knob {
 		case "conc":
 			cfg.Core.MaxTxWarps = v
@@ -251,7 +255,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			metrics[i] = res.Metrics
 			simulated.Add(1)
 			if st != nil {
-				desc := fmt.Sprintf("%s/%s/%s=%d", *proto, *bench, *knob, vals[i])
+				desc := fmt.Sprintf("%s/%s/%s=%d", label, *bench, *knob, vals[i])
 				if perr := st.Put(key, desc, res.Metrics); perr != nil {
 					fmt.Fprintln(stderr, "warning: store:", perr)
 				}
@@ -375,9 +379,8 @@ func runPolicyGrid(stdout, stderr io.Writer, o gridOpts) int {
 				metrics[i], errs[i] = postPoint(ctx, o.server, sp)
 				return
 			}
-			cfg := gpu.DefaultConfig(gpu.Protocol(cells[i].pol.String()))
+			cfg := gpu.DefaultConfig(gpu.ProtocolOf(cells[i].pol))
 			cfg.Core.MaxTxWarps = o.conc
-			cfg.Policy = cells[i].pol
 			var key string
 			if st != nil {
 				key = store.Key(cfg, cells[i].bench, o.scale, o.seed)

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"getm/internal/store"
 )
 
 // An explicit -resume without -store is a misconfiguration, not a silent
@@ -126,15 +128,46 @@ func TestPolicyGrid(t *testing.T) {
 
 // -policy pins every knob-sweep cell to one matrix point; combining it with
 // -policy-grid is contradictory and must be a usage error, as must an
-// invalid point.
+// invalid point or an unknown -proto (only the spellings gpu.ProtocolOf
+// produces name a protocol) — each with a one-line diagnosis before any
+// point runs, never a panic in a worker goroutine.
 func TestPolicyFlagErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"grid plus point": {"-policy-grid", "-policy", "getm"},
-		"invalid point":   {"-policy", "vm=eager,cd=lazy", "-bench", "ht-h", "-scale", "0.05", "-values", "1"},
+		"grid plus point":  {"-policy-grid", "-policy", "getm"},
+		"invalid point":    {"-policy", "vm=eager,cd=lazy", "-bench", "ht-h", "-scale", "0.05", "-values", "1"},
+		"unknown protocol": {"-proto", "bogus", "-bench", "atm", "-scale", "0.01", "-values", "1"},
+		"bare tuple":       {"-proto", "vm=lazy", "-bench", "atm", "-scale", "0.01", "-values", "1"},
+		"prefixed preset":  {"-proto", "policy:getm", "-bench", "atm", "-scale", "0.01", "-values", "1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%s exited %d, want 2 (stderr: %s)", name, code, stderr.String())
 		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "error: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%s: want a one-line error, got:\n%s", name, msg)
+		}
+	}
+}
+
+// A -policy sweep labels a non-preset point by its bare axis tuple, in the
+// table title and in the store descriptions benchdiff -policy filters on;
+// the "policy:" protocol identity is internal to the store key.
+func TestPolicyPointLabels(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "results")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-policy", "vm=lazy,res=fww,arb=local", "-bench", "atm", "-scale", "0.02",
+		"-values", "1", "-store", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exited %d\nstderr: %s", code, stderr.String())
+	}
+	const label = "vm=lazy,cd=lazy,res=fww,arb=local"
+	if !strings.Contains(stdout.String(), label+" on atm, sweeping conc") {
+		t.Errorf("title does not name %s:\n%s", label, stdout.String())
+	}
+	recs, err := store.LoadDir(dir)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("store holds %d records (%v), want 1", len(recs), err)
+	}
+	if want := label + "/atm/conc=1"; recs[0].Desc != want {
+		t.Errorf("record desc %q, want %q", recs[0].Desc, want)
 	}
 }

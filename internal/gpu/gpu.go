@@ -41,16 +41,59 @@ const (
 	ProtoFGLock Protocol = "fglock"
 )
 
+// ErrUnknownProtocol is wrapped by the error Resolve (and so every run)
+// returns for a Protocol that names nothing runnable.
+var ErrUnknownProtocol = errors.New("unknown protocol")
+
+// policyPrefix marks a Protocol naming a non-preset matrix point.
+const policyPrefix = "policy:"
+
+// ProtocolOf is the one canonicalization from a matrix point to the Protocol
+// that names it: a preset's legacy name, so presets keep the store addresses
+// name-based runs always had, and "policy:" plus the canonical tuple for
+// every other point. Each edge that accepts a policy (the API, CLI flags,
+// serve specs, harness.Runner.Policy) calls it once, after policy.Parse.
+func ProtocolOf(p policy.Policy) Protocol {
+	if name, ok := policy.PresetName(p); ok {
+		return Protocol(name)
+	}
+	return Protocol(policyPrefix + p.Canonical())
+}
+
+// Resolve returns the matrix point p names; fglock, which is not a TM
+// policy, resolves to the zero Policy. Only the spellings ProtocolOf
+// produces resolve: anything else — an unknown name, a tuple without the
+// "policy:" prefix, a prefixed preset, an invalid or non-canonical tuple —
+// is an error wrapping ErrUnknownProtocol.
+func (p Protocol) Resolve() (policy.Policy, error) {
+	if p == ProtoFGLock {
+		return policy.Policy{}, nil
+	}
+	if pol, ok := policy.Preset(string(p)); ok {
+		return pol, nil
+	}
+	tuple, ok := strings.CutPrefix(string(p), policyPrefix)
+	if !ok {
+		return policy.Policy{}, fmt.Errorf("%w %q", ErrUnknownProtocol, p)
+	}
+	pol, err := policy.Parse(tuple)
+	if err != nil {
+		return policy.Policy{}, fmt.Errorf("%w %q: %w", ErrUnknownProtocol, p, err)
+	}
+	if canon := ProtocolOf(pol); canon != p {
+		return policy.Policy{}, fmt.Errorf("%w %q (the canonical spelling is %q)", ErrUnknownProtocol, p, canon)
+	}
+	return pol, nil
+}
+
 // Config describes one machine configuration.
 type Config struct {
-	Protocol Protocol
-	// Policy, when non-zero, selects the protocol-matrix point directly and
-	// takes precedence over Protocol's name-based preset lookup (the four
-	// presets reproduce the legacy protocols bit-for-bit; see
-	// internal/policy). Excluded from JSON so existing store content
-	// addresses are unchanged — store.Key canonicalizes the policy into the
-	// Protocol name instead.
-	Policy     policy.Policy `json:"-"`
+	// Protocol is the run's one protocol identity: a preset name (getm,
+	// warptm, warptm-el, eapg), fglock, or "policy:" plus the canonical
+	// tuple of any other matrix point. ProtocolOf builds it from a
+	// policy.Policy and Resolve reads it back; store.Key hashes it as is,
+	// so every spelling of one point shares one content address.
+	Protocol   Protocol
 	Cores      int
 	Partitions int
 	Core       simt.Config
@@ -172,6 +215,7 @@ func Run(cfg Config, k *Kernel) (*Result, error) {
 // partial metrics tagged Truncated alongside an error wrapping ErrCanceled.
 // Chunked stepping is cycle-identical to an unchunked run, so passing a
 // cancellable context that never fires changes nothing about the result.
+// An unresolvable Config.Protocol is an error wrapping ErrUnknownProtocol.
 func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 	if len(k.Programs) == 0 {
 		return nil, fmt.Errorf("gpu: kernel %q has no programs", k.Name)
@@ -179,36 +223,31 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, errors.Join(ErrCanceled, err))
 	}
-	if !cfg.Policy.IsZero() {
-		if err := cfg.Policy.Validate(); err != nil {
-			return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
-		}
-		// Keep the name-based paths (sharding class, diagnostics) coherent
-		// with the effective matrix point.
-		if name, ok := policy.PresetName(cfg.Policy); ok {
-			cfg.Protocol = Protocol(name)
-		} else {
-			cfg.Protocol = Protocol("policy:" + cfg.Policy.Canonical())
-		}
+	pol, err := cfg.Protocol.Resolve()
+	if err != nil {
+		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
 	}
-	if cfg.Shards > 0 && Shardable(cfg) {
-		return runShardedContext(ctx, cfg, k)
-	}
-	eng := sim.NewEngine()
 	img := mem.NewImage()
 	if k.Init != nil {
 		k.Init(img)
+	}
+	if cfg.Shards > 0 && Shardable(cfg) {
+		return runSharded(ctx, cfg, k, img)
 	}
 	var initial *mem.Image
 	if cfg.Record {
 		initial = img.Snapshot()
 	}
 
+	eng := sim.NewEngine()
 	var rec *trace.Recorder
 	if cfg.Trace != nil {
 		rec = trace.NewRecorder(eng, *cfg.Trace)
 	}
-	m := newMachine(eng, img, cfg, rec)
+	m, err := newMachine(eng, img, cfg, pol, rec)
+	if err != nil {
+		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
+	}
 
 	// Round-robin program dispatch: each warp slot pulls the next pending
 	// program when it retires one.
@@ -238,11 +277,39 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 			}
 		})
 	}
-
 	if rec != nil {
 		m.registerProbes(rec, cores)
 	}
 
+	res, err := runMachine(ctx, cfg, k, eng, m, cores, img, rec)
+	if err == nil && cfg.Record {
+		res.Committed = m.committed()
+		res.InitialImage = initial
+		res.FinalImage = img
+	}
+	return res, err
+}
+
+// engine is the stepping surface sim.Engine and sim.ShardedEngine share.
+type engine interface {
+	Run(limit sim.Cycle) sim.Cycle
+	RunChunked(limit, chunk sim.Cycle, between func(now sim.Cycle) bool) sim.Cycle
+	Pending() int
+}
+
+// assembly is what the run loop reads back from either machine.
+type assembly interface {
+	collect(cores []*simt.Core, end sim.Cycle) *stats.Metrics
+	checkInvariants() error
+}
+
+// runMachine is the one run loop of both machines: it starts the cores,
+// steps the engine to the cycle limit, and turns the end state into a
+// Result — canceled, truncated by the budget, over MaxCycles, deadlocked,
+// invariant-violating, unverified, or complete. rec is nil when tracing is
+// off (always, on the sharded machine).
+func runMachine(ctx context.Context, cfg Config, k *Kernel, eng engine, m assembly,
+	cores []*simt.Core, img *mem.Image, rec *trace.Recorder) (*Result, error) {
 	for _, c := range cores {
 		c.Start()
 	}
@@ -257,9 +324,9 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 	// Chunk the engine loop when anything needs to observe the run in
 	// flight: the telemetry sampler (chunk = sampling interval) or a
 	// cancellable context (chunk = CancelChunk). Chunked stepping processes
-	// events in exactly the order a single Run would (sim.Engine.RunChunked),
-	// so chunking never changes metrics — only cancel latency and sample
-	// cadence.
+	// events in exactly the order a single Run would (sim.Engine.RunChunked,
+	// sim.ShardedEngine.RunChunked), so chunking never changes metrics —
+	// only cancel latency and sample cadence.
 	sampleEvery := sim.Cycle(0)
 	if rec != nil {
 		sampleEvery = sim.Cycle(rec.SampleEvery())
@@ -325,12 +392,5 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 			return nil, fmt.Errorf("gpu: kernel %q verification failed: %w", k.Name, err)
 		}
 	}
-
-	res := &Result{Metrics: m.collect(cores, end), Trace: rec}
-	if cfg.Record {
-		res.Committed = m.committed()
-		res.InitialImage = initial
-		res.FinalImage = img
-	}
-	return res, nil
+	return &Result{Metrics: m.collect(cores, end), Trace: rec}, nil
 }

@@ -36,9 +36,10 @@ type machine struct {
 	memsys simt.MemSystem
 }
 
-// newMachine assembles the hardware for one run. rec (nil = tracing off)
-// is attached to every component that can emit trace events.
-func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, rec *trace.Recorder) *machine {
+// newMachine assembles the hardware for one run around pol, the matrix point
+// cfg.Protocol resolved to (zero for fglock). rec (nil = tracing off) is
+// attached to every component that can emit trace events.
+func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, pol policy.Policy, rec *trace.Recorder) (*machine, error) {
 	m := &machine{
 		cfg:  cfg,
 		eng:  eng,
@@ -53,20 +54,12 @@ func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, rec *trace.Recorder
 	trans := &transport{m: m}
 	rng := sim.NewRNG(cfg.Seed ^ 0xC0FFEE)
 
-	// One lifecycle engine serves every TM protocol: the effective matrix
-	// point (cfg.Policy, or the preset named by cfg.Protocol) parameterizes
-	// policy.Build. fglock is not a TM protocol and keeps its stub.
-	if cfg.Protocol == ProtoFGLock && cfg.Policy.IsZero() {
+	// One lifecycle engine serves every TM protocol: the matrix point
+	// parameterizes policy.Build. fglock is not a TM protocol and keeps its
+	// stub.
+	if pol.IsZero() {
 		m.protocol = lockStub{}
 	} else {
-		pol := cfg.Policy
-		if pol.IsZero() {
-			var ok bool
-			pol, ok = policy.Preset(string(cfg.Protocol))
-			if !ok {
-				panic(fmt.Sprintf("gpu: unknown protocol %q", cfg.Protocol))
-			}
-		}
 		e, err := policy.Build(pol, policy.Deps{
 			Eng:        eng,
 			AMap:       m.amap,
@@ -80,8 +73,7 @@ func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, rec *trace.Recorder
 			WarpTM:     cfg.WarpTM,
 		})
 		if err != nil {
-			// RunContext validates cfg.Policy before assembly.
-			panic(fmt.Sprintf("gpu: %v", err))
+			return nil, err
 		}
 		m.protocol = e.Protocol
 		m.getm, m.getmVU, m.getmCU, m.stall = e.GETM, e.GETMVU, e.GETMCU, e.Stall
@@ -104,7 +96,7 @@ func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, rec *trace.Recorder
 			m.wtm.SetTrace(rec)
 		}
 	}
-	return m
+	return m, nil
 }
 
 // registerProbes wires the machine-level time-series probes the interval
@@ -163,20 +155,49 @@ func (m *machine) committed() []tm.CommittedTx {
 
 // checkInvariants verifies post-run protocol state (no leaked reservations,
 // empty stall buffers).
-func (m *machine) checkInvariants() error {
-	if m.getm != nil {
-		if n := m.getm.LockedGranules(); n != 0 {
-			return fmt.Errorf("%d write reservations leaked", n)
-		}
-		if n := m.getm.StallOccupancy(); n != 0 {
-			return fmt.Errorf("%d requests stuck in stall buffers", n)
-		}
+func (m *machine) checkInvariants() error { return checkVUs(m.getmVU) }
+
+// checkVUs is the post-run GETM invariant check of both machines: no write
+// reservation leaked and no request is left in a stall buffer.
+func checkVUs(vus []*core.VU) error {
+	locked, stalled := 0, 0
+	for _, vu := range vus {
+		locked += vu.Meta.LockedEntries()
+		stalled += vu.Stall.Occupancy()
+	}
+	if locked != 0 {
+		return fmt.Errorf("%d write reservations leaked", locked)
+	}
+	if stalled != 0 {
+		return fmt.Errorf("%d requests stuck in stall buffers", stalled)
 	}
 	return nil
 }
 
 // collect aggregates run metrics.
 func (m *machine) collect(cores []*simt.Core, end sim.Cycle) *stats.Metrics {
+	up, down := m.pair.TrafficBytes()
+	out := collectShared(cores, end, up, down, m.partitions, m.getmVU)
+	if m.getm != nil {
+		out.StallBufMaxOccupancy = uint64(m.stall.Max)
+		out.Extra.Inc("rollovers", m.getm.Rollovers)
+	}
+	if m.wtm != nil {
+		out.SilentCommits = m.wtm.SilentCommits
+		out.Extra.Inc("el-early-aborts", m.wtm.EarlyAborts)
+	}
+	if m.eapg != nil {
+		out.Extra.Inc("eapg-early-aborts", m.eapg.EarlyAborts)
+		out.Extra.Inc("eapg-pauses", m.eapg.Pauses)
+		out.Extra.Inc("eapg-broadcasts", m.eapg.Broadcasts)
+	}
+	return out
+}
+
+// collectShared tallies what both machines count the same way: the cores,
+// the crossbar traffic, the partitions and the GETM validation units.
+func collectShared(cores []*simt.Core, end sim.Cycle, up, down uint64,
+	partitions []*mem.Partition, vus []*core.VU) *stats.Metrics {
 	out := stats.NewMetrics()
 	out.TotalCycles = uint64(end)
 	for _, c := range cores {
@@ -189,40 +210,30 @@ func (m *machine) collect(cores []*simt.Core, end sim.Cycle) *stats.Metrics {
 		out.Extra.Inc("tx-attempts", c.Stats.TxAttempts)
 		out.Extra.Inc("tx-lane-attempts", c.Stats.TxLaneAttempts)
 	}
-	out.XbarUpBytes, out.XbarDownBytes = m.pair.TrafficBytes()
-	for _, p := range m.partitions {
+	out.XbarUpBytes, out.XbarDownBytes = up, down
+	for _, p := range partitions {
 		out.Extra.Inc("llc-hits", p.LLC.Hits)
 		out.Extra.Inc("llc-misses", p.LLC.Misses)
 		out.Extra.Inc("atomics", p.AtomicsServed)
 	}
-	if m.getm != nil {
-		out.StallBufMaxOccupancy = uint64(m.stall.Max)
-		out.Extra.Inc("rollovers", m.getm.Rollovers)
-		for _, vu := range m.getmVU {
-			out.MetaAccessCycles.Merge(vu.AccessCycles)
-			out.Extra.Inc("vu-requests", vu.Requests)
-			out.Extra.Inc("vu-queued", vu.Queued)
-			out.Extra.Inc("meta-overflows", vu.Overflows)
-			out.Extra.Inc("meta-evictions", vu.Meta.Evictions)
-			out.Extra.Inc("meta-stashed", vu.Meta.StashedEntries)
-			out.Extra.Inc("stall-enqueues", vu.Stall.EnqueueCount)
-			out.Extra.Inc("stall-rejects", vu.Stall.RejectedFull)
-			out.Extra.Inc("stall-depth-total", vu.Stall.PerAddrTotal)
-			out.Extra.Inc("stall-depth-count", vu.Stall.PerAddrCount)
-		}
-		if c := out.Extra["stall-depth-count"]; c > 0 {
-			out.StallBufPerAddr.Count = c
-			out.StallBufPerAddr.Sum = float64(out.Extra["stall-depth-total"])
-		}
+	if len(vus) == 0 {
+		return out
 	}
-	if m.wtm != nil {
-		out.SilentCommits = m.wtm.SilentCommits
-		out.Extra.Inc("el-early-aborts", m.wtm.EarlyAborts)
+	for _, vu := range vus {
+		out.MetaAccessCycles.Merge(vu.AccessCycles)
+		out.Extra.Inc("vu-requests", vu.Requests)
+		out.Extra.Inc("vu-queued", vu.Queued)
+		out.Extra.Inc("meta-overflows", vu.Overflows)
+		out.Extra.Inc("meta-evictions", vu.Meta.Evictions)
+		out.Extra.Inc("meta-stashed", vu.Meta.StashedEntries)
+		out.Extra.Inc("stall-enqueues", vu.Stall.EnqueueCount)
+		out.Extra.Inc("stall-rejects", vu.Stall.RejectedFull)
+		out.Extra.Inc("stall-depth-total", vu.Stall.PerAddrTotal)
+		out.Extra.Inc("stall-depth-count", vu.Stall.PerAddrCount)
 	}
-	if m.eapg != nil {
-		out.Extra.Inc("eapg-early-aborts", m.eapg.EarlyAborts)
-		out.Extra.Inc("eapg-pauses", m.eapg.Pauses)
-		out.Extra.Inc("eapg-broadcasts", m.eapg.Broadcasts)
+	if c := out.Extra["stall-depth-count"]; c > 0 {
+		out.StallBufPerAddr.Count = c
+		out.StallBufPerAddr.Sum = float64(out.Extra["stall-depth-total"])
 	}
 	return out
 }

@@ -2,14 +2,11 @@ package gpu
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 
 	"getm/internal/core"
 	"getm/internal/isa"
 	"getm/internal/mem"
-	"getm/internal/policy"
 	"getm/internal/sim"
 	"getm/internal/simt"
 	"getm/internal/stats"
@@ -17,7 +14,7 @@ import (
 	"getm/internal/xbar"
 )
 
-// Sharded execution (ISSUE 6 tentpole). The machine is partitioned along its
+// Sharded execution. The machine is partitioned along its
 // natural latency boundary — the 5-cycle crossbars — into one shard domain
 // per SIMT core and one per memory partition. Each domain runs its events on
 // a private sim.Engine under the ShardedEngine's bounded-slack window
@@ -37,19 +34,21 @@ import (
 //
 // Only GETM and fglock are shardable: WarpTM's global commit-id allocation
 // and in-order retirement, and EAPG's broadcasts, are core-coupling by
-// design (see shardable).
+// design (see Shardable).
+//
+// This file holds only what differs from the serial machine: the assembly,
+// the per-partition stall-max sum and the rollover count. The GETM assembly
+// stays outside policy.Build on purpose — it needs one protocol per core and
+// one stall tracker per partition, so sharing it would make Build branch on
+// its caller. The run loop (runMachine), the shared metric tallies
+// (collectShared) and the VU invariant check (checkVUs) are the serial
+// machine's.
 
 // Shardable reports whether cfg can run on the sharded machine; configs that
 // cannot silently fall back to the serial engine regardless of Shards.
 // Callers that key results by configuration (the store) use it to decide
 // which semantics class a run with Shards > 0 actually executed.
 func Shardable(cfg Config) bool {
-	if !cfg.Policy.IsZero() && cfg.Policy != policy.GETM() {
-		// Only the exact GETM preset keeps the sharded machine's semantics:
-		// the ring-arbitrated and first-writer-wins matrix points route
-		// commit acks through the serial transport, so they run serially.
-		return false
-	}
 	return (cfg.Protocol == ProtoGETM || cfg.Protocol == ProtoFGLock) &&
 		!cfg.Record && cfg.Trace == nil && cfg.Xbar.Latency > 0
 }
@@ -155,71 +154,22 @@ func (m *shardedMachine) protocolFor(c int) tm.Protocol {
 	return m.protos[c]
 }
 
-// checkInvariants mirrors machine.checkInvariants (post-run, single thread).
-func (m *shardedMachine) checkInvariants() error {
-	if len(m.protos) > 0 {
-		locked := 0
-		stalled := 0
-		for _, vu := range m.vus {
-			locked += vu.Meta.LockedEntries()
-			stalled += vu.Stall.Occupancy()
-		}
-		if locked != 0 {
-			return fmt.Errorf("%d write reservations leaked", locked)
-		}
-		if stalled != 0 {
-			return fmt.Errorf("%d requests stuck in stall buffers", stalled)
-		}
-	}
-	return nil
-}
+// checkInvariants runs the serial machine's VU check over every partition.
+func (m *shardedMachine) checkInvariants() error { return checkVUs(m.vus) }
 
-// collect mirrors machine.collect for the sharded assembly. One deliberate
-// metric deviation: StallBufMaxOccupancy is the sum of per-partition maxima
-// rather than the maximum concurrent total — a GPU-wide concurrent total is
-// exactly the kind of same-cycle global observation sharding removes.
+// collect adds the sharded GETM counters to the shared tallies. One
+// deliberate metric deviation: StallBufMaxOccupancy is the sum of
+// per-partition maxima rather than the maximum concurrent total — a
+// GPU-wide concurrent total is exactly the kind of same-cycle global
+// observation sharding removes.
 func (m *shardedMachine) collect(cores []*simt.Core, end sim.Cycle) *stats.Metrics {
-	out := stats.NewMetrics()
-	out.TotalCycles = uint64(end)
-	for _, c := range cores {
-		out.TxExecCycles += c.Stats.TxExecCycles
-		out.TxWaitCycles += c.Stats.TxWaitCycles
-		out.Commits += c.Stats.Commits
-		out.Aborts += c.Stats.Aborts
-		out.AbortsByCause.Merge(c.Stats.AbortsByCause)
-		out.Extra.Inc("instructions", c.Stats.Instructions)
-		out.Extra.Inc("tx-attempts", c.Stats.TxAttempts)
-		out.Extra.Inc("tx-lane-attempts", c.Stats.TxLaneAttempts)
-	}
-	out.XbarUpBytes, out.XbarDownBytes = m.pair.TrafficBytes()
-	for _, p := range m.partitions {
-		out.Extra.Inc("llc-hits", p.LLC.Hits)
-		out.Extra.Inc("llc-misses", p.LLC.Misses)
-		out.Extra.Inc("atomics", p.AtomicsServed)
-	}
-	if len(m.protos) > 0 {
-		var stallMax uint64
+	up, down := m.pair.TrafficBytes()
+	out := collectShared(cores, end, up, down, m.partitions, m.vus)
+	if m.coord != nil {
 		for _, tr := range m.stalls {
-			stallMax += uint64(tr.Max)
+			out.StallBufMaxOccupancy += uint64(tr.Max)
 		}
-		out.StallBufMaxOccupancy = stallMax
 		out.Extra.Inc("rollovers", m.coord.rounds)
-		for _, vu := range m.vus {
-			out.MetaAccessCycles.Merge(vu.AccessCycles)
-			out.Extra.Inc("vu-requests", vu.Requests)
-			out.Extra.Inc("vu-queued", vu.Queued)
-			out.Extra.Inc("meta-overflows", vu.Overflows)
-			out.Extra.Inc("meta-evictions", vu.Meta.Evictions)
-			out.Extra.Inc("meta-stashed", vu.Meta.StashedEntries)
-			out.Extra.Inc("stall-enqueues", vu.Stall.EnqueueCount)
-			out.Extra.Inc("stall-rejects", vu.Stall.RejectedFull)
-			out.Extra.Inc("stall-depth-total", vu.Stall.PerAddrTotal)
-			out.Extra.Inc("stall-depth-count", vu.Stall.PerAddrCount)
-		}
-		if c := out.Extra["stall-depth-count"]; c > 0 {
-			out.StallBufPerAddr.Count = c
-			out.StallBufPerAddr.Sum = float64(out.Extra["stall-depth-total"])
-		}
 	}
 	return out
 }
@@ -356,18 +306,14 @@ func (rc *rolloverCoord) coreIdle() {
 	rc.m.se.Send(coordDom, coordDom, 2*shardRingHop, func() { rc.active = false })
 }
 
-// runShardedContext is RunContext's body for the sharded machine. It mirrors
-// the serial flow minus the features shardable() excludes (tracing,
-// committed-transaction recording).
-func runShardedContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
+// runSharded is RunContext's assembly of the sharded machine around the
+// initialized image; the run itself is the shared runMachine loop, minus
+// the features Shardable excludes (tracing, committed-transaction
+// recording).
+func runSharded(ctx context.Context, cfg Config, k *Kernel, img *mem.Image) (*Result, error) {
 	se := sim.NewSharded(cfg.Cores+cfg.Partitions, cfg.Xbar.Latency)
 	defer se.Close()
 	se.SetWorkers(cfg.Shards)
-
-	img := mem.NewImage()
-	if k.Init != nil {
-		k.Init(img)
-	}
 	img.SetShared()
 
 	m := newShardedMachine(se, img, cfg)
@@ -378,68 +324,5 @@ func runShardedContext(ctx context.Context, cfg Config, k *Kernel) (*Result, err
 		cores[i] = simt.NewCore(i, se.Domain(m.coreDom(i)), cfg.Core, m.protocolFor(i),
 			m.memsys[i], rng.Fork(uint64(1000+i)), dispatch)
 	}
-	for _, c := range cores {
-		c.Start()
-	}
-
-	limit := cfg.MaxCycles
-	budgeted := cfg.CycleBudget != 0 && (limit == 0 || cfg.CycleBudget < limit)
-	if budgeted {
-		limit = cfg.CycleBudget
-	}
-	var chunk sim.Cycle
-	cancellable := ctx.Done() != nil
-	if cancellable {
-		chunk = cfg.CancelChunk
-		if chunk == 0 {
-			chunk = DefaultCancelChunk
-		}
-	}
-	var end sim.Cycle
-	canceled := false
-	if chunk == 0 {
-		end = se.Run(limit)
-	} else {
-		end = se.RunChunked(limit, chunk, func(now sim.Cycle) bool {
-			if ctx.Err() != nil {
-				canceled = true
-				return false
-			}
-			return true
-		})
-	}
-
-	if canceled {
-		pm := m.collect(cores, end)
-		pm.Truncated = true
-		res := &Result{Metrics: pm, Truncated: true, TruncatedAt: end}
-		return res, fmt.Errorf("gpu: kernel %q canceled at cycle %d: %w",
-			k.Name, end, errors.Join(ErrCanceled, context.Cause(ctx)))
-	}
-	if budgeted && end >= limit && se.Pending() > 0 {
-		pm := m.collect(cores, end)
-		pm.Truncated = true
-		return &Result{Metrics: pm, Truncated: true, TruncatedAt: end}, nil
-	}
-	if cfg.MaxCycles != 0 && end >= cfg.MaxCycles {
-		return nil, fmt.Errorf("gpu: kernel %q exceeded %d cycles", k.Name, cfg.MaxCycles)
-	}
-	var stuck []string
-	for _, c := range cores {
-		if !c.AllDone() {
-			stuck = append(stuck, c.StuckWarps()...)
-		}
-	}
-	if len(stuck) > 0 {
-		return nil, fmt.Errorf("gpu: kernel %q deadlocked:\n%s", k.Name, strings.Join(stuck, "\n"))
-	}
-	if err := m.checkInvariants(); err != nil {
-		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
-	}
-	if k.Verify != nil {
-		if err := k.Verify(img); err != nil {
-			return nil, fmt.Errorf("gpu: kernel %q verification failed: %w", k.Name, err)
-		}
-	}
-	return &Result{Metrics: m.collect(cores, end)}, nil
+	return runMachine(ctx, cfg, k, se, m, cores, img, nil)
 }

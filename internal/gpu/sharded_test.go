@@ -138,7 +138,8 @@ func TestShardedFallbackMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedBudgetTruncates exercises runShardedContext's budget path.
+// TestShardedBudgetTruncates exercises the run loop's budget path on the
+// sharded engine.
 func TestShardedBudgetTruncates(t *testing.T) {
 	cfg := shardedConfig(ProtoGETM, 2)
 	cfg.CycleBudget = 500

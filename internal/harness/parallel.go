@@ -113,32 +113,20 @@ func (r *Runner) runParallel(jobs []Job, workers int) error {
 
 // runJob executes one simulation without touching shared state. A ctx cancel
 // stops the engine within one chunk of simulated cycles (gpu.RunContext).
-func runJob(ctx context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
+// A non-nil opts attaches a trace recorder, which rides back so the caller
+// can key it by run id; tracing is cycle-neutral by the trace layer's
+// contract, so the metrics are the same either way.
+func runJob(ctx context.Context, j Job, scale float64, seed uint64, opts *trace.Options) (*stats.Metrics, *trace.Recorder, error) {
 	variant := workloads.TM
 	if j.Proto == gpu.ProtoFGLock {
 		variant = workloads.FGLock
 	}
 	k := workloads.MustBuild(j.Bench, variant, workloads.Params{Scale: scale, Seed: seed})
-	res, err := gpu.RunContext(ctx, j.config(), k)
-	if err != nil {
-		return nil, err
+	cfg := j.Config()
+	if opts != nil {
+		o := *opts
+		cfg.Trace = &o
 	}
-	return res.Metrics, nil
-}
-
-// runJobTraced is runJob with a trace recorder attached: same workload, same
-// config, plus cfg.Trace. Tracing is cycle-neutral by the trace layer's
-// contract, so the metrics are identical to runJob's; the recorder rides back
-// so the caller can key it by run id and export it on request.
-func runJobTraced(ctx context.Context, j Job, scale float64, seed uint64, opts *trace.Options) (*stats.Metrics, *trace.Recorder, error) {
-	variant := workloads.TM
-	if j.Proto == gpu.ProtoFGLock {
-		variant = workloads.FGLock
-	}
-	k := workloads.MustBuild(j.Bench, variant, workloads.Params{Scale: scale, Seed: seed})
-	cfg := j.config()
-	o := *opts
-	cfg.Trace = &o
 	res, err := gpu.RunContext(ctx, cfg, k)
 	if err != nil {
 		return nil, nil, err

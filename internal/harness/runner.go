@@ -77,10 +77,10 @@ type Runner struct {
 	// to serial). See Job.Shards for the cache-identity rules.
 	Shards int
 	// Policy, when non-zero, pins every transactional cell (every protocol
-	// but fglock) to one protocol-matrix point; jobs carrying their own
-	// Policy keep it. The v2 API's WithPolicy option sets this. Preset
-	// points collapse to their legacy protocol name during normalization,
-	// so pinning a preset changes no cache or store identity.
+	// but fglock) to one protocol-matrix point: normalization replaces the
+	// job's Proto with gpu.ProtocolOf(Policy). The v2 API's WithPolicy
+	// option sets this. A preset point is its legacy protocol name, so
+	// pinning a preset changes no cache or store identity.
 	Policy policy.Policy
 	// Trace, if set, attaches a trace recorder to every simulation this
 	// runner actually executes (cache and store hits never trace — there is
@@ -134,6 +134,8 @@ func NewRunner(scale float64) *Runner {
 
 // Job describes one simulation.
 type Job struct {
+	// Proto is the cell's protocol identity (gpu.Config.Protocol): a preset
+	// name, fglock, or a non-preset matrix point as gpu.ProtocolOf spells it.
 	Proto gpu.Protocol
 	Bench string
 	Conc  int
@@ -154,34 +156,27 @@ type Job struct {
 	// physical, not semantic), so cache identity uses only the semantics
 	// class (serial vs sharded), never the worker count.
 	Shards int
-	// Policy, when non-zero, pins the cell to one protocol-matrix point
-	// (gpu.Config.Policy). Preset points are collapsed to their legacy
-	// protocol name by normalization, so a preset job shares cache and
-	// store identity with the equivalent name-based job; non-preset points
-	// extend the cache key with the canonical axis tuple.
-	Policy policy.Policy
 }
 
 func (j Job) key() string {
-	k := fmt.Sprintf("%s|%s|c%d|n%d|m%d|g%d|b%d|s%d",
+	return fmt.Sprintf("%s|%s|c%d|n%d|m%d|g%d|b%d|s%d",
 		j.Proto, j.Bench, j.Conc, j.Cores, j.MetaEntries, j.Granularity, j.CycleBudget, j.shardClass())
-	if !j.Policy.IsZero() {
-		k += "|" + j.Policy.Canonical()
-	}
-	return k
 }
 
 // shardClass collapses Shards to the cell's semantics class: 0 when the run
 // executes on the serial engine (Shards == 0 or the config is not
 // shardable), 1 for any sharded run.
 func (j Job) shardClass() int {
-	if j.Shards > 0 && gpu.Shardable(j.config()) {
+	if j.Shards > 0 && gpu.Shardable(j.Config()) {
 		return 1
 	}
 	return 0
 }
 
-func (j Job) config() gpu.Config {
+// Config builds the machine configuration the job describes. The public
+// API builds its runs through it too, so a cell has one configuration
+// whichever edge asked for it.
+func (j Job) Config() gpu.Config {
 	var cfg gpu.Config
 	if j.Cores == 56 {
 		cfg = gpu.ScaledConfig(j.Proto)
@@ -200,7 +195,6 @@ func (j Job) config() gpu.Config {
 	}
 	cfg.CycleBudget = sim.Cycle(j.CycleBudget)
 	cfg.Shards = j.Shards
-	cfg.Policy = j.Policy
 	return cfg
 }
 
@@ -239,16 +233,8 @@ func (r *Runner) norm(j Job) Job {
 	if j.Shards == 0 {
 		j.Shards = r.Shards
 	}
-	if j.Policy.IsZero() && !r.Policy.IsZero() && j.Proto != gpu.ProtoFGLock {
-		j.Policy = r.Policy
-	}
-	if !j.Policy.IsZero() {
-		if name, ok := policy.PresetName(j.Policy); ok {
-			// Preset points ARE the legacy protocols: collapse to the name so
-			// cache and store identity (and warm sweeps) are unchanged.
-			j.Proto = gpu.Protocol(name)
-			j.Policy = policy.Policy{}
-		}
+	if !r.Policy.IsZero() && j.Proto != gpu.ProtoFGLock {
+		j.Proto = gpu.ProtocolOf(r.Policy)
 	}
 	return j
 }
@@ -303,17 +289,14 @@ func (r *Runner) runE(ctx context.Context, j Job) (*stats.Metrics, error) {
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		switch {
-		case sim != nil:
+		if sim != nil {
 			c.m, c.err = sim(ctx, j, r.Scale, r.Seed)
-		case r.Trace != nil:
+		} else {
 			var rec *trace.Recorder
-			c.m, rec, c.err = runJobTraced(ctx, j, r.Scale, r.Seed, r.Trace)
+			c.m, rec, c.err = runJob(ctx, j, r.Scale, r.Seed, r.Trace)
 			if c.err == nil && rec != nil && r.TraceSink != nil {
 				r.TraceSink(r.storeKey(j), rec)
 			}
-		default:
-			c.m, c.err = runJob(ctx, j, r.Scale, r.Seed)
 		}
 		if c.err == nil && c.m != nil && !c.m.Truncated {
 			switch {
@@ -431,7 +414,7 @@ func (r *Runner) InFlight() int {
 // one cell share a record: only complete results are ever persisted, and a
 // complete result satisfies both.
 func (r *Runner) storeKey(j Job) string {
-	return store.Key(j.config(), j.Bench, r.Scale, r.Seed)
+	return store.Key(j.Config(), j.Bench, r.Scale, r.Seed)
 }
 
 // StoreKey exposes the job's content address — the durable identity a

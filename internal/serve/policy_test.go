@@ -27,6 +27,7 @@ func TestSubmitPolicyValidation(t *testing.T) {
 		"unknown axis":                  `{"policy":"speed=fast","benchmark":"ht-h","scale":0.1}`,
 		"bad axis value":                `{"policy":"vm=eagre","benchmark":"ht-h","scale":0.1}`,
 		"policy is not a protocol name": `{"protocol":"vm=eager","benchmark":"ht-h","scale":0.1}`,
+		"identity is not a wire name":   `{"protocol":"policy:vm=lazy,cd=eager,res=fww,arb=ring","benchmark":"ht-h","scale":0.1}`,
 	} {
 		resp := postRun(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -16,7 +16,8 @@ import (
 // and 42), so the minimal request is just {"protocol": ..., "benchmark": ...}.
 type RunSpec struct {
 	// Protocol is one of getm, warptm, warptm-el, eapg, fglock. Ignored
-	// when Policy is set.
+	// when Policy is set. After validate it holds the run's protocol
+	// identity (gpu.Config.Protocol) whichever field named it.
 	Protocol string `json:"protocol"`
 	// Policy selects a protocol-matrix point directly: a preset name
 	// ("getm", "warptm", "warptm-el", "eapg") or an axis list such as
@@ -48,12 +49,6 @@ type RunSpec struct {
 	// Async makes POST return 202 with the run id immediately; poll
 	// GET /v1/runs/{id} for the durable job status and result.
 	Async bool `json:"async,omitempty"`
-
-	// pol holds the parsed non-preset matrix point after validate. Preset
-	// policies collapse onto Protocol instead, so the invariant after a
-	// successful validate is: pol zero and Protocol a known name, or pol a
-	// valid non-preset point and Protocol empty.
-	pol policy.Policy
 }
 
 var protocols = map[string]bool{
@@ -75,25 +70,18 @@ func (sp *RunSpec) normalize() {
 }
 
 // validate checks a normalized spec against static limits; maxScale is the
-// server's admission ceiling. A spec carrying a Policy is parsed here:
-// presets collapse onto the equivalent Protocol name (so policy and
-// protocol spellings of the same point share one run id), non-preset points
-// land in sp.pol, and invalid ones fail — the caller maps the error to 400.
+// server's admission ceiling. A spec carrying a Policy is parsed here and
+// its point canonicalized into Protocol (gpu.ProtocolOf), so policy and
+// protocol spellings of the same point share one run id; invalid points
+// fail — the caller maps the error to 400.
 func (sp *RunSpec) validate(maxScale float64) error {
 	if sp.Policy != "" {
 		p, err := policy.Parse(sp.Policy)
 		if err != nil {
 			return err
 		}
-		if name, ok := policy.PresetName(p); ok {
-			sp.Protocol = name
-			sp.pol = policy.Policy{}
-		} else {
-			sp.Protocol = ""
-			sp.pol = p
-		}
-	}
-	if sp.pol.IsZero() && !protocols[sp.Protocol] {
+		sp.Protocol = string(gpu.ProtocolOf(p))
+	} else if !protocols[sp.Protocol] {
 		return fmt.Errorf("unknown protocol %q (want getm, warptm, warptm-el, eapg, fglock)", sp.Protocol)
 	}
 	names := workloads.Names()
@@ -122,27 +110,12 @@ func (sp *RunSpec) validate(maxScale float64) error {
 	return nil
 }
 
-// protoKey is the protocol's identity segment in cacheKey: the protocol name,
-// or the canonical axis tuple for a non-preset matrix point. Different
-// textual spellings of one point ("vm=lazy,arb=ring" with defaulted axes vs
-// the full tuple, a preset tuple vs its name) converge here, so they join the
-// same live job.
-func (sp *RunSpec) protoKey() string {
-	if !sp.pol.IsZero() {
-		return "policy:" + sp.pol.Canonical()
-	}
-	return sp.Protocol
-}
-
 // policyLabel is the bounded-cardinality /metrics label for the spec: the
 // full canonical policy tuple for TM runs (preset or not), "fglock" for the
 // lock variant. Only validated specs reach it, so the label set is the 12
 // valid matrix points plus fglock.
 func (sp *RunSpec) policyLabel() string {
-	if !sp.pol.IsZero() {
-		return sp.pol.Canonical()
-	}
-	if p, ok := policy.Preset(sp.Protocol); ok {
+	if p, _ := gpu.Protocol(sp.Protocol).Resolve(); !p.IsZero() {
 		return p.Canonical()
 	}
 	return sp.Protocol
@@ -155,14 +128,13 @@ func (sp *RunSpec) policyLabel() string {
 // address (a canonical-JSON marshal plus a SHA-256) per request.
 func (sp *RunSpec) cacheKey() string {
 	return fmt.Sprintf("%s|%s|%g|%d|c%d|n%d|b%d",
-		sp.protoKey(), sp.Benchmark, sp.Scale, sp.Seed, sp.Conc, sp.Cores, sp.CycleBudget)
+		sp.Protocol, sp.Benchmark, sp.Scale, sp.Seed, sp.Conc, sp.Cores, sp.CycleBudget)
 }
 
 // job translates the spec into the harness's cell identity.
 func (sp *RunSpec) job() harness.Job {
 	return harness.Job{
 		Proto:       gpu.Protocol(sp.Protocol),
-		Policy:      sp.pol,
 		Bench:       sp.Benchmark,
 		Conc:        sp.Conc,
 		Cores:       sp.Cores,

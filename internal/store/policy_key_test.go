@@ -45,17 +45,9 @@ func TestKeyStabilityAcrossPolicyRedesign(t *testing.T) {
 		// Selecting the same protocol as a matrix preset must be
 		// key-invisible: same content address, so old records are reused.
 		if preset, ok := policy.Preset(g.proto); ok {
-			cfg := gpu.DefaultConfig(gpu.Protocol(g.proto))
-			cfg.Policy = preset
-			if got := Key(cfg, "atm", 1, 42); got != g.defaultKey {
+			if got := Key(gpu.DefaultConfig(gpu.ProtocolOf(preset)), "atm", 1, 42); got != g.defaultKey {
 				t.Errorf("%s preset-policy key diverged from name key:\ngot  %s\nwant %s",
 					g.proto, got, g.defaultKey)
-			}
-			// The Protocol display string may be anything when a preset
-			// policy is set — the key must canonicalize it away.
-			cfg.Protocol = gpu.Protocol(preset.Canonical())
-			if got := Key(cfg, "atm", 1, 42); got != g.defaultKey {
-				t.Errorf("%s preset key depends on display Protocol string:\ngot %s", g.proto, got)
 			}
 		}
 	}
@@ -74,9 +66,7 @@ func TestKeyNonPresetPolicies(t *testing.T) {
 		if _, isPreset := policy.PresetName(p); isPreset {
 			continue
 		}
-		cfg := gpu.DefaultConfig(gpu.Protocol(p.String()))
-		cfg.Policy = p
-		k1 := Key(cfg, "atm", 1, 42)
+		k1 := Key(gpu.DefaultConfig(gpu.ProtocolOf(p)), "atm", 1, 42)
 		if presetKeys[k1] {
 			t.Errorf("non-preset %v collides with a preset key", p)
 		}
@@ -84,10 +74,10 @@ func TestKeyNonPresetPolicies(t *testing.T) {
 			t.Errorf("points %v and %s share key %s", p, prev, k1)
 		}
 		seen[k1] = p.Canonical()
-		// Deterministic, and independent of the display Protocol string.
-		cfg.Protocol = "anything"
-		if k2 := Key(cfg, "atm", 1, 42); k2 != k1 {
-			t.Errorf("%v key depends on display Protocol string", p)
+		// The address is the one these points always had: the key of
+		// "policy:" plus the canonical tuple.
+		if k2 := Key(gpu.DefaultConfig(gpu.Protocol("policy:"+p.Canonical())), "atm", 1, 42); k2 != k1 {
+			t.Errorf("%v key moved from its policy:<tuple> address", p)
 		}
 	}
 	if len(seen) != 8 {

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 
 	"getm/internal/gpu"
-	"getm/internal/policy"
 	"getm/internal/stats"
 )
 
@@ -119,24 +118,15 @@ func (s *Store) Degraded() error { return s.err }
 // sharded): every Shards >= 1 worker count produces identical results, but
 // serial and sharded runs are distinct classes and never share a record.
 //
-// A non-zero cfg.Policy is canonicalized into the Protocol name before
-// hashing (the field itself is excluded from JSON): a preset point collapses
-// to its legacy protocol name, so e.g. the GETM preset and the "getm" string
-// share every existing content address and stored sweeps stay warm; any
-// other matrix point keys as "policy:" + its canonical axis tuple.
+// cfg.Protocol is hashed as is: it is already the canonical identity
+// (gpu.ProtocolOf), so a preset point keys as its legacy protocol name and
+// stored sweeps stay warm, and any other matrix point as "policy:" plus its
+// canonical axis tuple.
 func Key(cfg gpu.Config, bench string, scale float64, seed uint64) string {
 	if cfg.Shards > 0 && gpu.Shardable(cfg) {
 		cfg.Shards = 1
 	} else {
 		cfg.Shards = 0
-	}
-	if !cfg.Policy.IsZero() {
-		if name, ok := policy.PresetName(cfg.Policy); ok {
-			cfg.Protocol = gpu.Protocol(name)
-		} else {
-			cfg.Protocol = gpu.Protocol("policy:" + cfg.Policy.Canonical())
-		}
-		cfg.Policy = policy.Policy{}
 	}
 	cfg.Trace = nil
 	cfg.Record = false

@@ -102,11 +102,6 @@ func (p Policy) internal() policy.Policy {
 	}
 }
 
-// policyPresetName maps a preset point back to its legacy protocol name.
-func policyPresetName(p Policy) (string, bool) {
-	return policy.PresetName(p.internal())
-}
-
 func fromInternal(ip policy.Policy) Policy {
 	return Policy{
 		VersionMgmt:    string(ip.VersionMgmt),
