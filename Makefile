@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test bench-serve suite-output
+.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test bench-parallel suite-output
 
 check: vet build race short trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test
 
@@ -87,10 +87,11 @@ load-gate:
 # per-client counters are all alloc-gated); the live /metrics scrape must
 # pass the Prometheus-conventions lint and pin its Content-Type; the
 # X-Getm-Timings header must round-trip against /v1/runs/{id}/timings; the
-# span recorder must lose nothing under -race; and getm-top must render a
-# frame from a canned scrape.
+# latency summaries must keep their resolution (a 2 s request reads 2 s, a
+# 1.5 ms run reads 1.5 ms); the span recorder must lose nothing under -race;
+# and getm-top must render a frame from a canned scrape.
 obs-gate:
-	$(GO) test -run 'TestSpanDisabledZeroAlloc|TestSpanEnabledEmitZeroAlloc|TestMetricsLintConventions|TestMetricsContentType|TestTimingsHeader|TestSpanExportFormats|TestSpanInternBounded' ./internal/serve/
+	$(GO) test -run 'TestSpanDisabledZeroAlloc|TestSpanEnabledEmitZeroAlloc|TestMetricsLintConventions|TestMetricsContentType|TestTimingsHeader|TestSpanExportFormats|TestSpanInternBounded|TestLatencySummaryResolution' ./internal/serve/
 	$(GO) test -race -run 'TestSpanRecorderConcurrentNoLoss' ./internal/serve/
 	$(GO) test -run 'TestPrecomputeProgress|TestRunnerTraceSink' ./internal/harness/
 	$(GO) test ./cmd/getm-top/
@@ -124,15 +125,6 @@ policy-gate:
 cluster-gate:
 	$(GO) test -race -run 'TestCluster' ./internal/serve/
 	$(GO) test -race -run 'TestServeCluster' ./cmd/getm-serve/
-
-# Serve-path throughput baselines (recorded in BENCH_serve.json): both
-# traffic mixes against the per-request-write baseline server and the
-# coalesced one, with the dedupe-heavy speedup as the headline number.
-# -spans adds the server's own stage breakdown (server_*_ms) next to the
-# client-observed latency in the coalesced arms.
-bench-serve:
-	$(GO) run ./cmd/getm-load -compare -spans -duration 3s -clients 4 -batch 16 \
-		-keys 8 -scale 0.02 -out BENCH_serve.json
 
 # Parallel-engine timings (recorded in BENCH_parallel.json).
 bench-parallel:

@@ -1,16 +1,15 @@
 // getm-load drives sustained simulation traffic against the getm-serve HTTP
-// service and reports client-side throughput and latency — the committed
-// evidence (BENCH_serve.json) behind the serve path's throughput claims,
-// and the SLO gate `make load-gate` runs on every check.
+// service and reports client-side throughput and latency — the tool that
+// recorded BENCH_serve.json, and the SLO gate `make load-gate` runs on every
+// check.
 //
 // Usage:
 //
-//	getm-load [-url http://host:port] [-targets URL,URL,...] [-compare]
+//	getm-load [-url http://host:port] [-targets URL,URL,...]
 //	          [-mix dedupe-heavy|dedupe-free]
 //	          [-duration 3s] [-clients 4] [-batch 16] [-keys 8] [-zipf 1.2]
 //	          [-scale 0.02] [-protocol getm] [-benchmark ht-h]
-//	          [-slo-p99 0] [-slo-shed -1] [-out FILE] [-baseline] [-spans]
-//	          [-seed 1]
+//	          [-slo-p99 0] [-slo-shed -1] [-out FILE] [-spans] [-seed 1]
 //
 // Two traffic mixes:
 //
@@ -24,9 +23,7 @@
 //     the mix pins down the harness overhead floor, not a speedup.
 //
 // Without -url, getm-load spawns a getm-serve instance in-process (fresh
-// temp store; -baseline selects the per-request-write control arm). With
-// -compare it runs each mix twice — against a baseline server and a
-// coalesced one — and records the speedup; that JSON is BENCH_serve.json.
+// temp store).
 //
 // -slo-p99 and -slo-shed turn the run into a gate: exit 1 if the measured
 // p99 latency exceeds the bound or the shed rate exceeds the fraction.
@@ -45,8 +42,8 @@
 // stable connection. Aggregate results span all targets.
 //
 // -out writes are atomic (temp file + rename in the destination directory),
-// so a crashed or failed run never leaves a torn BENCH_serve.json behind —
-// the previous file survives intact until the new one is complete.
+// so a crashed or failed run never leaves a torn result file behind — the
+// previous file survives intact until the new one is complete.
 package main
 
 import (
@@ -88,7 +85,6 @@ type loadCfg struct {
 	protocol  string
 	benchmark string
 	seed      int64
-	spans     bool
 }
 
 // mixResult is one measurement, all-float64 leaves so cmd/benchdiff can walk
@@ -125,9 +121,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	url := fs.String("url", "", "target server base URL (empty = spawn a server in-process)")
 	targets := fs.String("targets", "", "comma-separated target base URLs; clients pin round-robin across them (cluster-aware load)")
-	compare := fs.Bool("compare", false, "measure each mix against baseline AND coalesced in-process servers")
 	mix := fs.String("mix", "dedupe-heavy", "traffic mix: dedupe-heavy or dedupe-free")
-	duration := fs.Duration("duration", 3*time.Second, "measurement length per mix")
+	duration := fs.Duration("duration", 3*time.Second, "measurement length")
 	clients := fs.Int("clients", 4, "concurrent closed-loop clients")
 	batch := fs.Int("batch", 16, "specs per POST (1 = single-run endpoint)")
 	keys := fs.Int("keys", 8, "distinct seeds in the dedupe-heavy key set")
@@ -138,7 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sloP99 := fs.Duration("slo-p99", 0, "fail (exit 1) if p99 latency exceeds this (0 = no bound)")
 	sloShed := fs.Float64("slo-shed", -1, "fail (exit 1) if shed fraction exceeds this (negative = no bound)")
 	out := fs.String("out", "", "write the result JSON here (empty = stdout)")
-	baseline := fs.Bool("baseline", false, "spawn the baseline (per-request-write) server instead of the coalesced one")
 	spans := fs.Bool("spans", false, "enable lifecycle spans on spawned servers so results carry server-reported stage timings")
 	seed := fs.Int64("seed", 1, "load-generator RNG seed")
 	if err := fs.Parse(args); err != nil {
@@ -147,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := loadCfg{
 		mix: *mix, duration: *duration, clients: *clients, batch: *batch,
 		keys: *keys, zipfS: *zipfS, scale: *scale,
-		protocol: *protocol, benchmark: *benchmark, seed: *seed, spans: *spans,
+		protocol: *protocol, benchmark: *benchmark, seed: *seed,
 	}
 	if err := cfg.validate(); err != nil {
 		fmt.Fprintln(stderr, "error:", err)
@@ -170,47 +164,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var doc any
-	gateRes := make([]mixResult, 0, 2)
-	if *compare {
-		if *url != "" || len(targetList) > 0 {
-			fmt.Fprintln(stderr, "error: -compare spawns its own servers; drop -url/-targets")
-			return 2
-		}
-		cmpDoc, coalesced, err := runCompare(cfg, stderr)
+	if len(targetList) == 0 && *url != "" {
+		targetList = []string{*url}
+	}
+	var shutdown func()
+	if len(targetList) == 0 {
+		target, sd, err := spawnServer(*spans, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "error:", err)
 			return 1
 		}
-		doc = cmpDoc
-		gateRes = coalesced
-	} else {
-		tg := targetList
-		var shutdown func()
-		if len(tg) == 0 && *url != "" {
-			tg = []string{*url}
-		}
-		if len(tg) == 0 {
-			target, sd, err := spawnServer(*baseline, *spans, stderr)
-			if err != nil {
-				fmt.Fprintln(stderr, "error:", err)
-				return 1
-			}
-			tg, shutdown = []string{target}, sd
-		}
-		res, err := runMix(tg, cfg, stderr)
-		if shutdown != nil {
-			shutdown()
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-		doc = res
-		gateRes = append(gateRes, res)
+		targetList, shutdown = []string{target}, sd
+	}
+	res, err := runMix(targetList, cfg, stderr)
+	if shutdown != nil {
+		shutdown()
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
 
-	b, err := json.MarshalIndent(doc, "", "  ")
+	b, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		fmt.Fprintln(stderr, "error:", err)
 		return 1
@@ -227,15 +202,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	code := 0
-	for _, res := range gateRes {
-		if *sloP99 > 0 && res.P99MS > float64(*sloP99)/float64(time.Millisecond) {
-			fmt.Fprintf(stderr, "SLO VIOLATION: p99 %.2fms > %s\n", res.P99MS, *sloP99)
-			code = 1
-		}
-		if *sloShed >= 0 && res.ShedRate > *sloShed {
-			fmt.Fprintf(stderr, "SLO VIOLATION: shed rate %.4f > %.4f\n", res.ShedRate, *sloShed)
-			code = 1
-		}
+	if *sloP99 > 0 && res.P99MS > float64(*sloP99)/float64(time.Millisecond) {
+		fmt.Fprintf(stderr, "SLO VIOLATION: p99 %.2fms > %s\n", res.P99MS, *sloP99)
+		code = 1
+	}
+	if *sloShed >= 0 && res.ShedRate > *sloShed {
+		fmt.Fprintf(stderr, "SLO VIOLATION: shed rate %.4f > %.4f\n", res.ShedRate, *sloShed)
+		code = 1
 	}
 	if code == 0 && (*sloP99 > 0 || *sloShed >= 0) {
 		fmt.Fprintln(stderr, "SLOs met")
@@ -311,7 +284,7 @@ func (c *loadCfg) validate() error {
 
 // spawnServer starts a getm-serve instance in-process on a loopback port
 // with a fresh temp store, returning its base URL and a shutdown func.
-func spawnServer(baseline, spans bool, stderr io.Writer) (string, func(), error) {
+func spawnServer(spans bool, stderr io.Writer) (string, func(), error) {
 	dir, err := os.MkdirTemp("", "getm-load-store-*")
 	if err != nil {
 		return "", nil, err
@@ -321,7 +294,6 @@ func spawnServer(baseline, spans bool, stderr io.Writer) (string, func(), error)
 		QueueDepth: 256,
 		MaxScale:   1.0,
 		Store:      store.Open(dir),
-		Baseline:   baseline,
 		Spans:      spans,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -336,80 +308,8 @@ func spawnServer(baseline, spans bool, stderr io.Writer) (string, func(), error)
 		httpSrv.Close()
 		os.RemoveAll(dir)
 	}
-	arm := "coalesced"
-	if baseline {
-		arm = "baseline"
-	}
-	fmt.Fprintf(stderr, "spawned %s server on %s\n", arm, ln.Addr())
+	fmt.Fprintf(stderr, "spawned server on %s\n", ln.Addr())
 	return "http://" + ln.Addr().String(), shutdown, nil
-}
-
-// compareDoc is the shape committed as BENCH_serve.json.
-type compareDoc struct {
-	Schema int                `json:"schema"`
-	Config map[string]float64 `json:"config"`
-	Heavy  compareMix         `json:"dedupe_heavy"`
-	Free   compareMix         `json:"dedupe_free"`
-}
-
-type compareMix struct {
-	Baseline   mixResult `json:"baseline"`
-	Coalesced  mixResult `json:"coalesced"`
-	SpeedupRPS float64   `json:"speedup_rps"`
-}
-
-// runCompare measures both mixes against both server arms and returns the
-// document plus the coalesced-arm results (the ones SLOs apply to).
-func runCompare(cfg loadCfg, stderr io.Writer) (*compareDoc, []mixResult, error) {
-	doc := &compareDoc{
-		Schema: 1,
-		Config: map[string]float64{
-			"duration_s": cfg.duration.Seconds(),
-			"clients":    float64(cfg.clients),
-			"batch":      float64(cfg.batch),
-			"keys":       float64(cfg.keys),
-			"zipf_s":     cfg.zipfS,
-			"scale":      cfg.scale,
-		},
-	}
-	coalesced := make([]mixResult, 0, 2)
-	for _, mix := range []string{"dedupe-heavy", "dedupe-free"} {
-		mcfg := cfg
-		mcfg.mix = mix
-		var arms [2]mixResult
-		for i, baseline := range []bool{true, false} {
-			acfg := mcfg
-			if baseline {
-				// The baseline serving surface (PR 5 discipline) has no batch
-				// endpoint — admission batching is part of the work under
-				// measurement — so the control arm drives single POSTs.
-				acfg.batch = 1
-			}
-			url, shutdown, err := spawnServer(baseline, cfg.spans, stderr)
-			if err != nil {
-				return nil, nil, err
-			}
-			res, err := runMix([]string{url}, acfg, stderr)
-			shutdown()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%s baseline=%v: %w", mix, baseline, err)
-			}
-			arms[i] = res
-		}
-		cm := compareMix{Baseline: arms[0], Coalesced: arms[1]}
-		if arms[0].RPS > 0 {
-			cm.SpeedupRPS = arms[1].RPS / arms[0].RPS
-		}
-		if mix == "dedupe-heavy" {
-			doc.Heavy = cm
-			coalesced = append(coalesced, arms[1])
-		} else {
-			doc.Free = cm
-		}
-		fmt.Fprintf(stderr, "%s: baseline %.0f rps, coalesced %.0f rps (%.1fx)\n",
-			mix, arms[0].RPS, arms[1].RPS, cm.SpeedupRPS)
-	}
-	return doc, coalesced, nil
 }
 
 // runMix drives one sustained measurement against targets; each closed-loop
@@ -544,17 +444,13 @@ func runMix(targets []string, cfg loadCfg, stderr io.Writer) (mixResult, error) 
 	return res, nil
 }
 
-// warmKeys completes every seed in the dedupe-heavy key set once — chunked
-// batch POSTs, or single POSTs when the run drives the single-run endpoint
-// (the baseline surface has no batch endpoint) — so the timed window
-// measures steady-state repeat traffic, not first-time simulations.
+// warmKeys completes every seed in the dedupe-heavy key set once, in
+// batch POSTs of at most warmChunk specs, so the timed window measures
+// steady-state repeat traffic, not first-time simulations.
 func warmKeys(client *http.Client, url string, cfg loadCfg) error {
-	chunk := 256
-	if cfg.batch == 1 {
-		chunk = 1
-	}
-	for lo := 0; lo < cfg.keys; lo += chunk {
-		hi := lo + chunk
+	const warmChunk = 256 // the server's batch limit
+	for lo := 0; lo < cfg.keys; lo += warmChunk {
+		hi := lo + warmChunk
 		if hi > cfg.keys {
 			hi = cfg.keys
 		}

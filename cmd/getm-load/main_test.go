@@ -18,7 +18,6 @@ func TestBadFlags(t *testing.T) {
 		"batch too big": {"-batch", "1000"},
 		"flat zipf":     {"-zipf", "0.5"},
 		"no duration":   {"-duration", "0s"},
-		"compare+url":   {"-compare", "-url", "http://127.0.0.1:1"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {

@@ -78,9 +78,8 @@ func httpGet(url string) (string, error) {
 // TestLoadTargetsBadFlags pins the usage errors around -targets.
 func TestLoadTargetsBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
-		"targets+url":     {"-targets", "http://a:1,http://b:2", "-url", "http://c:3"},
-		"targets+compare": {"-compare", "-targets", "http://a:1"},
-		"empty targets":   {"-targets", " , "},
+		"targets+url":   {"-targets", "http://a:1,http://b:2", "-url", "http://c:3"},
+		"empty targets": {"-targets", " , "},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {

@@ -7,7 +7,7 @@
 //	           [-max-scale 1.0] [-request-timeout 60s] [-drain-timeout 30s]
 //	           [-quota-rps N] [-quota-burst N] [-client-header X-Client-ID]
 //	           [-client-weights a=2,b=5] [-per-client-queue N]
-//	           [-flush-interval 100ms] [-flush-highwater 64] [-baseline]
+//	           [-flush-interval 100ms] [-flush-highwater 64]
 //	           [-spans] [-span-ring N] [-pprof] [-slo-p99 250ms]
 //	           [-slo-shed 0.01] [-verbose]
 //	           [-role worker|coordinator] [-peers URL,URL,...]
@@ -26,8 +26,7 @@
 // -quota-rps imposes a per-client token-bucket admission rate (clients are
 // keyed by -client-header, falling back to remote host); -client-weights
 // biases the fair dequeue order; -per-client-queue caps one client's share
-// of the wait queue. -baseline restores the PR 5 per-request-write serving
-// discipline as a benchmarking control arm.
+// of the wait queue.
 //
 // GET /v1/runs/{id} reports a run durably (completed ids resolve from the
 // store even after a restart). /healthz is liveness, /readyz flips to 503
@@ -121,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	perClientQueue := fs.Int("per-client-queue", 0, "cap on one client's share of the wait queue (0 = no per-client cap)")
 	flushInterval := fs.Duration("flush-interval", 100*time.Millisecond, "write-behind store flush cadence")
 	flushHighWater := fs.Int("flush-highwater", 64, "pending results forcing an immediate store flush")
-	baseline := fs.Bool("baseline", false, "serve with the per-request-write discipline (benchmark control arm)")
 	spans := fs.Bool("spans", false, "record request lifecycle spans (GET /v1/spans, X-Getm-Timings) and sim traces for executed runs")
 	spanRing := fs.Int("span-ring", 0, "lifecycle span ring capacity in records (0 = 16384; power of two)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -153,7 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PerClientQueue: *perClientQueue,
 		FlushInterval:  *flushInterval,
 		FlushHighWater: *flushHighWater,
-		Baseline:       *baseline,
 		Spans:          *spans,
 		SpanRing:       *spanRing,
 		Pprof:          *pprofOn,

@@ -267,17 +267,14 @@ func (c *cluster) forwardTimeout(sp *RunSpec) time.Duration {
 func (c *cluster) forwardRun(w http.ResponseWriter, r *http.Request, sp RunSpec, client string, start time.Time) {
 	s := c.s
 	if s.pool.draining.Load() {
-		s.met.rejected.Add(1)
-		s.met.clientShed(client, 1)
-		w.Header().Set("Connection", "close")
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		s.shed(client, 1)
+		s.refuse(w, admitDraining, 0, nil)
 		return
 	}
 	id := s.runIDFor(&sp)
 	targets, stole := c.plan(baseID(id))
 	if len(targets) == 0 {
-		s.met.rejected.Add(1)
-		s.met.clientShed(client, 1)
+		s.shed(client, 1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, errors.New("no healthy workers"))
 		return
@@ -336,8 +333,7 @@ func (c *cluster) forwardRun(w http.ResponseWriter, r *http.Request, sp RunSpec,
 				next++
 				pending++
 			} else if pending == 0 {
-				s.met.rejected.Add(1)
-				s.met.clientShed(client, 1)
+				s.shed(client, 1)
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusBadGateway, fmt.Errorf("all workers unreachable: %v", res.err))
 				return
@@ -382,28 +378,17 @@ func (c *cluster) forwardBatch(w http.ResponseWriter, r *http.Request, specs []R
 	plans := make(map[*peer][]*peer)
 	for i := range specs {
 		sp := &specs[i]
-		sp.normalize()
-		if err := sp.validate(s.cfg.MaxScale); err != nil {
-			resps[i] = marshalResponse(&Response{Status: "invalid", Error: err.Error()})
-			continue
-		}
-		s.met.policyRequest(sp.policyLabel(), 1)
-		if s.quotas != nil {
-			if ok, _ := s.quotas.allow(client, time.Now()); !ok {
-				s.met.rejected.Add(1)
-				s.met.quotaRejected.Add(1)
-				s.met.clientShed(client, 1)
-				s.span(stageQuota, client, "", 0, 0)
-				resps[i] = marshalResponse(&Response{Status: "shed", Error: "over per-client quota"})
+		if o, _, err := s.screen(sp, client); o != admitOK {
+			resps[i] = refusedEntry(o, err)
+			if o != admitInvalid {
 				shed++
-				continue
 			}
+			continue
 		}
 		id := s.runIDFor(sp)
 		targets, stolen := c.plan(baseID(id))
 		if len(targets) == 0 {
-			s.met.rejected.Add(1)
-			s.met.clientShed(client, 1)
+			s.shed(client, 1)
 			resps[i] = marshalResponse(&Response{Status: "shed", Error: "no healthy workers"})
 			shed++
 			continue
@@ -443,22 +428,7 @@ func (c *cluster) forwardBatch(w http.ResponseWriter, r *http.Request, specs []R
 		}(plans[p], idxs)
 	}
 	wg.Wait()
-	shed += fwdShed
-
-	w.Header().Set("X-Getm-Shed", strconv.Itoa(shed))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("["))
-	for i := range resps {
-		if i > 0 {
-			w.Write([]byte(","))
-		}
-		if resps[i] == nil { // unreachable, but never render invalid JSON
-			resps[i] = []byte(`{"status":"failed","error":"no response"}`)
-		}
-		w.Write(resps[i])
-	}
-	w.Write([]byte("]\n"))
+	writeBatch(w, shed+fwdShed, resps)
 	s.span(stageRespond, client, "", uint64(time.Since(start).Microseconds()), uint64(len(specs)))
 }
 
@@ -472,9 +442,8 @@ func (c *cluster) sendSubBatch(r *http.Request, targets []*peer, body []byte, cl
 		out := make([][]byte, n)
 		for i := range out {
 			out[i] = entry
-			c.s.met.rejected.Add(1)
 		}
-		c.s.met.clientShed(client, int64(n))
+		c.s.shed(client, int64(n))
 		return out, n
 	}
 	if encErr != nil {
@@ -513,18 +482,6 @@ func marshalResponse(resp *Response) []byte {
 		return []byte(`{"status":"failed","error":"encode error"}`)
 	}
 	return b
-}
-
-// runIDFor resolves a validated spec's public run id, caching the content
-// address exactly like the admission fast path.
-func (s *Server) runIDFor(sp *RunSpec) string {
-	if v, ok := s.idCache.Load(sp.cacheKey()); ok {
-		return v.(string)
-	}
-	r := s.pool.runnerFor(*sp)
-	id := runID(r.StoreKey(sp.job()), *sp)
-	s.idCache.Store(sp.cacheKey(), id)
-	return id
 }
 
 // proxyStatus resolves a status read for a run this node does not hold:

@@ -265,9 +265,15 @@ func TestClusterShardedSweepMatchesSingleNode(t *testing.T) {
 		t.Fatalf("single-node store holds %d records, want %d", len(want), len(specs))
 	}
 
-	// Cluster arm: per-worker stores, coordinator routing.
+	// Cluster arm: per-worker stores, coordinator routing. Hedging is off:
+	// a hedged forward may run a cell twice, which the design allows but
+	// the exactly-once count below forbids, and on a loaded host a slow
+	// owner can cross the default hedge delay.
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	tc := newTestCluster(t, 3, clusterOpts{workerDirs: dirs})
+	tc := newTestCluster(t, 3, clusterOpts{
+		workerDirs: dirs,
+		coordCfg:   func(cfg *Config) { cfg.HedgeDelay = time.Hour },
+	})
 	waitProbed(t, tc.coord.s)
 	submitAll(t, tc.coord.url, specs)
 	waitRecords(t, len(specs), dirs...)
@@ -755,7 +761,7 @@ func TestClusterDrainAcceptRaceCoordinator(t *testing.T) {
 		t.Fatal("flood never reached the worker; the race was not exercised")
 	}
 	// The worker must hold no stuck jobs either.
-	tc.workers[0].s.pool.jobsFast.Range(func(_, v any) bool {
+	tc.workers[0].s.pool.jobs.Range(func(_, v any) bool {
 		js := v.(*jobState)
 		select {
 		case <-js.done:

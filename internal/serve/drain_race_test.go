@@ -85,7 +85,7 @@ func TestDrainAcceptRaceSingleNode(t *testing.T) {
 
 	// Nothing the pool ever accepted may be left hanging: every jobState
 	// reached its terminal close.
-	s.pool.jobsFast.Range(func(_, v any) bool {
+	s.pool.jobs.Range(func(_, v any) bool {
 		js := v.(*jobState)
 		select {
 		case <-js.done:

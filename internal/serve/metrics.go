@@ -13,20 +13,6 @@ import (
 	"getm/internal/stats"
 )
 
-// latencyBuckets sizes the run-latency histogram: one bucket per
-// millisecond, clamped at ~16s. Simulations at serving scale complete well
-// inside the range; anything clamped still lands in the right tail.
-const latencyBuckets = 1 << 14
-
-// httpLatencyBuckets and httpLatencyUnit size the HTTP-request histogram:
-// 10µs resolution (the admission fast path completes in tens of µs) up to
-// ~327ms; slower requests clamp into the right tail.
-const (
-	httpLatencyBuckets = 1 << 15
-	httpLatencyUnit    = 10 * time.Microsecond
-	httpLatencyShards  = 8
-)
-
 // clientCardinality bounds the per-client counter table; clients beyond the
 // bound aggregate under the "_other" label so an id-cardinality attack
 // cannot grow the exposition (or server memory) without bound.
@@ -52,14 +38,10 @@ type clientStat struct {
 // lint test enforces: counters end in _total, durations are base-unit
 // seconds, sizes are bytes, and every family carries HELP and TYPE. Latency
 // distributions are exposed as summaries (quantile-labeled series plus _sum
-// and _count), computed at scrape time from in-process histograms: the
-// end-to-end run and HTTP histograms from PR 5/7, and the per-stage
-// (queue/sim/persist) and coalescer-flush histograms introduced with the
-// observability layer — all fixed-size, so the serving hot path records a
-// sample without allocating. The HTTP histogram is sharded
-// (stats.ShardedHist) so the hot path never serializes on one latency mutex;
-// /metrics merges the shards into the exact single-histogram view at scrape
-// time.
+// and _count), computed at scrape time from fixed-size µs log histograms
+// (stats.LogHist), so the serving hot path records a sample without
+// allocating. The run summary and the sim stage share one histogram: a run's
+// end-to-end latency (dequeue to completion) is its execute stage.
 type metricsSet struct {
 	requests        atomic.Int64 // run submissions received (batch items count individually)
 	batches         atomic.Int64 // POST /v1/runs/batch calls received
@@ -78,13 +60,11 @@ type metricsSet struct {
 	sloP99 time.Duration
 
 	mu       sync.Mutex
-	lat      *stats.Hist   // run latency, milliseconds
 	queueLat stats.LogHist // fair-queue wait, µs
 	simLat   stats.LogHist // execute (simulate or cache/store load), µs
 	persLat  stats.LogHist // persist hook, µs
 	flushLat stats.LogHist // coalescer batched commit, µs
-
-	httpLat *stats.ShardedHist // HTTP request latency, 10µs units
+	httpLat  stats.LogHist // HTTP request (submit or batch), µs
 
 	clientMu sync.Mutex
 	clients  map[string]*clientStat
@@ -95,14 +75,13 @@ type metricsSet struct {
 
 func newMetricsSet() *metricsSet {
 	return &metricsSet{
-		lat:      stats.NewHist(latencyBuckets),
-		httpLat:  stats.NewShardedHist(httpLatencyShards, httpLatencyBuckets),
 		clients:  make(map[string]*clientStat),
 		policies: make(map[string]int64),
 	}
 }
 
-// observe records one finished run.
+// observe records one finished run: its outcome counters and, in the shared
+// run/sim histogram, its latency.
 func (m *metricsSet) observe(d time.Duration, res *stats.Metrics, err error) {
 	if err != nil {
 		m.failed.Add(1)
@@ -116,17 +95,16 @@ func (m *metricsSet) observe(d time.Duration, res *stats.Metrics, err error) {
 		m.sloSlow.Add(1)
 	}
 	m.mu.Lock()
-	m.lat.Add(int(d.Milliseconds()))
+	m.simLat.Add(d.Microseconds())
 	m.mu.Unlock()
 }
 
-// observeStages records one finished run's per-stage breakdown. The
-// histograms are fixed-size log-bucketed structs, so the call allocates
-// nothing.
-func (m *metricsSet) observeStages(queue, sim, persist time.Duration) {
+// observeStages records the stages of one finished run around its execute
+// stage (which observe records). The histograms are fixed-size log-bucketed
+// structs, so the call allocates nothing.
+func (m *metricsSet) observeStages(queue, persist time.Duration) {
 	m.mu.Lock()
 	m.queueLat.Add(queue.Microseconds())
-	m.simLat.Add(sim.Microseconds())
 	m.persLat.Add(persist.Microseconds())
 	m.mu.Unlock()
 }
@@ -141,7 +119,9 @@ func (m *metricsSet) observeFlush(d time.Duration) {
 // observeHTTP records one served HTTP request (submit or batch), including
 // any time spent waiting on a synchronous run.
 func (m *metricsSet) observeHTTP(d time.Duration) {
-	m.httpLat.Add(int(d / httpLatencyUnit))
+	m.mu.Lock()
+	m.httpLat.Add(d.Microseconds())
+	m.mu.Unlock()
 }
 
 // clientStatFor resolves (creating if the table has room) a client's row;
@@ -169,13 +149,13 @@ func (m *metricsSet) clientRequest(client string, n int64) {
 	m.clientMu.Unlock()
 }
 
-// policyRequest counts n valid submissions for the policy tuple label.
-func (m *metricsSet) policyRequest(label string, n int64) {
+// policyRequest counts one valid submission for the policy tuple label.
+func (m *metricsSet) policyRequest(label string) {
 	m.policyMu.Lock()
 	if _, ok := m.policies[label]; !ok && len(m.policies) >= policyCardinality {
 		label = clientOverflow
 	}
-	m.policies[label] += n
+	m.policies[label]++
 	m.policyMu.Unlock()
 }
 
@@ -189,7 +169,7 @@ func (m *metricsSet) clientShed(client string, n int64) {
 func (m *metricsSet) meanLatencyMS() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.lat.Mean()
+	return m.simLat.Mean() / 1e3
 }
 
 // labelEscape escapes a Prometheus label value.
@@ -228,24 +208,13 @@ func logHistSummary(label string, h *stats.LogHist) summaryStat {
 func (m *metricsSet) write(w io.Writer, s *Server) {
 	p := s.pool
 	m.mu.Lock()
-	run := summaryStat{count: uint64(m.lat.Total())}
-	for i, q := range summaryQuantiles {
-		run.q[i] = m.lat.Quantile(q) / 1e3
-	}
-	run.sum = m.lat.Mean() * float64(m.lat.Total()) / 1e3
+	run := logHistSummary("", &m.simLat) // a run's latency is its sim stage
 	queue := logHistSummary(`stage="queue"`, &m.queueLat)
 	simS := logHistSummary(`stage="sim"`, &m.simLat)
 	pers := logHistSummary(`stage="persist"`, &m.persLat)
 	flush := logHistSummary("", &m.flushLat)
+	httpS := logHistSummary("", &m.httpLat)
 	m.mu.Unlock()
-
-	hh := m.httpLat.Merged()
-	unitSec := float64(httpLatencyUnit) / float64(time.Second)
-	httpS := summaryStat{count: uint64(hh.Total())}
-	for i, q := range summaryQuantiles {
-		httpS.q[i] = hh.Quantile(q) * unitSec
-	}
-	httpS.sum = hh.Mean() * float64(hh.Total()) * unitSec
 
 	draining := 0
 	if p.draining.Load() {

@@ -106,7 +106,7 @@ func TestSpanDisabledZeroAlloc(t *testing.T) {
 		t.Fatalf("disabled span emit allocates %v bytes/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		s.met.observeStages(time.Millisecond, 2*time.Millisecond, time.Microsecond)
+		s.met.observeStages(time.Millisecond, time.Microsecond)
 	}); n != 0 {
 		t.Fatalf("observeStages allocates %v/op, want 0", n)
 	}
@@ -463,11 +463,33 @@ func TestPprofGated(t *testing.T) {
 	}
 }
 
-// Baseline mode keeps the PR 5 surface: spans stay off even when requested.
-func TestBaselineIgnoresSpans(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 2, Baseline: true, Spans: true})
+// The latency summaries keep their resolution at both ends: a 2 s HTTP
+// request reads 2 s (within the log histogram's ~1.6% bucket error), not the
+// edge of a capped linear range, and a 1.5 ms run reads 1.5 ms in the run
+// summary exactly as in the sim stage, whose histogram it shares.
+func TestLatencySummaryResolution(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
 	defer s.Drain(time.Second)
-	if s.spans != nil || s.traces != nil {
-		t.Fatal("baseline server built span machinery")
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	s.met.observeHTTP(2 * time.Second)
+	s.met.observe(1500*time.Microsecond, nil, nil)
+
+	code, body := getBody(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics = %d", code)
+	}
+	samples := parseProm(t, body)
+	for _, q := range []string{"0.5", "0.9", "0.99"} {
+		name := `getm_serve_http_latency_seconds{quantile="` + q + `"}`
+		if v := samples[name].value; v < 1.96 || v > 2.04 {
+			t.Errorf("%s = %v, want 2 s within 2%%", name, v)
+		}
+	}
+	run := samples["getm_serve_run_latency_seconds_sum"].value
+	sim := samples[`getm_serve_stage_latency_seconds_sum{stage="sim"}`].value
+	if run != 0.0015 || sim != 0.0015 {
+		t.Errorf("run _sum %v, sim-stage _sum %v; both want 0.0015", run, sim)
 	}
 }

@@ -13,11 +13,13 @@ import (
 	"getm/internal/trace"
 )
 
-// admitOutcome is the queue's verdict on one submission.
+// admitOutcome is admission's verdict on one submission.
 type admitOutcome int
 
 const (
-	admitOK         admitOutcome = iota // admitted (or joined an existing job)
+	admitOK         admitOutcome = iota // passed screen; admitted or joined an existing job
+	admitInvalid                        // spec fails validation: 400
+	admitQuota                          // client over its quota: shed with 429
 	admitFull                           // queue full: shed with 429
 	admitClientFull                     // this client's backlog full: shed with 429
 	admitDraining                       // server draining: refuse with 503
@@ -41,14 +43,11 @@ type pool struct {
 	baseCtx    context.Context
 	baseCancel context.CancelCauseFunc
 
-	// jobsFast mirrors jobs for lock-free reads: the admission fast path and
-	// the status endpoint load from it without touching mu. Writes happen
-	// under mu (store-after-insert), so a fast-path hit always sees a
-	// fully-initialized jobState.
-	jobsFast sync.Map // id -> *jobState
+	// jobs is the job table, id -> *jobState. Reads are lock-free; every
+	// insert happens under mu, so admit's check-then-insert is atomic.
+	jobs sync.Map
 
 	mu      sync.Mutex
-	jobs    map[string]*jobState
 	runners map[runnerKey]*harness.Runner
 }
 
@@ -68,7 +67,6 @@ func newPool(s *Server) *pool {
 	p := &pool{
 		s:       s,
 		fq:      newFairQueue(s.cfg.QueueDepth, s.cfg.PerClientQueue, weightOf),
-		jobs:    make(map[string]*jobState),
 		runners: make(map[runnerKey]*harness.Runner),
 	}
 	p.baseCtx, p.baseCancel = context.WithCancelCause(context.Background())
@@ -93,24 +91,13 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 	}
 	r := p.runnerFor(sp)
 	job := sp.job()
-	id := runID(r.StoreKey(job), sp)
+	id := p.s.runIDFor(&sp)
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if js, ok := p.jobs[id]; ok {
-		// Join the existing job — unless it finished in failure: failures
-		// from per-request deadlines are timing-dependent, so a fresh
-		// submission deserves a fresh attempt.
-		retry := false
-		select {
-		case <-js.done:
-			retry = js.err != nil
-		default:
-		}
-		if !retry {
-			p.s.met.deduped.Add(1)
-			return js, admitOK
-		}
+	if js, ok := p.lookup(id); ok && !js.failed() {
+		p.s.met.deduped.Add(1)
+		return js, admitOK
 	}
 
 	// Fast path: the cell already has a completed result in a cache tier.
@@ -120,7 +107,7 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 		js := &jobState{id: id, spec: sp, client: client, done: make(chan struct{}), m: m, source: "cache"}
 		js.setStatus(statusDone)
 		close(js.done)
-		p.insertLocked(id, sp, js)
+		p.jobs.Store(id, js)
 		p.s.span(stageJoin, client, id, 0, 0)
 		return js, admitOK
 	}
@@ -137,7 +124,7 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 	p.taskWG.Add(1)
 	switch err := p.fq.push(client, js); err {
 	case nil:
-		p.insertLocked(id, sp, js)
+		p.jobs.Store(id, js)
 		p.s.span(stageMiss, client, id, 0, 0)
 		p.s.span(stageEnqueue, client, id, 0, 0)
 		return js, admitOK
@@ -150,27 +137,27 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 	}
 }
 
-// insertLocked publishes a jobState to the locked table, the lock-free
-// mirror, and the spec→id cache (in that order, so fast-path hits only see
-// published jobs). Caller holds p.mu.
-func (p *pool) insertLocked(id string, sp RunSpec, js *jobState) {
-	p.jobs[id] = js
-	p.jobsFast.Store(id, js)
-	p.s.idCache.Store(sp.cacheKey(), id)
+// runIDFor resolves a validated spec's public run id: the content address
+// (a canonical-JSON marshal plus a SHA-256) is computed once per spec
+// identity and cached under spec.cacheKey, where the lock-free join in
+// Server.place finds it.
+func (s *Server) runIDFor(sp *RunSpec) string {
+	if v, ok := s.idCache.Load(sp.cacheKey()); ok {
+		return v.(string)
+	}
+	r := s.pool.runnerFor(*sp)
+	id := runID(r.StoreKey(sp.job()), *sp)
+	s.idCache.Store(sp.cacheKey(), id)
+	return id
 }
 
 // lookup finds a live or completed job by id, lock-free.
 func (p *pool) lookup(id string) (*jobState, bool) {
-	v, ok := p.jobsFast.Load(id)
+	v, ok := p.jobs.Load(id)
 	if !ok {
 		return nil, false
 	}
 	return v.(*jobState), true
-}
-
-// hasHeadroom reports whether the wait queue can absorb another request.
-func (p *pool) hasHeadroom() bool {
-	return p.fq.len() < p.fq.capacity
 }
 
 func (p *pool) worker() {
@@ -213,7 +200,7 @@ func (p *pool) runTask(js *jobState) {
 	p.s.span(stageSimFinish, js.client, js.id, uint64(js.simUS), cycles)
 
 	p.s.met.observe(elapsed, m, err)
-	p.s.met.observeStages(wait, elapsed, time.Duration(js.persistUS.Load())*time.Microsecond)
+	p.s.met.observeStages(wait, time.Duration(js.persistUS.Load())*time.Microsecond)
 	js.m, js.source, js.err = m, source, err
 	js.elapsedMS = elapsed.Milliseconds()
 	if err != nil {
@@ -246,19 +233,10 @@ func (p *pool) runnerFor(sp RunSpec) *harness.Runner {
 	r.Store = p.s.cfg.Store
 	r.StoreReuse = true
 	r.Verbose = p.s.cfg.Verbose
-	switch {
-	case p.s.coal != nil:
+	if p.s.coal != nil {
 		// Write-behind: completed cells accumulate in the coalescer and hit
 		// the disk as batched commits instead of one fsync per simulation.
-		r.Persist = p.timedPersist(p.s.coal.put)
-	case p.s.cfg.Store != nil:
-		// Baseline (or coalescer-less) arm: the synchronous per-simulation
-		// Store.Put discipline, routed through the timing wrapper so stage
-		// timings cover both arms.
-		st := p.s.cfg.Store
-		r.Persist = p.timedPersist(func(key, desc string, m *stats.Metrics) error {
-			return st.Put(key, desc, m)
-		})
+		r.Persist = p.persist
 	}
 	if p.s.traces != nil {
 		// Span capture extends to the engine: executed runs carry a sim-level
@@ -276,20 +254,19 @@ func (p *pool) runnerFor(sp RunSpec) *harness.Runner {
 // tail of a serving-scale simulation.
 const simTraceRing = 1 << 12
 
-// timedPersist wraps a Persist hook with stage timing: the measured duration
-// lands on the owning jobState (resolved by store key — the run id), in the
-// persist-stage histogram via runTask's observe, and on the span timeline.
-func (p *pool) timedPersist(inner func(string, string, *stats.Metrics) error) func(string, string, *stats.Metrics) error {
-	return func(storeKey, desc string, m *stats.Metrics) error {
-		t0 := time.Now()
-		err := inner(storeKey, desc, m)
-		d := time.Since(t0)
-		if v, ok := p.jobsFast.Load(storeKey); ok {
-			v.(*jobState).persistUS.Store(d.Microseconds())
-		}
-		p.s.span(stagePersist, "", storeKey, uint64(d.Microseconds()), 0)
-		return err
+// persist is the runners' Persist hook: it hands a completed cell to the
+// coalescer and times the hand-off. The duration lands on the owning
+// jobState (resolved by store key — the run id), in the persist-stage
+// histogram via runTask's observeStages, and on the span timeline.
+func (p *pool) persist(storeKey, desc string, m *stats.Metrics) error {
+	t0 := time.Now()
+	err := p.s.coal.put(storeKey, desc, m)
+	d := time.Since(t0)
+	if js, ok := p.lookup(storeKey); ok {
+		js.persistUS.Store(d.Microseconds())
 	}
+	p.s.span(stagePersist, "", storeKey, uint64(d.Microseconds()), 0)
+	return err
 }
 
 // simulated and storeHits aggregate the runner instrumentation across every

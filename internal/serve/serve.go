@@ -111,8 +111,7 @@ type Config struct {
 	// export). Disabled — the default — the serve hot path pays one pointer
 	// compare per emit site and allocates zero extra bytes per request;
 	// results are identical either way (tracing is cycle-neutral by the
-	// trace layer's contract). Ignored in Baseline mode: the control arm
-	// keeps the PR 5 surface exactly.
+	// trace layer's contract).
 	Spans bool
 	// SpanRing is the lifecycle ring capacity in records, rounded up to a
 	// power of two (default 16384). When the ring fills, the oldest records
@@ -132,13 +131,6 @@ type Config struct {
 	// the shed counters, so a dashboard computes burn rate without
 	// hard-coding the target (default 0.01).
 	SLOShedTarget float64
-
-	// Baseline restores the PR 5 per-request-write discipline: no write
-	// coalescing (every completed simulation fsyncs synchronously on the
-	// worker), no lock-free admission fast path, no cached response
-	// rendering. It exists as the control arm for cmd/getm-load
-	// before/after measurements.
-	Baseline bool
 
 	// Role selects the node's cluster duty. "" and RoleWorker execute
 	// submissions locally; RoleCoordinator routes every submission across
@@ -282,6 +274,18 @@ type jobState struct {
 func (js *jobState) setStatus(s jobStatus) { js.status.Store(int32(s)) }
 func (js *jobState) getStatus() jobStatus  { return jobStatus(js.status.Load()) }
 
+// failed reports whether the job finished with an error. Admission never
+// joins such a job: failures from per-request deadlines are timing-dependent,
+// so a fresh submission deserves a fresh attempt.
+func (js *jobState) failed() bool {
+	select {
+	case <-js.done:
+		return js.err != nil
+	default:
+		return false
+	}
+}
+
 // Response is the JSON shape of both POST and GET run endpoints. In a
 // batch response, shed or invalid submissions carry Status "shed" or
 // "invalid" with the reason in Error.
@@ -303,7 +307,7 @@ type Server struct {
 
 	pool   *pool
 	met    *metricsSet
-	coal   *coalescer // nil without a store or in baseline mode
+	coal   *coalescer // nil without a store
 	quotas *quotas    // nil without a quota
 
 	// cluster holds peer state — health, headroom, routing, hedging — and is
@@ -331,11 +335,11 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg.withDefaults(), mux: http.NewServeMux(), met: newMetricsSet()}
 	s.met.sloP99 = s.cfg.SLOP99
 	s.execute = s.simulate
-	if s.cfg.Store != nil && !s.cfg.Baseline {
+	if s.cfg.Store != nil {
 		s.coal = newCoalescer(s.cfg.Store, s.cfg.FlushInterval, s.cfg.FlushHighWater, s.cfg.Verbose)
 		s.coal.onFlush = s.observeFlush
 	}
-	if s.cfg.Spans && !s.cfg.Baseline {
+	if s.cfg.Spans {
 		s.spans = newSpanRecorder(s.cfg.SpanRing)
 		s.traces = newTraceKeeper()
 	}
@@ -422,36 +426,101 @@ func (s *Server) clientKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// fastJoin is the lock-free dedupe path: a spec whose id is already cached
-// and whose jobState is live (or completed successfully) joins it in one
-// sync.Map transition — no pool lock, no queue slot, no key recomputation.
-// Failed jobs fall through to the slow path so a fresh submission gets a
-// fresh attempt, exactly like the locked path.
-func (s *Server) fastJoin(sp *RunSpec) (*jobState, bool) {
-	if s.cfg.Baseline {
-		return nil, false
+// screen is the first admission step of every submission, single or
+// batched, executed here or forwarded: it applies the spec's zero-value
+// sentinels, validates it, counts it under its policy label, and spends one
+// of the client's quota tokens. A refusal is admitInvalid (err says why) or
+// admitQuota (retry is the wait for the next token), already counted.
+func (s *Server) screen(sp *RunSpec, client string) (admitOutcome, time.Duration, error) {
+	sp.normalize()
+	if err := sp.validate(s.cfg.MaxScale); err != nil {
+		return admitInvalid, 0, err
 	}
-	idv, ok := s.idCache.Load(sp.cacheKey())
-	if !ok {
-		return nil, false
-	}
-	v, ok := s.pool.jobsFast.Load(idv.(string))
-	if !ok {
-		return nil, false
-	}
-	js := v.(*jobState)
-	select {
-	case <-js.done:
-		if js.err != nil {
-			return nil, false
+	s.met.policyRequest(sp.policyLabel())
+	if s.quotas != nil {
+		if ok, retry := s.quotas.allow(client, time.Now()); !ok {
+			s.shed(client, 1)
+			s.met.quotaRejected.Add(1)
+			s.span(stageQuota, client, "", 0, 0)
+			return admitQuota, retry, nil
 		}
-	default:
 	}
-	return js, true
+	return admitOK, 0, nil
 }
 
-// handleSubmit admits one run request: quota, then the lock-free dedupe
-// fast path, then a bounded fair-queue slot, then 429.
+// place is the second admission step, for a screened spec this node
+// executes. Repeat traffic whose id is cached joins its live (or successfully
+// completed) job in one lock-free lookup — no pool lock, no queue slot, no
+// key recomputation; everything else takes the pool's locked path. A refusal
+// comes back already counted.
+func (s *Server) place(sp RunSpec, client string) (*jobState, admitOutcome) {
+	if id, ok := s.idCache.Load(sp.cacheKey()); ok {
+		if js, ok := s.pool.lookup(id.(string)); ok && !js.failed() {
+			s.met.deduped.Add(1)
+			s.span(stageJoin, client, js.id, 0, 0)
+			return js, admitOK
+		}
+	}
+	js, o := s.pool.admit(sp, client)
+	if o != admitOK {
+		s.shed(client, 1)
+	}
+	return js, o
+}
+
+// shed counts n submissions from client turned away: by quota, queue
+// pressure, drain, or a coordinator's unreachable workers.
+func (s *Server) shed(client string, n int64) {
+	s.met.rejected.Add(n)
+	s.met.clientShed(client, n)
+}
+
+// refuse writes a single submission's refusal: the status code, the header
+// telling the client when (Retry-After) or whether (Connection: close) to
+// come back, and the error body. retry and err are screen's detail for
+// admitQuota and admitInvalid.
+func (s *Server) refuse(w http.ResponseWriter, o admitOutcome, retry time.Duration, err error) {
+	switch o {
+	case admitInvalid:
+		writeError(w, http.StatusBadRequest, err)
+	case admitQuota:
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(retry)))
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Errorf("over per-client quota (%g req/s); retry later", s.cfg.QuotaRPS))
+	case admitFull:
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Errorf("queue full (%d waiting, %d running); retry later", s.cfg.QueueDepth, s.cfg.Workers))
+	case admitClientFull:
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+		writeError(w, http.StatusTooManyRequests,
+			fmt.Errorf("client backlog full (%d queued); retry later", s.pool.perClientCap()))
+	case admitDraining:
+		w.Header().Set("Connection", "close")
+		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+	}
+}
+
+// refusedEntry renders a refused batch entry: "invalid" with the validation
+// error, else "shed" with a short reason.
+func refusedEntry(o admitOutcome, err error) []byte {
+	resp := Response{Status: "shed"}
+	switch o {
+	case admitInvalid:
+		resp = Response{Status: "invalid", Error: err.Error()}
+	case admitQuota:
+		resp.Error = "over per-client quota"
+	case admitDraining:
+		resp.Error = "server is draining"
+	default: // admitFull, admitClientFull
+		resp.Error = "queue full"
+	}
+	return marshalResponse(&resp)
+}
+
+// handleSubmit admits one run request: screen (validation, then quota), then
+// a peer (on a coordinator) or place (the lock-free join of repeat traffic,
+// else a bounded fair-queue slot), else a refusal.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.met.observeHTTP(time.Since(start)) }()
@@ -464,59 +533,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	sp.normalize()
-	if err := sp.validate(s.cfg.MaxScale); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if o, retry, err := s.screen(&sp, client); o != admitOK {
+		s.refuse(w, o, retry, err)
 		return
 	}
-	s.met.policyRequest(sp.policyLabel(), 1)
-
-	if s.quotas != nil {
-		if ok, retry := s.quotas.allow(client, time.Now()); !ok {
-			s.met.rejected.Add(1)
-			s.met.quotaRejected.Add(1)
-			s.met.clientShed(client, 1)
-			s.span(stageQuota, client, "", 0, 0)
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(retry)))
-			writeError(w, http.StatusTooManyRequests,
-				fmt.Errorf("over per-client quota (%g req/s); retry later", s.cfg.QuotaRPS))
-			return
-		}
-	}
-
 	if s.routesRemotely(r) {
 		s.cluster.forwardRun(w, r, sp, client, start)
 		return
 	}
-
-	if js, ok := s.fastJoin(&sp); ok {
-		s.met.deduped.Add(1)
-		s.span(stageJoin, client, js.id, 0, 0)
-		s.finishSubmit(w, r, js, sp.Async, client, start)
-		return
-	}
-
-	js, outcome := s.pool.admit(sp, client)
-	switch outcome {
-	case admitDraining:
-		s.met.rejected.Add(1)
-		s.met.clientShed(client, 1)
-		w.Header().Set("Connection", "close")
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
-		return
-	case admitFull:
-		s.met.rejected.Add(1)
-		s.met.clientShed(client, 1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("queue full (%d waiting, %d running); retry later", s.cfg.QueueDepth, s.cfg.Workers))
-		return
-	case admitClientFull:
-		s.met.rejected.Add(1)
-		s.met.clientShed(client, 1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("client backlog full (%d queued); retry later", s.pool.perClientCap()))
+	js, o := s.place(sp, client)
+	if o != admitOK {
+		s.refuse(w, o, 0, nil)
 		return
 	}
 	s.finishSubmit(w, r, js, sp.Async, client, start)
@@ -567,12 +594,6 @@ func setTimingsHeader(h http.Header, queueUS, simUS, persistUS int64) {
 // X-Getm-Shed header counts the entries shed by quota or queue pressure so
 // load generators can track shed rate without parsing the body.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Baseline {
-		// The control arm reproduces the pre-batching serve surface: the
-		// batch endpoint is part of the throughput work under measurement.
-		writeError(w, http.StatusNotFound, errors.New("batch endpoint disabled in baseline mode"))
-		return
-	}
 	start := time.Now()
 	defer func() { s.met.observeHTTP(time.Since(start)) }()
 	s.met.batches.Add(1)
@@ -594,10 +615,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.clientRequest(client, int64(len(specs)))
 	s.span(stageReceive, client, "", uint64(len(specs)), 0)
 	if s.pool.draining.Load() {
-		s.met.rejected.Add(int64(len(specs)))
-		s.met.clientShed(client, int64(len(specs)))
-		w.Header().Set("Connection", "close")
-		writeError(w, http.StatusServiceUnavailable, errors.New("server is draining"))
+		s.shed(client, int64(len(specs)))
+		s.refuse(w, admitDraining, 0, nil)
 		return
 	}
 	if s.routesRemotely(r) {
@@ -605,50 +624,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Admission pass: every spec gets either a jobState or an immediate
-	// terminal response.
+	// Admission pass: every spec gets either a jobState or a rendered
+	// refusal.
 	jobs := make([]*jobState, len(specs))
-	resps := make([]*Response, len(specs))
+	entries := make([][]byte, len(specs))
 	shed := 0
 	for i := range specs {
-		sp := &specs[i]
-		sp.normalize()
-		if err := sp.validate(s.cfg.MaxScale); err != nil {
-			resps[i] = &Response{Status: "invalid", Error: err.Error()}
-			continue
+		o, _, err := s.screen(&specs[i], client)
+		if o == admitOK {
+			jobs[i], o = s.place(specs[i], client)
 		}
-		s.met.policyRequest(sp.policyLabel(), 1)
-		if s.quotas != nil {
-			if ok, _ := s.quotas.allow(client, time.Now()); !ok {
-				s.met.rejected.Add(1)
-				s.met.quotaRejected.Add(1)
-				s.met.clientShed(client, 1)
-				s.span(stageQuota, client, "", 0, 0)
-				resps[i] = &Response{Status: "shed", Error: "over per-client quota"}
+		if o != admitOK {
+			entries[i] = refusedEntry(o, err)
+			if o != admitInvalid {
 				shed++
-				continue
 			}
-		}
-		if js, ok := s.fastJoin(sp); ok {
-			s.met.deduped.Add(1)
-			s.span(stageJoin, client, js.id, 0, 0)
-			jobs[i] = js
-			continue
-		}
-		js, outcome := s.pool.admit(*sp, client)
-		switch outcome {
-		case admitOK:
-			jobs[i] = js
-		case admitDraining:
-			s.met.rejected.Add(1)
-			s.met.clientShed(client, 1)
-			resps[i] = &Response{Status: "shed", Error: "server is draining"}
-			shed++
-		default: // admitFull, admitClientFull
-			s.met.rejected.Add(1)
-			s.met.clientShed(client, 1)
-			resps[i] = &Response{Status: "shed", Error: "queue full"}
-			shed++
 		}
 	}
 
@@ -679,32 +669,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		setTimingsHeader(w.Header(), q, sim, per)
 	}
+	// Splice cached response bytes where available, so a batch of repeat
+	// traffic costs memory copies, not JSON encoding.
+	for i, js := range jobs {
+		switch {
+		case js == nil:
+		case specs[i].Async:
+			entries[i], _ = json.Marshal(s.snapshot(js))
+		default:
+			entries[i] = s.doneBytes(js)
+		}
+	}
+	writeBatch(w, shed, entries)
+	s.span(stageRespond, client, "", uint64(time.Since(start).Microseconds()), uint64(len(specs)))
+}
+
+// writeBatch writes a batch response: the X-Getm-Shed count, then the
+// entries as one JSON array in submission order.
+func writeBatch(w http.ResponseWriter, shed int, entries [][]byte) {
 	w.Header().Set("X-Getm-Shed", strconv.Itoa(shed))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	// Render the array splicing cached response bytes where available, so a
-	// batch of repeat traffic costs memory copies, not JSON encoding.
 	w.Write([]byte("["))
-	for i := range specs {
+	for i, e := range entries {
 		if i > 0 {
 			w.Write([]byte(","))
 		}
-		switch {
-		case resps[i] != nil:
-			b, err := json.Marshal(resps[i])
-			if err != nil {
-				b = []byte(`{"status":"failed","error":"encode error"}`)
-			}
-			w.Write(b)
-		case specs[i].Async:
-			b, _ := json.Marshal(s.snapshot(jobs[i]))
-			w.Write(b)
-		default:
-			w.Write(s.doneBytes(jobs[i]))
+		if e == nil { // unreachable, but never render invalid JSON
+			e = []byte(`{"status":"failed","error":"no response"}`)
 		}
+		w.Write(e)
 	}
 	w.Write([]byte("]\n"))
-	s.span(stageRespond, client, "", uint64(time.Since(start).Microseconds()), uint64(len(specs)))
 }
 
 // handleStatus reports one run: live states from the job table (lock-free),
@@ -714,8 +710,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // clean 404, identical to an unknown one.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if v, ok := s.pool.jobsFast.Load(id); ok {
-		js := v.(*jobState)
+	if js, ok := s.pool.lookup(id); ok {
 		select {
 		case <-js.done:
 			if js.err != nil {
@@ -894,20 +889,16 @@ func (s *Server) snapshot(js *jobState) Response {
 
 // doneBytes returns the rendered JSON for a successfully completed job,
 // encoding it exactly once per job (repeat traffic gets the cached bytes).
-// Baseline mode re-encodes every time — the per-request cost the cache
-// exists to remove.
 func (s *Server) doneBytes(js *jobState) []byte {
-	if !s.cfg.Baseline {
-		if bp := js.rendered.Load(); bp != nil {
-			return *bp
-		}
+	if bp := js.rendered.Load(); bp != nil {
+		return *bp
 	}
 	resp := s.snapshot(js)
 	b, err := json.Marshal(resp)
 	if err != nil {
 		return []byte(`{"status":"failed","error":"encode error"}`)
 	}
-	if !s.cfg.Baseline && js.err == nil {
+	if js.err == nil {
 		js.rendered.Store(&b)
 	}
 	return b

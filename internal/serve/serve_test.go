@@ -110,8 +110,10 @@ func TestQueueFullShedsLoadAndReadyzFlips(t *testing.T) {
 		t.Fatalf("submit 1: status %d, want 202", resp.StatusCode)
 	}
 	ids = append(ids, decodeRun(t, resp).ID)
+	// Wait on the execution itself: the worker counts itself running just
+	// before it calls execute.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.pool.running.Load() == 0 && time.Now().Before(deadline) {
+	for execs.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := execs.Load(); got != 1 {

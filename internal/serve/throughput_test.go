@@ -194,38 +194,6 @@ func TestFastPathJoinsCompletedJob(t *testing.T) {
 	}
 }
 
-// Baseline mode must behave identically at the API level (it is the
-// benchmark control arm): same dedupe answers, same store persistence, just
-// without the fast path and coalescer.
-func TestBaselineModeStillCorrect(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Config{Workers: 1, QueueDepth: 4, Store: store.Open(dir), Baseline: true})
-	if s.coal != nil {
-		t.Fatal("baseline server built a coalescer")
-	}
-	var execs atomic.Int64
-	s.execute = instantStub(&execs)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	defer s.Drain(time.Second)
-
-	spec := `{"protocol":"getm","benchmark":"ht-h","scale":0.1}`
-	first := decodeRun(t, postRun(t, ts.URL, spec))
-	again := decodeRun(t, postRun(t, ts.URL, spec))
-	if first.Status != "done" || again.ID != first.ID || again.Status != "done" {
-		t.Fatalf("baseline responses: first=%+v again=%+v", first, again)
-	}
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("baseline executed %d times for identical specs, want 1", got)
-	}
-	// The baseline surface predates admission batching: no batch endpoint.
-	if resp := postBatch(t, ts.URL, `[`+spec+`]`, nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("baseline batch endpoint status %d, want 404", resp.StatusCode)
-	} else {
-		resp.Body.Close()
-	}
-}
-
 // Satellite: the coalescer participates in graceful drain. A server with an
 // hour-long flush interval acknowledges a run; nothing is on disk until
 // Drain, whose final flush persists it; a restarted server resolves the id

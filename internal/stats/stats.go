@@ -8,8 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Accum accumulates a stream of samples and reports count/sum/min/max/mean.
@@ -157,62 +155,6 @@ func (h *Hist) Mean() float64 {
 		return 0
 	}
 	return float64(sum) / float64(n)
-}
-
-// ShardedHist coalesces a high-rate stream of Add calls across independent
-// locked shards so no single mutex serializes concurrent writers; Merged
-// folds the shards into one exact Hist snapshot at read time. This is the
-// accumulate-then-merge discipline the serving layer uses for request
-// latency: writers pay one shard lock (picked round-robin, so load spreads
-// evenly whatever the caller mix), and the rare reader pays the merge.
-type ShardedHist struct {
-	next    atomic.Uint64
-	buckets int
-	shards  []histShard
-}
-
-type histShard struct {
-	mu sync.Mutex
-	h  Hist
-	// Pad shards apart so two writers on adjacent shards do not share a
-	// cache line through the mutexes.
-	_ [40]byte
-}
-
-// NewShardedHist creates a histogram with the given shard count (clamped to
-// at least 1) of buckets buckets each.
-func NewShardedHist(shards, buckets int) *ShardedHist {
-	if shards < 1 {
-		shards = 1
-	}
-	s := &ShardedHist{buckets: buckets, shards: make([]histShard, shards)}
-	for i := range s.shards {
-		s.shards[i].h = Hist{Buckets: make([]uint64, buckets)}
-	}
-	return s
-}
-
-// Add records one value into the next shard in round-robin order. Safe for
-// any number of concurrent callers.
-func (s *ShardedHist) Add(v int) {
-	sh := &s.shards[s.next.Add(1)%uint64(len(s.shards))]
-	sh.mu.Lock()
-	sh.h.Add(v)
-	sh.mu.Unlock()
-}
-
-// Merged returns the exact union of every shard: the histogram all Adds
-// would have produced through a single Hist. Concurrent Adds land either
-// side of the snapshot, never partially.
-func (s *ShardedHist) Merged() Hist {
-	out := Hist{Buckets: make([]uint64, s.buckets)}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		out.Merge(sh.h)
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // Counters is a named scalar counter set.
