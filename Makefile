@@ -14,11 +14,12 @@ vet:
 build:
 	$(GO) build ./...
 
-# Race-detect the concurrent layers: the memoizing runner and the event
-# engine. Kept separate from `short` so the (slower) instrumented run only
-# covers the packages with goroutines.
+# Race-detect the concurrent layers: the memoizing runner, the event engine
+# and the machine, whose array recyclers are shared by concurrent runs (one
+# kernel also runs on two machines at once here). Kept separate from `short`
+# so the (slower) instrumented run only covers the packages with goroutines.
 race:
-	$(GO) test -race ./internal/harness/ ./internal/sim/
+	$(GO) test -race ./internal/harness/ ./internal/sim/ ./internal/gpu/
 
 # The short-scale suite across every package.
 short:
@@ -27,10 +28,11 @@ short:
 # Trace overhead gate: tracing disabled must stay allocation-free on the
 # per-access hot path (a nil Recorder is one pointer compare), the GETM and
 # WarpTM access and commit paths, the SIMT core's transaction step and the
-# event queue must stay allocation-free in steady state, and a traced
-# end-to-end run must keep producing valid output from every machine layer.
+# event queue must stay allocation-free in steady state, a second run must
+# reuse the first run's machine arrays, and a traced end-to-end run must
+# keep producing valid output from every machine layer.
 trace-gate:
-	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestCoreTxStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc' ./internal/core/ ./internal/warptm/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/
+	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestCoreTxStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestSecondRunReusesMachineArrays' ./internal/core/ ./internal/warptm/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
 
 # Persistence & cancellation gate: stored metrics must round-trip exactly
@@ -101,15 +103,17 @@ obs-gate:
 # spelling of every point at every edge — API options, runner pin, serve
 # spec, CLI flag — must give one store key; the four paper protocols must
 # stay bit-identical as presets (golden fingerprints, golden store
-# addresses); unknown protocols and invalid combinations must be rejected
-# on all three surfaces (API errors.Is, CLI exit 2, serve 400), never with a
-# panic; benchdiff -policy must find a point's cells in both store
-# description forms; and the assembled lifecycle engine must stay race-clean.
+# addresses); every point, and fglock, must give the same metrics on
+# recycled machine arrays as on fresh ones; unknown protocols and invalid
+# combinations must be rejected on all three surfaces (API errors.Is, CLI
+# exit 2, serve 400), never with a panic; benchdiff -policy must find a
+# point's cells in both store description forms; and the assembled
+# lifecycle engine must stay race-clean.
 policy-gate:
 	$(GO) test -short ./internal/policy/
 	$(GO) test -race -run 'TestPresetFingerprints|TestNonPresetPointsRun' ./internal/policy/
 	$(GO) test -run 'TestKeyStabilityAcrossPolicyRedesign|TestKeyNonPresetPolicies' ./internal/store/
-	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip' ./internal/gpu/
+	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip|TestFreshVsRecycledIdentical' ./internal/gpu/
 	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity|TestProtocolIdentityAcrossEdges' .
 	$(GO) test -run 'TestPolicyFlag|TestPolicyPresetSharesStoreRecord|TestUnknownProtoFlag' ./cmd/getm-sim/
 	$(GO) test -run 'TestPolicyGrid|TestPolicyFlagErrors' ./cmd/getm-sweep/

@@ -210,6 +210,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metrics := make([]*stats.Metrics, len(vals))
 	errs := make([]error, len(vals))
 	var simulated, reused atomic.Int64
+	// Every point runs the same kernel (gpu.Kernel's contract lets the
+	// workers share it); it is built once, by the first point that
+	// simulates.
+	kernel := sync.OnceValues(func() (*gpu.Kernel, error) {
+		return workloads.Build(*bench, variant, workloads.Params{Scale: *scale, Seed: *seed})
+	})
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
 	for i := range vals {
@@ -235,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					}
 				}
 			}
-			k, err := workloads.Build(*bench, variant, workloads.Params{Scale: *scale, Seed: *seed})
+			k, err := kernel()
 			if err != nil {
 				errs[i] = err
 				return
@@ -359,6 +365,15 @@ func runPolicyGrid(stdout, stderr io.Writer, o gridOpts) int {
 	metrics := make([]*stats.Metrics, len(cells))
 	errs := make([]error, len(cells))
 	var simulated, reused atomic.Int64
+	// Cells on one bench share its kernel, built once by the first cell
+	// that simulates.
+	kernels := make(map[string]func() (*gpu.Kernel, error), len(benchList))
+	for _, b := range benchList {
+		b := b
+		kernels[b] = sync.OnceValues(func() (*gpu.Kernel, error) {
+			return workloads.Build(b, workloads.TM, workloads.Params{Scale: o.scale, Seed: o.seed})
+		})
+	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
 	for i := range cells {
@@ -392,7 +407,7 @@ func runPolicyGrid(stdout, stderr io.Writer, o gridOpts) int {
 					}
 				}
 			}
-			k, err := workloads.Build(cells[i].bench, workloads.TM, workloads.Params{Scale: o.scale, Seed: o.seed})
+			k, err := kernels[cells[i].bench]()
 			if err != nil {
 				errs[i] = err
 				return

@@ -23,6 +23,13 @@ type Entry struct {
 	valid bool
 }
 
+// metaWays and approxWays recycle the cuckoo ways and approximate-filter
+// arrays of finished runs' tables (MetaTable.Recycle).
+var (
+	metaWays   sim.Recycler[Entry]
+	approxWays sim.Recycler[uint64]
+)
+
 // hashFamily generates the H3-style hash functions used by both the cuckoo
 // table and the approximate bloom filter.
 type hashFamily struct {
@@ -90,9 +97,24 @@ func NewMetaTable(cfg Config, entries, approxEntries int, rng *sim.RNG) *MetaTab
 		rng:         rng.Fork(3),
 	}
 	for i := range t.ways {
-		t.ways[i] = make([]Entry, perWay)
+		t.ways[i] = metaWays.Get(perWay)
 	}
 	return t
+}
+
+// Recycle hands the cuckoo ways and the approximate table's arrays to the
+// next table of the same geometry built in this process. The table must not
+// be used afterwards.
+func (t *MetaTable) Recycle() {
+	for _, w := range t.ways {
+		metaWays.Put(w)
+	}
+	a := t.approx
+	for w := range a.wts {
+		approxWays.Put(a.wts[w])
+		approxWays.Put(a.rts[w])
+	}
+	t.ways, a.wts, a.rts = nil, nil, nil
 }
 
 func nextPow2(n int) int {
@@ -335,8 +357,8 @@ func NewApproxTable(ways, totalEntries int, rng *sim.RNG) *ApproxTable {
 		rts:    make([][]uint64, ways),
 	}
 	for i := 0; i < ways; i++ {
-		a.wts[i] = make([]uint64, perWay)
-		a.rts[i] = make([]uint64, perWay)
+		a.wts[i] = approxWays.Get(perWay)
+		a.rts[i] = approxWays.Get(perWay)
 	}
 	return a
 }

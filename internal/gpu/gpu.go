@@ -167,6 +167,13 @@ func ScaledConfig(p Protocol) Config {
 
 // Kernel is a runnable workload: one program per warp's worth of threads,
 // memory initialization, and a post-run semantic verifier.
+//
+// A kernel may run on any number of machines, one after another or at once
+// on several goroutines, and every run sees the same workload:
+//   - Programs are read-only during a run (simt.sortedLocks copies a lock
+//     list before it sorts it);
+//   - Init is deterministic and writes only the image it is given;
+//   - Verify only reads.
 type Kernel struct {
 	Name     string
 	Programs []*isa.Program
@@ -287,6 +294,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 		res.InitialImage = initial
 		res.FinalImage = img
 	}
+	m.recycle(cores)
 	return res, err
 }
 

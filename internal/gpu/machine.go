@@ -142,6 +142,30 @@ func (m *machine) registerProbes(rec *trace.Recorder, cores []*simt.Core) {
 	}
 }
 
+// recycle hands the run's large arrays to the next machine built in this
+// process, on any goroutine: LLC tags and LRU, GETM metadata ways and
+// approximate filters, WarpTM TCD filters, warp register files, transaction
+// logs and, unless cfg.Record keeps it for Result.FinalImage, the memory
+// image's pages. RunContext calls it once the Result is built, which holds
+// none of them; the machine must not run afterwards.
+func (m *machine) recycle(cores []*simt.Core) {
+	for _, p := range m.partitions {
+		p.LLC.Recycle()
+	}
+	for _, vu := range m.getmVU {
+		vu.Meta.Recycle()
+	}
+	if m.wtm != nil {
+		m.wtm.Recycle()
+	}
+	for _, c := range cores {
+		c.Recycle()
+	}
+	if !m.cfg.Record {
+		m.img.Recycle()
+	}
+}
+
 // committed returns the recorded transactions for the replay checker.
 func (m *machine) committed() []tm.CommittedTx {
 	switch {

@@ -57,8 +57,9 @@ func Precompute(r *Runner, workers int) error {
 
 // runParallel executes the batch on a worker pool, deduplicated both against
 // the cache and within the batch (overrides that match the defaults can give
-// several jobs the same key). Every simulation goes through RunE, so the
-// singleflight map also dedupes against concurrent outside callers. Worker
+// several jobs the same key). Every simulation goes through runE, so the
+// singleflight map also dedupes against concurrent outside callers, and
+// every simulation takes its kernel from the batch's kernel table. Worker
 // failures are collected — never panicked — and returned joined.
 func (r *Runner) runParallel(jobs []Job, workers int) error {
 	seen := make(map[string]bool, len(jobs))
@@ -77,6 +78,7 @@ func (r *Runner) runParallel(jobs []Job, workers int) error {
 	if workers > len(pending) {
 		workers = len(pending)
 	}
+	kernels := newKernelTable(pending, r.buildKernel)
 
 	var wg sync.WaitGroup
 	var done atomic.Int64
@@ -88,9 +90,10 @@ func (r *Runner) runParallel(jobs []Job, workers int) error {
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				if _, err := r.RunE(j); err != nil {
+				if _, err := r.runE(nil, j, kernels); err != nil {
 					errCh <- err
 				}
+				kernels.done(j)
 				if r.Progress != nil {
 					r.Progress(int(done.Add(1)), total)
 				}
@@ -111,20 +114,105 @@ func (r *Runner) runParallel(jobs []Job, workers int) error {
 	return errors.Join(errs...)
 }
 
-// runJob executes one simulation without touching shared state. A ctx cancel
-// stops the engine within one chunk of simulated cycles (gpu.RunContext).
-// A non-nil opts attaches a trace recorder, which rides back so the caller
-// can key it by run id; tracing is cycle-neutral by the trace layer's
-// contract, so the metrics are the same either way.
-func runJob(ctx context.Context, j Job, scale float64, seed uint64, opts *trace.Options) (*stats.Metrics, *trace.Recorder, error) {
-	variant := workloads.TM
-	if j.Proto == gpu.ProtoFGLock {
-		variant = workloads.FGLock
+// kernelTable shares one runParallel batch's kernels: each (bench, variant)
+// kernel is built once, on first use, and every job of the batch that needs
+// it runs it (gpu.Kernel's contract makes that safe on several machines at
+// once). An entry counts the batch's jobs that have not finished and is
+// dropped when the last of them does, so the table holds only the kernels
+// the rest of the batch still needs. Outside a batch, runs build their own.
+type kernelTable struct {
+	build   func(Job) (*gpu.Kernel, error)
+	mu      sync.Mutex
+	entries map[kernelKey]*kernelEntry
+}
+
+type kernelKey struct {
+	bench   string
+	variant workloads.Variant
+}
+
+type kernelEntry struct {
+	once sync.Once
+	k    *gpu.Kernel
+	err  error
+	jobs int // batch jobs that have not finished
+}
+
+func newKernelTable(jobs []Job, build func(Job) (*gpu.Kernel, error)) *kernelTable {
+	t := &kernelTable{build: build, entries: make(map[kernelKey]*kernelEntry)}
+	for _, j := range jobs {
+		key := kernelKeyOf(j)
+		e := t.entries[key]
+		if e == nil {
+			e = &kernelEntry{}
+			t.entries[key] = e
+		}
+		e.jobs++
 	}
-	k := workloads.MustBuild(j.Bench, variant, workloads.Params{Scale: scale, Seed: seed})
+	return t
+}
+
+func kernelKeyOf(j Job) kernelKey { return kernelKey{j.Bench, variantOf(j)} }
+
+// kernel returns the job's kernel, building it the first time any job of
+// the batch asks. A build error is returned to every job that asks.
+func (t *kernelTable) kernel(j Job) (*gpu.Kernel, error) {
+	t.mu.Lock()
+	e := t.entries[kernelKeyOf(j)]
+	t.mu.Unlock()
+	e.once.Do(func() { e.k, e.err = t.build(j) })
+	return e.k, e.err
+}
+
+// done records that job j of the batch has finished, dropping its kernel
+// once no unfinished job of the batch needs it.
+func (t *kernelTable) done(j Job) {
+	key := kernelKeyOf(j)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[key]
+	e.jobs--
+	if e.jobs == 0 {
+		delete(t.entries, key)
+	}
+}
+
+// variantOf is the workload variant a job runs: fglock runs the
+// fine-grained-lock kernel, every TM protocol the transactional one.
+func variantOf(j Job) workloads.Variant {
+	if j.Proto == gpu.ProtoFGLock {
+		return workloads.FGLock
+	}
+	return workloads.TM
+}
+
+// buildKernel builds the job's kernel at the runner's scale and seed.
+func (r *Runner) buildKernel(j Job) (*gpu.Kernel, error) {
+	return workloads.Build(j.Bench, variantOf(j), workloads.Params{Scale: r.Scale, Seed: r.Seed})
+}
+
+// runJob executes one simulation without touching shared state, on the
+// batch's shared kernel when kernels is non-nil and on a kernel of its own
+// otherwise. A kernel that cannot be built (an unknown benchmark) is the
+// run's error. A ctx cancel stops the engine within one chunk of simulated
+// cycles (gpu.RunContext). A non-nil Runner.Trace attaches a trace
+// recorder, which rides back so the caller can key it by run id; tracing is
+// cycle-neutral by the trace layer's contract, so the metrics are the same
+// either way.
+func (r *Runner) runJob(ctx context.Context, j Job, kernels *kernelTable) (*stats.Metrics, *trace.Recorder, error) {
+	var k *gpu.Kernel
+	var err error
+	if kernels != nil {
+		k, err = kernels.kernel(j)
+	} else {
+		k, err = r.buildKernel(j)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg := j.Config()
-	if opts != nil {
-		o := *opts
+	if r.Trace != nil {
+		o := *r.Trace
 		cfg.Trace = &o
 	}
 	res, err := gpu.RunContext(ctx, cfg, k)

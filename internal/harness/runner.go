@@ -206,7 +206,7 @@ func (j Job) Config() gpu.Config {
 // set), and every completed simulation is persisted. Canceled and truncated
 // runs are cached in neither tier.
 func (r *Runner) RunE(j Job) (*stats.Metrics, error) {
-	return r.runE(nil, j)
+	return r.runE(nil, j, nil)
 }
 
 // RunECtx is RunE with a per-call context: this call's simulation (and its
@@ -221,11 +221,9 @@ func (r *Runner) RunECtx(ctx context.Context, j Job) (*stats.Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return r.runE(ctx, j)
+	return r.runE(ctx, j, nil)
 }
 
-// runE is the shared two-tier cached singleflight path. ctx != nil marks a
-// per-call context (RunECtx); nil falls back to the runner-wide Ctx.
 // norm applies runner-wide defaults a Job leaves unset. Every path that
 // derives a cache or store identity from a Job must normalize first, so one
 // cell has one key whether Shards came from the job or from the runner.
@@ -239,7 +237,11 @@ func (r *Runner) norm(j Job) Job {
 	return j
 }
 
-func (r *Runner) runE(ctx context.Context, j Job) (*stats.Metrics, error) {
+// runE is the shared two-tier cached singleflight path. ctx != nil marks a
+// per-call context (RunECtx); nil falls back to the runner-wide Ctx. A
+// non-nil kernels is the runParallel batch's kernel table; nil builds the
+// kernel for this run alone.
+func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.Metrics, error) {
 	j = r.norm(j)
 	key := j.key()
 	perCall := ctx != nil
@@ -293,7 +295,7 @@ func (r *Runner) runE(ctx context.Context, j Job) (*stats.Metrics, error) {
 			c.m, c.err = sim(ctx, j, r.Scale, r.Seed)
 		} else {
 			var rec *trace.Recorder
-			c.m, rec, c.err = runJob(ctx, j, r.Scale, r.Seed, r.Trace)
+			c.m, rec, c.err = r.runJob(ctx, j, kernels)
 			if c.err == nil && rec != nil && r.TraceSink != nil {
 				r.TraceSink(r.storeKey(j), rec)
 			}

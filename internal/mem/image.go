@@ -27,6 +27,19 @@ type page struct {
 	written [pageWords / 64]uint64
 }
 
+// pagePool holds the pages of recycled images (Image.Recycle) for the next
+// image that writes a new page, on any goroutine.
+var pagePool sync.Pool
+
+// newPage returns a zeroed page, recycled when one is pooled.
+func newPage() *page {
+	if p, ok := pagePool.Get().(*page); ok {
+		*p = page{}
+		return p
+	}
+	return new(page)
+}
+
 // Image holds the architectural memory contents at word granularity.
 // It is shared by all partitions (each partition owns a disjoint address
 // slice, so no two partitions touch the same word).
@@ -159,7 +172,7 @@ func (im *Image) Write(addr, val uint64) {
 	wordNo := addr / WordBytes
 	p := im.pageFor(wordNo)
 	if p == nil {
-		p = new(page)
+		p = newPage()
 		no := wordNo >> pageShift
 		im.pages[no] = p
 		im.lastNo, im.lastPage = no, p
@@ -170,6 +183,18 @@ func (im *Image) Write(addr, val uint64) {
 		im.count++
 	}
 	p.words[off] = val
+}
+
+// Recycle hands the image's pages to the next images written in this
+// process and leaves the image empty. It is not for an image in shared
+// mode: the sharded machine recycles nothing.
+func (im *Image) Recycle() {
+	for _, p := range im.pages {
+		pagePool.Put(p)
+	}
+	clear(im.pages)
+	im.count = 0
+	im.lastNo, im.lastPage = ^uint64(0), nil
 }
 
 // Len returns the number of words ever written.

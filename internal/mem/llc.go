@@ -1,5 +1,10 @@
 package mem
 
+import "getm/internal/sim"
+
+// llcArrays recycles the tag and LRU arrays of finished runs' caches.
+var llcArrays sim.Recycler[uint64]
+
 // LLC is a set-associative last-level-cache tag array with LRU replacement.
 // Data values live in the shared Image; the tag array only determines hit or
 // miss timing at the partition. One LLC instance models one partition's bank.
@@ -27,9 +32,17 @@ func NewLLC(capacityBytes, ways, lineBytes int) *LLC {
 		sets:      sets,
 		ways:      ways,
 		lineBytes: lineBytes,
-		tags:      make([]uint64, sets*ways),
-		lru:       make([]uint64, sets*ways),
+		tags:      llcArrays.Get(sets * ways),
+		lru:       llcArrays.Get(sets * ways),
 	}
+}
+
+// Recycle hands the tag and LRU arrays to the next cache of the same
+// geometry built in this process. The cache must not be used afterwards.
+func (c *LLC) Recycle() {
+	llcArrays.Put(c.tags)
+	llcArrays.Put(c.lru)
+	c.tags, c.lru = nil, nil
 }
 
 // Sets returns the number of sets.

@@ -2,6 +2,7 @@ package simt
 
 import (
 	"fmt"
+	"sync"
 
 	"getm/internal/isa"
 	"getm/internal/sim"
@@ -148,6 +149,27 @@ func (c *Core) Start() {
 		}
 	}
 	c.scheduleIssue()
+}
+
+// Recycle hands the warps' register files and the core's transaction logs
+// to the next cores built in this process. The core must not run
+// afterwards.
+func (c *Core) Recycle() {
+	for _, w := range c.warps {
+		if w == nil {
+			continue
+		}
+		regFiles.Put(w.regs)
+		w.regs = nil
+		if w.txLog != nil {
+			txLogs.Put(w.txLog)
+			w.txLog = nil
+		}
+	}
+	for _, l := range c.logPool {
+		txLogs.Put(l)
+	}
+	c.logPool = nil
 }
 
 // AllDone reports whether every warp has retired.
@@ -499,11 +521,19 @@ func (c *Core) canBegin() bool {
 	return true
 }
 
+// txLogs holds the transaction logs of recycled cores (Core.Recycle) for
+// the next cores built in this process, on any goroutine. A recycled log's
+// index tables may be larger than a new log's, but the Reset that opens
+// every attempt invalidates all of their slots, and nothing iterates them.
+var txLogs sync.Pool
+
 func (c *Core) startTx(w *Warp) {
 	c.txActive++
 	if n := len(c.logPool); n > 0 {
 		w.txLog = c.logPool[n-1]
 		c.logPool = c.logPool[:n-1]
+	} else if l, ok := txLogs.Get().(*tm.TxLog); ok {
+		w.txLog = l
 	} else {
 		w.txLog = tm.NewTxLog()
 	}

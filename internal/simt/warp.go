@@ -1,6 +1,8 @@
 package simt
 
 import (
+	"sync"
+
 	"getm/internal/isa"
 	"getm/internal/sim"
 	"getm/internal/tm"
@@ -40,7 +42,7 @@ type Warp struct {
 	frames []frame
 	state  warpState
 
-	regs [isa.WarpWidth][isa.NumRegs]uint64
+	regs *regFile
 
 	// Transaction state. txLog belongs to the transaction slot, not the
 	// warp: it is taken from the core's free list in startTx and returned in
@@ -109,9 +111,26 @@ type Warp struct {
 	wakeFn func()
 }
 
+// regFile is one warp's registers, 2 KB of its context.
+type regFile [isa.WarpWidth][isa.NumRegs]uint64
+
+// regFiles holds the register files of recycled cores (Core.Recycle) for
+// the next warps built in this process, on any goroutine.
+var regFiles sync.Pool
+
+// newRegFile returns a register file, recycled when one is pooled; assign
+// zeroes it before the warp runs a program.
+func newRegFile() *regFile {
+	if r, ok := regFiles.Get().(*regFile); ok {
+		return r
+	}
+	return new(regFile)
+}
+
 func newWarp(slot, gwid int) *Warp {
 	return &Warp{
 		slot: slot, gwid: gwid,
+		regs:       newRegFile(),
 		storeWords: make(map[uint64]int),
 		sendBuf:    make([]tm.LaneAccess, 0, isa.WarpWidth),
 		loadLanes:  make([]int, 0, isa.WarpWidth),
@@ -176,11 +195,7 @@ func (w *Warp) assign(p *isa.Program) {
 	w.txMask = 0
 	w.cs = nil
 	clear(w.storeWords) // safe: frameDone drains stores before redispatch
-	for l := range w.regs {
-		for r := range w.regs[l] {
-			w.regs[l][r] = 0
-		}
-	}
+	*w.regs = regFile{}
 }
 
 // storeValue resolves the data a lane's store writes.

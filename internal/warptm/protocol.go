@@ -65,6 +65,14 @@ type Protocol struct {
 // SetTrace attaches the machine-wide event recorder (nil disables).
 func (p *Protocol) SetTrace(rec *trace.Recorder) { p.rec = rec }
 
+// Recycle hands every partition's TCD arrays to the next machine built in
+// this process (TCD.Recycle). The protocol must not run afterwards.
+func (p *Protocol) Recycle() {
+	for _, vu := range p.vus {
+		vu.tcd.Recycle()
+	}
+}
+
 var _ tm.Protocol = (*Protocol)(nil)
 
 // NewProtocol wires WarpTM over one VU per partition.

@@ -2,6 +2,9 @@ package warptm
 
 import "getm/internal/sim"
 
+// tcdWays recycles the filter arrays of finished runs' TCDs.
+var tcdWays sim.Recycler[sim.Cycle]
+
 // TCD is the temporal-conflict-detection filter at one LLC partition: a
 // recency bloom filter recording the physical cycle of the last store to
 // each line. Hash collisions fold values with max, and lookups take the
@@ -29,9 +32,18 @@ func NewTCD(ways, totalEntries int, rng *sim.RNG) *TCD {
 	}
 	t.ways = make([][]sim.Cycle, ways)
 	for i := range t.ways {
-		t.ways[i] = make([]sim.Cycle, perWay)
+		t.ways[i] = tcdWays.Get(perWay)
 	}
 	return t
+}
+
+// Recycle hands the filter's arrays to the next filter of the same geometry
+// built in this process. The filter must not be used afterwards.
+func (t *TCD) Recycle() {
+	for _, w := range t.ways {
+		tcdWays.Put(w)
+	}
+	t.ways = nil
 }
 
 // RecordWrite notes a store to line at the given cycle.

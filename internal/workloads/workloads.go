@@ -91,15 +91,6 @@ func Build(name string, v Variant, p Params) (*gpu.Kernel, error) {
 	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
 
-// MustBuild panics on unknown names (harness-internal use).
-func MustBuild(name string, v Variant, p Params) *gpu.Kernel {
-	k, err := Build(name, v, p)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // --- generation helpers ---
 
 // region is a bump allocator carving disjoint address regions.
