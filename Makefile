@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test bench-parallel suite-output
+.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate load-gate obs-gate policy-gate cluster-gate perf-test suite-output
 
-check: vet build race short trace-gate store-gate serve-gate par-gate load-gate obs-gate policy-gate cluster-gate perf-test
+check: vet build race short trace-gate store-gate serve-gate load-gate obs-gate policy-gate cluster-gate perf-test
 
 vet:
 	$(GO) vet ./...
@@ -14,12 +14,13 @@ vet:
 build:
 	$(GO) build ./...
 
-# Race-detect the concurrent layers: the memoizing runner, the event engine
-# and the machine, whose array recyclers are shared by concurrent runs (one
-# kernel also runs on two machines at once here). Kept separate from `short`
-# so the (slower) instrumented run only covers the packages with goroutines.
+# Race-detect the concurrent layers: the memoizing runner, the event engine,
+# the SIMT core and the machine, whose array recyclers are shared by
+# concurrent runs (one kernel also runs on two machines at once here). Kept
+# separate from `short` so the (slower) instrumented run only covers the
+# packages with goroutines or process-wide pools.
 race:
-	$(GO) test -race ./internal/harness/ ./internal/sim/ ./internal/gpu/
+	$(GO) test -race ./internal/harness/ ./internal/sim/ ./internal/simt/ ./internal/gpu/
 
 # The short-scale suite across every package.
 short:
@@ -51,15 +52,6 @@ store-gate:
 # and ids resolving from the store across restarts.
 serve-gate:
 	$(GO) test -race ./internal/serve/ ./cmd/getm-serve/
-
-# Parallel-engine gate: the sharded engine must match the serial reference
-# event-for-event across thousands of randomized schedules, survive
-# stop/resume at every window, and produce machine-level results identical
-# across worker counts — all under the race detector. BENCH_parallel.json
-# records the recorded timings (regenerate with `make bench-parallel`).
-par-gate:
-	$(GO) test -race -run 'TestSharded|TestEngineStopEveryEvent|TestEngineRunLimitClamp|TestReopenedGate|TestRolloverResumes' ./internal/sim/ ./internal/simt/ ./internal/gpu/
-	$(GO) test -run 'TestShardClassIdentity' ./internal/harness/
 
 test:
 	$(GO) test ./...
@@ -129,11 +121,6 @@ policy-gate:
 cluster-gate:
 	$(GO) test -race -run 'TestCluster' ./internal/serve/
 	$(GO) test -race -run 'TestServeCluster' ./cmd/getm-serve/
-
-# Parallel-engine timings (recorded in BENCH_parallel.json).
-bench-parallel:
-	$(GO) test -run xxx -bench 'BenchmarkShardedWindows' -benchtime 5x ./internal/sim/
-	$(GO) test -run xxx -bench 'BenchmarkRunEngines' -benchtime 3x ./internal/gpu/
 
 # Regenerate full_suite_output.txt, the raw reproduction-scale report that
 # EXPERIMENTS.md cites: getm-bench's stdout for every experiment (about 40 s

@@ -58,13 +58,12 @@ func WithStore(dir string) Option {
 	}
 }
 
-// WithShards runs each shardable simulation cell (getm and fglock
-// protocols) on the domain-partitioned parallel engine with n worker
-// goroutines; n <= 0 keeps the serial engine. Sharded results are
-// deterministic and identical for every n >= 1 — the worker count is
-// physical, not semantic — but serial and sharded runs are distinct
-// semantics classes and are cached and stored separately (DESIGN.md §10).
-// Cells the parallel engine cannot host fall back to serial.
+// WithShards once ran simulation cells on a parallel engine that has since
+// been removed. n <= 0 changes nothing; n > 0 makes RunExperimentContext
+// return an error rather than silently run serial.
+//
+// Deprecated: every simulation runs on the serial engine. The option stays
+// only because this API is additive.
 func WithShards(n int) Option {
 	return func(c *expConfig) {
 		if n > 0 {
@@ -106,10 +105,12 @@ func RunExperimentContext(ctx context.Context, id string, opts ...Option) (strin
 			return "", fmt.Errorf("getm: experiment %s: %w", id, err)
 		}
 	}
+	if c.shards > 0 {
+		return "", fmt.Errorf("getm: experiment %s: WithShards(%d): the sharded engine was removed, so only n <= 0 is accepted", id, c.shards)
+	}
 
 	r := harness.NewRunner(c.scale)
 	r.Ctx = ctx
-	r.Shards = c.shards
 	r.Policy = c.policy.internal()
 	if c.storeDir != "" {
 		r.Store = store.Open(c.storeDir)

@@ -112,3 +112,23 @@ func TestRunExperimentContextCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
+
+// WithShards is deprecated with the sharded engine: a positive n is an
+// error, never a silent serial run, and n <= 0 changes nothing.
+func TestWithShardsRejected(t *testing.T) {
+	ctx := context.Background()
+	if _, err := getm.RunExperimentContext(ctx, "fig3", getm.WithScale(0.05), getm.WithShards(2)); err == nil {
+		t.Fatal("WithShards(2) ran; want an error")
+	}
+	got, err := getm.RunExperimentContext(ctx, "fig3", getm.WithScale(0.05), getm.WithShards(0))
+	if err != nil {
+		t.Fatalf("WithShards(0): %v", err)
+	}
+	want, err := getm.RunExperimentContext(ctx, "fig3", getm.WithScale(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatal("WithShards(0) changed the report")
+	}
+}

@@ -46,10 +46,9 @@
 // whose first byte is "{" is parsed as JSON, every numeric leaf becomes a
 // metric keyed by its object path, and strings (descriptions, hostnames,
 // dates) are ignored. Comparing a fresh capture against the committed
-// baseline turns "did this change regress the parallel engine?" into one
-// table:
+// baseline turns "did this change regress the serve path?" into one table:
 //
-//	benchdiff BENCH_parallel.json /tmp/new-parallel.json
+//	benchdiff BENCH_serve.json /tmp/new-serve.json
 package main
 
 import (

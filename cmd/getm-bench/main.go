@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	storeDir := fs.String("store", "", "persist results to (and resume them from) this directory")
 	resume := fs.Bool("resume", true, "with -store, reuse existing records instead of re-simulating")
 	timeout := fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = none)")
-	shards := fs.Int("shards", 0, "run shardable cells (getm/fglock) on the parallel engine with this many workers (0 = serial)")
 	policyFlag := fs.String("policy", "", "pin every TM cell to one protocol-matrix point (preset name or axis list; fglock cells unaffected)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -145,7 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	r := harness.NewRunner(*scale)
 	r.Seed = *seed
-	r.Shards = *shards
 	r.Policy = pol
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)

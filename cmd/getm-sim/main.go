@@ -61,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	storeDir := fs.String("store", "", "persist results to (and reuse them from) this directory")
 	resume := fs.Bool("resume", true, "with -store, reuse existing records instead of re-simulating")
 	timeout := fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = none)")
-	shards := fs.Int("shards", 0, "run on the parallel engine with this many workers (0 = serial; getm/fglock only, results identical for any value >= 1)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -88,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := harness.Job{Proto: protocol, Conc: *conc, Cores: *cores, Shards: *shards}.Config()
+	cfg := harness.Job{Proto: protocol, Conc: *conc, Cores: *cores}.Config()
 
 	if *traceFile != "" {
 		mask, err := trace.ParseSources(*traceFilter)
@@ -97,9 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		cfg.Trace = &trace.Options{Sources: mask, SampleInterval: *sampleInterval}
-	}
-	if *shards > 0 && !gpu.Shardable(cfg) {
-		fmt.Fprintln(stderr, "warning: -shards ignored (configuration not shardable; running serial)")
 	}
 
 	params := workloads.Params{Scale: *scale, Seed: *seed}

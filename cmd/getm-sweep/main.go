@@ -40,8 +40,8 @@
 // -server URL submits every point to a running getm-serve instead of
 // simulating locally — point it at a cluster coordinator and the sweep
 // shards across the fabric's workers. Only the knobs a run request can
-// express (conc, cores) and -policy-grid work remotely; -store, -resume,
-// and -shards are the server's business and are refused with -server.
+// express (conc, cores) and -policy-grid work remotely; -store and -resume
+// are the server's business and are refused with -server.
 package main
 
 import (
@@ -87,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	storeDir := fs.String("store", "", "persist results to (and resume them from) this directory")
 	resume := fs.Bool("resume", true, "with -store, reuse existing records instead of re-simulating")
 	timeout := fs.Duration("timeout", 0, "abort the sweep after this wall-clock duration (0 = none)")
-	shards := fs.Int("shards", 0, "run each point on the parallel engine with this many workers (0 = serial; getm/fglock only)")
 	server := fs.String("server", "", "submit sweep points to a running getm-serve (or cluster coordinator) at this base URL instead of simulating locally")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,15 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "error: -resume requires -store (there is no store to resume from)")
 		return 2
 	}
-	if *server != "" {
-		if *storeDir != "" || explicitFlag(fs, "resume") {
-			fmt.Fprintln(stderr, "error: -store/-resume cannot be combined with -server (persistence and resume belong to the server's store)")
-			return 2
-		}
-		if *shards != 0 {
-			fmt.Fprintln(stderr, "error: -shards cannot be combined with -server (the engine mode is the server's choice)")
-			return 2
-		}
+	if *server != "" && (*storeDir != "" || explicitFlag(fs, "resume")) {
+		fmt.Fprintln(stderr, "error: -store/-resume cannot be combined with -server (persistence and resume belong to the server's store)")
+		return 2
 	}
 	// label is the protocol as the table title and store descriptions print
 	// it: a non-preset point as its bare axis tuple.
@@ -162,7 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, v := range vals {
 		cfg := gpu.DefaultConfig(protocol)
 		cfg.Core.MaxTxWarps = *conc
-		cfg.Shards = *shards
 		switch *knob {
 		case "conc":
 			cfg.Core.MaxTxWarps = v

@@ -3,8 +3,8 @@
 // workers) instead of simulating in-process. The table is identical either
 // way — simulations are deterministic and the server returns full metrics —
 // but persistence, dedupe, and resume belong to the server's store, so
-// -store/-resume/-shards are usage errors, and only the knobs a RunSpec can
-// express (conc, cores) are sweepable remotely.
+// -store/-resume are usage errors, and only the knobs a RunSpec can express
+// (conc, cores) are sweepable remotely.
 
 package main
 

@@ -49,14 +49,6 @@ type Protocol struct {
 	Rollovers uint64
 	rollover  *rolloverState
 
-	// AckHop, when set, transports a commit-log acknowledgement from the
-	// commit unit's context back to the protocol's own (the sharded machine
-	// sets it to a cross-domain hop; nil invokes the ack inline, preserving
-	// the serial machine's behavior bit-for-bit).
-	AckHop func(part, core int, fn func())
-	// drainIdle is armed by BeginDrainRemote: it fires once when no
-	// transactions or commit logs are in flight.
-	drainIdle func()
 	// canBeginHooks are notified whenever a closed CanBegin gate reopens, so
 	// cores can re-admit warps queued behind it (see OnCanBegin).
 	canBeginHooks []func()
@@ -102,38 +94,6 @@ func (p *Protocol) notifyCanBegin() {
 	for _, fn := range p.canBeginHooks {
 		fn()
 	}
-}
-
-// BeginDrainRemote closes the admission gate and arranges for idle to fire
-// (once) when no transactions or commit logs are in flight on this instance.
-// It is the sharded rollover coordinator's entry point; the serial machine
-// uses the ring-driven triggerRollover path instead.
-func (p *Protocol) BeginDrainRemote(idle func()) {
-	p.draining = true
-	p.drainIdle = idle
-	p.maybeNotifyIdle()
-}
-
-func (p *Protocol) maybeNotifyIdle() {
-	if p.drainIdle == nil || p.activeTx > 0 || p.pendingLogs > 0 {
-		return
-	}
-	fn := p.drainIdle
-	p.drainIdle = nil
-	fn()
-}
-
-// ResumeFromDrain completes a coordinator-driven rollover on this instance:
-// reset the warp clocks, advance the epoch, reopen admission, and wake any
-// warps queued behind the gate.
-func (p *Protocol) ResumeFromDrain() {
-	for gwid := range p.warpts {
-		p.warpts[gwid] = 0
-	}
-	p.epoch++
-	p.Rollovers++
-	p.draining = false
-	p.notifyCanBegin()
 }
 
 // Begin implements tm.Protocol.
@@ -319,7 +279,6 @@ type commitLog struct {
 	batchNext *commitLog   // chains the partitions of one commit
 	batch     *commitBatch // ring arbitration: batch awaiting this log's ack
 	submit    func()
-	ack       func() // commit-unit callback; hops home via AckHop when set
 	done      func()
 	next      *commitLog // freelist
 }
@@ -328,14 +287,7 @@ func (p *Protocol) getCommitLog(part, core int) *commitLog {
 	cl := p.logPool
 	if cl == nil {
 		cl = &commitLog{p: p}
-		cl.submit = func() { cl.p.cus[cl.part].Submit(cl.entries, cl.ack) }
-		cl.ack = func() {
-			if q := cl.p; q.AckHop != nil {
-				q.AckHop(cl.part, cl.core, cl.done)
-				return
-			}
-			cl.done()
-		}
+		cl.submit = func() { cl.p.cus[cl.part].Submit(cl.entries, cl.done) }
 		cl.done = func() {
 			q := cl.p
 			q.pendingLogs--
@@ -347,7 +299,6 @@ func (p *Protocol) getCommitLog(part, core int) *commitLog {
 			cl.next = q.logPool
 			q.logPool = cl
 			q.maybeFinishDrain()
-			q.maybeNotifyIdle()
 			if b != nil {
 				// Ring arbitration: the ack travels back to the core; the
 				// warp resumes only when every partition has acknowledged.
@@ -414,7 +365,6 @@ func (p *Protocol) getBatch(head *commitLog, resume func(tm.CommitOutcome)) *com
 			q.batchPool = b
 			q.activeTx--
 			q.maybeFinishDrain()
-			q.maybeNotifyIdle()
 			fin(tm.CommitOutcome{})
 		}
 		b.ackFn = func() {
@@ -429,7 +379,6 @@ func (p *Protocol) getBatch(head *commitLog, resume func(tm.CommitOutcome)) *com
 			q.batchPool = b
 			q.activeTx--
 			q.maybeFinishDrain()
-			q.maybeNotifyIdle()
 			fin(tm.CommitOutcome{})
 		}
 	} else {

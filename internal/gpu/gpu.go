@@ -126,14 +126,19 @@ type Config struct {
 	// Result.Trace. A nil Trace costs one pointer compare per would-be
 	// emission — nothing is allocated.
 	Trace *trace.Options
-	// Shards > 0 runs the machine on the domain-partitioned parallel engine
-	// with up to Shards worker goroutines. Sharded results are deterministic
-	// and identical for every Shards >= 1, but form a distinct semantics
-	// class from Shards == 0 (see machine_sharded.go and DESIGN.md §10).
-	// Configurations the sharded machine cannot host — protocols other than
-	// getm/fglock, Record, Trace — silently fall back to the serial engine.
+	// Shards is kept only so existing callers compile and store keys keep
+	// their JSON: 0 is the only accepted value, and RunContext returns an
+	// error for any other.
+	//
+	// Deprecated: the sharded engine was removed; every run is serial.
 	Shards int
 }
+
+// Shardable reports false for every configuration: no sharded engine is
+// left to host one.
+//
+// Deprecated: the sharded engine was removed; every run is serial.
+func Shardable(Config) bool { return false }
 
 // DefaultConfig mirrors Table II's 15-core GTX480-like setup.
 func DefaultConfig(p Protocol) Config {
@@ -230,6 +235,9 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, errors.Join(ErrCanceled, err))
 	}
+	if cfg.Shards != 0 {
+		return nil, fmt.Errorf("gpu: kernel %q: Shards is %d, but the sharded engine was removed; only 0 is accepted", k.Name, cfg.Shards)
+	}
 	pol, err := cfg.Protocol.Resolve()
 	if err != nil {
 		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
@@ -237,9 +245,6 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 	img := mem.NewImage()
 	if k.Init != nil {
 		k.Init(img)
-	}
-	if cfg.Shards > 0 && Shardable(cfg) {
-		return runSharded(ctx, cfg, k, img)
 	}
 	var initial *mem.Image
 	if cfg.Record {
@@ -259,7 +264,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 	// Round-robin program dispatch: each warp slot pulls the next pending
 	// program when it retires one.
 	nextProg := 0
-	dispatch := func(coreID, slot int) *isa.Program {
+	dispatch := func() *isa.Program {
 		if nextProg >= len(k.Programs) {
 			return nil
 		}
@@ -288,7 +293,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 		m.registerProbes(rec, cores)
 	}
 
-	res, err := runMachine(ctx, cfg, k, eng, m, cores, img, rec)
+	res, err := runMachine(ctx, cfg, k, eng, m, cores, rec)
 	if err == nil && cfg.Record {
 		res.Committed = m.committed()
 		res.InitialImage = initial
@@ -298,26 +303,12 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 	return res, err
 }
 
-// engine is the stepping surface sim.Engine and sim.ShardedEngine share.
-type engine interface {
-	Run(limit sim.Cycle) sim.Cycle
-	RunChunked(limit, chunk sim.Cycle, between func(now sim.Cycle) bool) sim.Cycle
-	Pending() int
-}
-
-// assembly is what the run loop reads back from either machine.
-type assembly interface {
-	collect(cores []*simt.Core, end sim.Cycle) *stats.Metrics
-	checkInvariants() error
-}
-
-// runMachine is the one run loop of both machines: it starts the cores,
-// steps the engine to the cycle limit, and turns the end state into a
-// Result — canceled, truncated by the budget, over MaxCycles, deadlocked,
-// invariant-violating, unverified, or complete. rec is nil when tracing is
-// off (always, on the sharded machine).
-func runMachine(ctx context.Context, cfg Config, k *Kernel, eng engine, m assembly,
-	cores []*simt.Core, img *mem.Image, rec *trace.Recorder) (*Result, error) {
+// runMachine is the run loop: it starts the cores, steps the engine to the
+// cycle limit, and turns the end state into a Result — canceled, truncated
+// by the budget, over MaxCycles, deadlocked, invariant-violating,
+// unverified, or complete. rec is nil when tracing is off.
+func runMachine(ctx context.Context, cfg Config, k *Kernel, eng *sim.Engine, m *machine,
+	cores []*simt.Core, rec *trace.Recorder) (*Result, error) {
 	for _, c := range cores {
 		c.Start()
 	}
@@ -332,9 +323,9 @@ func runMachine(ctx context.Context, cfg Config, k *Kernel, eng engine, m assemb
 	// Chunk the engine loop when anything needs to observe the run in
 	// flight: the telemetry sampler (chunk = sampling interval) or a
 	// cancellable context (chunk = CancelChunk). Chunked stepping processes
-	// events in exactly the order a single Run would (sim.Engine.RunChunked,
-	// sim.ShardedEngine.RunChunked), so chunking never changes metrics —
-	// only cancel latency and sample cadence.
+	// events in exactly the order a single Run would (sim.Engine.RunChunked),
+	// so chunking never changes metrics — only cancel latency and sample
+	// cadence.
 	sampleEvery := sim.Cycle(0)
 	if rec != nil {
 		sampleEvery = sim.Cycle(rec.SampleEvery())
@@ -396,7 +387,7 @@ func runMachine(ctx context.Context, cfg Config, k *Kernel, eng engine, m assemb
 		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
 	}
 	if k.Verify != nil {
-		if err := k.Verify(img); err != nil {
+		if err := k.Verify(m.img); err != nil {
 			return nil, fmt.Errorf("gpu: kernel %q verification failed: %w", k.Name, err)
 		}
 	}

@@ -20,7 +20,6 @@ import (
 // machine holds the assembled hardware components of one run.
 type machine struct {
 	cfg        Config
-	eng        *sim.Engine
 	img        *mem.Image
 	amap       mem.AddressMap
 	pair       *xbar.Pair
@@ -42,7 +41,6 @@ type machine struct {
 func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, pol policy.Policy, rec *trace.Recorder) (*machine, error) {
 	m := &machine{
 		cfg:  cfg,
-		eng:  eng,
 		img:  img,
 		amap: mem.AddressMap{Partitions: cfg.Partitions, LineBytes: cfg.LineBytes},
 		pair: xbar.NewPair(eng, cfg.Cores, cfg.Partitions, cfg.Xbar),
@@ -50,7 +48,7 @@ func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, pol policy.Policy, 
 	for i := 0; i < cfg.Partitions; i++ {
 		m.partitions = append(m.partitions, mem.NewPartition(i, eng, img, cfg.Partition))
 	}
-	m.memsys = newSerialMemSystem(m)
+	m.memsys = &memSystem{amap: m.amap, img: img, partitions: m.partitions, pair: m.pair, eng: eng}
 	trans := &transport{m: m}
 	rng := sim.NewRNG(cfg.Seed ^ 0xC0FFEE)
 
@@ -177,15 +175,11 @@ func (m *machine) committed() []tm.CommittedTx {
 	return nil
 }
 
-// checkInvariants verifies post-run protocol state (no leaked reservations,
-// empty stall buffers).
-func (m *machine) checkInvariants() error { return checkVUs(m.getmVU) }
-
-// checkVUs is the post-run GETM invariant check of both machines: no write
-// reservation leaked and no request is left in a stall buffer.
-func checkVUs(vus []*core.VU) error {
+// checkInvariants verifies post-run GETM state: no write reservation leaked
+// and no request is left in a stall buffer.
+func (m *machine) checkInvariants() error {
 	locked, stalled := 0, 0
-	for _, vu := range vus {
+	for _, vu := range m.getmVU {
 		locked += vu.Meta.LockedEntries()
 		stalled += vu.Stall.Occupancy()
 	}
@@ -200,28 +194,6 @@ func checkVUs(vus []*core.VU) error {
 
 // collect aggregates run metrics.
 func (m *machine) collect(cores []*simt.Core, end sim.Cycle) *stats.Metrics {
-	up, down := m.pair.TrafficBytes()
-	out := collectShared(cores, end, up, down, m.partitions, m.getmVU)
-	if m.getm != nil {
-		out.StallBufMaxOccupancy = uint64(m.stall.Max)
-		out.Extra.Inc("rollovers", m.getm.Rollovers)
-	}
-	if m.wtm != nil {
-		out.SilentCommits = m.wtm.SilentCommits
-		out.Extra.Inc("el-early-aborts", m.wtm.EarlyAborts)
-	}
-	if m.eapg != nil {
-		out.Extra.Inc("eapg-early-aborts", m.eapg.EarlyAborts)
-		out.Extra.Inc("eapg-pauses", m.eapg.Pauses)
-		out.Extra.Inc("eapg-broadcasts", m.eapg.Broadcasts)
-	}
-	return out
-}
-
-// collectShared tallies what both machines count the same way: the cores,
-// the crossbar traffic, the partitions and the GETM validation units.
-func collectShared(cores []*simt.Core, end sim.Cycle, up, down uint64,
-	partitions []*mem.Partition, vus []*core.VU) *stats.Metrics {
 	out := stats.NewMetrics()
 	out.TotalCycles = uint64(end)
 	for _, c := range cores {
@@ -234,16 +206,13 @@ func collectShared(cores []*simt.Core, end sim.Cycle, up, down uint64,
 		out.Extra.Inc("tx-attempts", c.Stats.TxAttempts)
 		out.Extra.Inc("tx-lane-attempts", c.Stats.TxLaneAttempts)
 	}
-	out.XbarUpBytes, out.XbarDownBytes = up, down
-	for _, p := range partitions {
+	out.XbarUpBytes, out.XbarDownBytes = m.pair.TrafficBytes()
+	for _, p := range m.partitions {
 		out.Extra.Inc("llc-hits", p.LLC.Hits)
 		out.Extra.Inc("llc-misses", p.LLC.Misses)
 		out.Extra.Inc("atomics", p.AtomicsServed)
 	}
-	if len(vus) == 0 {
-		return out
-	}
-	for _, vu := range vus {
+	for _, vu := range m.getmVU {
 		out.MetaAccessCycles.Merge(vu.AccessCycles)
 		out.Extra.Inc("vu-requests", vu.Requests)
 		out.Extra.Inc("vu-queued", vu.Queued)
@@ -258,6 +227,19 @@ func collectShared(cores []*simt.Core, end sim.Cycle, up, down uint64,
 	if c := out.Extra["stall-depth-count"]; c > 0 {
 		out.StallBufPerAddr.Count = c
 		out.StallBufPerAddr.Sum = float64(out.Extra["stall-depth-total"])
+	}
+	if m.getm != nil {
+		out.StallBufMaxOccupancy = uint64(m.stall.Max)
+		out.Extra.Inc("rollovers", m.getm.Rollovers)
+	}
+	if m.wtm != nil {
+		out.SilentCommits = m.wtm.SilentCommits
+		out.Extra.Inc("el-early-aborts", m.wtm.EarlyAborts)
+	}
+	if m.eapg != nil {
+		out.Extra.Inc("eapg-early-aborts", m.eapg.EarlyAborts)
+		out.Extra.Inc("eapg-pauses", m.eapg.Pauses)
+		out.Extra.Inc("eapg-broadcasts", m.eapg.Broadcasts)
 	}
 	return out
 }
@@ -279,39 +261,15 @@ func (t *transport) BroadcastToCores(partition, bytes int, deliver func(core int
 
 // memSystem adapts the crossbars + partitions to simt.MemSystem with
 // per-line coalescing. Access states and per-line requests are pooled with
-// prebuilt callbacks. The crossbar and partition-side scheduling are narrow
-// function fields so the same implementation serves the serial machine (one
-// shared instance, everything on one engine) and the sharded machine (one
-// instance per core, with upSend/downSend crossing shard domains and
-// partSched landing on the partition's own engine). Pools are only touched
-// from the owning core's context — no locking in either mode.
+// prebuilt callbacks; the machine runs on one goroutine, so no locking.
 type memSystem struct {
 	amap       mem.AddressMap
 	img        *mem.Image
 	partitions []*mem.Partition
-	upSend     func(core, part, bytes int, deliver func())
-	downSend   func(part, core, bytes int, deliver func())
-	partSched  func(part int, delay sim.Cycle, fn func())
+	pair       *xbar.Pair
+	eng        *sim.Engine
 	accPool    *memAccess
 	linePool   *lineReq
-}
-
-// newSerialMemSystem wires the memSystem over the serial machine.
-func newSerialMemSystem(m *machine) *memSystem {
-	return &memSystem{
-		amap:       m.amap,
-		img:        m.img,
-		partitions: m.partitions,
-		upSend: func(core, part, bytes int, deliver func()) {
-			m.pair.Up.Send(core, part, bytes, deliver)
-		},
-		downSend: func(part, core, bytes int, deliver func()) {
-			m.pair.Down.Send(part, core, bytes, deliver)
-		},
-		partSched: func(_ int, delay sim.Cycle, fn func()) {
-			m.eng.Schedule(delay, fn)
-		},
-	}
 }
 
 // memAccess is one coalesced warp access in flight. Line grouping uses flat
@@ -362,8 +320,7 @@ func (ms *memSystem) getLineReq() *lineReq {
 		lr = &lineReq{ms: ms}
 		lr.upFn = func() {
 			ms := lr.ms
-			delay := ms.partitions[lr.part].AccessDelay(lr.line)
-			ms.partSched(lr.part, delay, lr.accessFn)
+			ms.eng.Schedule(ms.partitions[lr.part].AccessDelay(lr.line), lr.accessFn)
 		}
 		lr.accessFn = func() {
 			acc, ms := lr.acc, lr.ms
@@ -377,7 +334,7 @@ func (ms *memSystem) getLineReq() *lineReq {
 					acc.loadVals[i] = ms.img.Read(acc.addrs[i])
 				}
 			}
-			ms.downSend(lr.part, acc.coreID, lr.downBytes, lr.downFn)
+			ms.pair.Down.Send(lr.part, acc.coreID, lr.downBytes, lr.downFn)
 		}
 		lr.downFn = func() {
 			acc, ms := lr.acc, lr.ms
@@ -449,16 +406,16 @@ func (ms *memSystem) Access(coreID int, isWrite bool, addrs, vals []uint64, done
 		} else {
 			lr.downBytes += int(acc.counts[gi]) * tm.WordBytes
 		}
-		ms.upSend(coreID, lr.part, upBytes, lr.upFn)
+		ms.pair.Up.Send(coreID, lr.part, upBytes, lr.upFn)
 	}
 }
 
 func (ms *memSystem) AtomicCAS(coreID int, addr, compare, swap uint64, done func(old uint64, ok bool)) {
 	partID := ms.amap.Partition(addr)
 	part := ms.partitions[partID]
-	ms.upSend(coreID, partID, tm.HeaderBytes+tm.AddrBytes+2*tm.WordBytes, func() {
+	ms.pair.Up.Send(coreID, partID, tm.HeaderBytes+tm.AddrBytes+2*tm.WordBytes, func() {
 		part.AtomicCAS(addr, compare, swap, func(old uint64, ok bool) {
-			ms.downSend(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
+			ms.pair.Down.Send(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
 				done(old, ok)
 			})
 		})
@@ -468,9 +425,9 @@ func (ms *memSystem) AtomicCAS(coreID int, addr, compare, swap uint64, done func
 func (ms *memSystem) AtomicExch(coreID int, addr, val uint64, done func(old uint64)) {
 	partID := ms.amap.Partition(addr)
 	part := ms.partitions[partID]
-	ms.upSend(coreID, partID, tm.HeaderBytes+tm.AddrBytes+tm.WordBytes, func() {
+	ms.pair.Up.Send(coreID, partID, tm.HeaderBytes+tm.AddrBytes+tm.WordBytes, func() {
 		part.AtomicExch(addr, val, func(old uint64) {
-			ms.downSend(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
+			ms.pair.Down.Send(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
 				done(old)
 			})
 		})
@@ -480,9 +437,9 @@ func (ms *memSystem) AtomicExch(coreID int, addr, val uint64, done func(old uint
 func (ms *memSystem) AtomicAdd(coreID int, addr, delta uint64, done func(old uint64)) {
 	partID := ms.amap.Partition(addr)
 	part := ms.partitions[partID]
-	ms.upSend(coreID, partID, tm.HeaderBytes+tm.AddrBytes+tm.WordBytes, func() {
+	ms.pair.Up.Send(coreID, partID, tm.HeaderBytes+tm.AddrBytes+tm.WordBytes, func() {
 		part.AtomicAdd(addr, delta, func(old uint64) {
-			ms.downSend(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
+			ms.pair.Down.Send(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
 				done(old)
 			})
 		})

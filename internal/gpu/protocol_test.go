@@ -10,7 +10,7 @@ import (
 )
 
 // An unresolvable Protocol is an error wrapping ErrUnknownProtocol, from
-// Resolve and from a run on either engine — never a panic. Only the
+// Resolve and from a run — never a panic. Only the
 // spellings ProtocolOf produces resolve: a bare tuple, a prefixed preset
 // name and an invalid tuple all fail.
 func TestUnknownProtocol(t *testing.T) {
@@ -35,14 +35,11 @@ func TestUnknownProtocol(t *testing.T) {
 			errors.Is(err, policy.ErrInvalid) != c.invalid {
 			t.Errorf("Resolve(%q): err %v", c.proto, err)
 		}
-		for _, shards := range []int{0, 2} {
-			cfg := smallConfig(c.proto)
-			cfg.Record = false
-			cfg.Shards = shards
-			res, err := Run(cfg, k)
-			if res != nil || !errors.Is(err, ErrUnknownProtocol) {
-				t.Errorf("Run(%q, shards %d): res %v, err %v", c.proto, shards, res, err)
-			}
+		cfg := smallConfig(c.proto)
+		cfg.Record = false
+		res, err := Run(cfg, k)
+		if res != nil || !errors.Is(err, ErrUnknownProtocol) {
+			t.Errorf("Run(%q): res %v, err %v", c.proto, res, err)
 		}
 	}
 }
@@ -62,5 +59,23 @@ func TestProtocolOfRoundTrip(t *testing.T) {
 	}
 	if p, err := ProtoFGLock.Resolve(); err != nil || !p.IsZero() {
 		t.Errorf("fglock resolves to %v, %v; want the zero Policy", p, err)
+	}
+}
+
+// The sharded engine is gone: a run asking for shards is an error, never a
+// silent serial run, and Shardable accepts nothing.
+func TestShardsRejected(t *testing.T) {
+	k, err := workloads.Build("atm", workloads.TM, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig(ProtoGETM)
+	cfg.Record = false
+	cfg.Shards = 2
+	if Shardable(cfg) {
+		t.Error("Shardable accepted a configuration")
+	}
+	if res, err := Run(cfg, k); res != nil || err == nil {
+		t.Errorf("Run with Shards 2: res %v, err %v; want a nil result and an error", res, err)
 	}
 }

@@ -153,33 +153,3 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 		})
 	}
 }
-
-// TestShardClassIdentity pins the cache/store identity rules for Job.Shards:
-// worker count never splits a cell, but the serial and sharded semantics
-// classes never share one.
-func TestShardClassIdentity(t *testing.T) {
-	r := tiny()
-	j := Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 8}
-	j2, j4 := j, j
-	j2.Shards, j4.Shards = 2, 4
-	if j2.key() != j4.key() || r.StoreKey(j2) != r.StoreKey(j4) {
-		t.Fatal("worker count leaked into cell identity: shards=2 and shards=4 must share keys")
-	}
-	if j.key() == j2.key() || r.StoreKey(j) == r.StoreKey(j2) {
-		t.Fatal("serial and sharded cells must not share keys (their results differ)")
-	}
-	// Non-shardable protocol: Shards falls back to serial, so it must not
-	// split the cell either.
-	w := Job{Proto: gpu.ProtoWarpTM, Bench: "ht-h", Conc: 8}
-	w2 := w
-	w2.Shards = 2
-	if w.key() != w2.key() || r.StoreKey(w) != r.StoreKey(w2) {
-		t.Fatal("non-shardable cell split by Shards despite serial fallback")
-	}
-	// Runner-wide default applies the same class as an explicit per-job value.
-	rs := tiny()
-	rs.Shards = 4
-	if rs.StoreKey(j) != r.StoreKey(j2) {
-		t.Fatal("runner-wide Shards default keyed differently from per-job Shards")
-	}
-}

@@ -71,11 +71,6 @@ type Runner struct {
 	// hook must front the same store the runner consults — any record it has
 	// not flushed yet is still covered by the runner's in-memory tier.
 	Persist func(storeKey, desc string, m *stats.Metrics) error
-	// Shards is the default Job.Shards for jobs that leave it zero: 0 runs
-	// every cell on the serial engine; > 0 runs shardable cells on the
-	// parallel engine with that many workers (non-shardable cells fall back
-	// to serial). See Job.Shards for the cache-identity rules.
-	Shards int
 	// Policy, when non-zero, pins every transactional cell (every protocol
 	// but fglock) to one protocol-matrix point: normalization replaces the
 	// job's Proto with gpu.ProtocolOf(Policy). The v2 API's WithPolicy
@@ -151,26 +146,13 @@ type Job struct {
 	// identity on disk, so a budgeted request is still satisfied by a stored
 	// complete result at disk-read cost.
 	CycleBudget uint64
-	// Shards > 0 runs shardable cells on the parallel engine with that many
-	// workers. Results are identical for every Shards >= 1 (worker count is
-	// physical, not semantic), so cache identity uses only the semantics
-	// class (serial vs sharded), never the worker count.
-	Shards int
 }
 
 func (j Job) key() string {
-	return fmt.Sprintf("%s|%s|c%d|n%d|m%d|g%d|b%d|s%d",
-		j.Proto, j.Bench, j.Conc, j.Cores, j.MetaEntries, j.Granularity, j.CycleBudget, j.shardClass())
-}
-
-// shardClass collapses Shards to the cell's semantics class: 0 when the run
-// executes on the serial engine (Shards == 0 or the config is not
-// shardable), 1 for any sharded run.
-func (j Job) shardClass() int {
-	if j.Shards > 0 && gpu.Shardable(j.Config()) {
-		return 1
-	}
-	return 0
+	// The trailing |s0 stays: the key is each record's description, which
+	// cmd/benchdiff pairs records by across store dirs.
+	return fmt.Sprintf("%s|%s|c%d|n%d|m%d|g%d|b%d|s0",
+		j.Proto, j.Bench, j.Conc, j.Cores, j.MetaEntries, j.Granularity, j.CycleBudget)
 }
 
 // Config builds the machine configuration the job describes. The public
@@ -194,7 +176,6 @@ func (j Job) Config() gpu.Config {
 		cfg.GETM.GranularityBytes = j.Granularity
 	}
 	cfg.CycleBudget = sim.Cycle(j.CycleBudget)
-	cfg.Shards = j.Shards
 	return cfg
 }
 
@@ -226,11 +207,8 @@ func (r *Runner) RunECtx(ctx context.Context, j Job) (*stats.Metrics, error) {
 
 // norm applies runner-wide defaults a Job leaves unset. Every path that
 // derives a cache or store identity from a Job must normalize first, so one
-// cell has one key whether Shards came from the job or from the runner.
+// cell has one key whether its policy came from the job or from the runner.
 func (r *Runner) norm(j Job) Job {
-	if j.Shards == 0 {
-		j.Shards = r.Shards
-	}
 	if !r.Policy.IsZero() && j.Proto != gpu.ProtoFGLock {
 		j.Proto = gpu.ProtocolOf(r.Policy)
 	}

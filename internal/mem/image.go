@@ -4,10 +4,7 @@
 // array, and a DRAM timing model with per-bank occupancy.
 package mem
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // WordBytes is the data word size; all workload values are 64-bit words.
 const WordBytes = 8
@@ -42,99 +39,18 @@ func newPage() *page {
 
 // Image holds the architectural memory contents at word granularity.
 // It is shared by all partitions (each partition owns a disjoint address
-// slice, so no two partitions touch the same word).
-//
-// By default the image is single-goroutine. SetShared switches it into a
-// concurrent mode for the sharded engine, where each memory partition runs in
-// its own shard domain: page lookups go through a copy-on-write page table
-// published with an atomic pointer, the written-footprint bitmap and word
-// count become atomic (words within one page span several partitions'
-// lines), and the one-entry page cache is bypassed. Word stores stay plain —
-// the partition interleave guarantees no two domains touch the same word,
-// and the shard barrier provides the happens-before edge for any later
-// cross-domain reader.
+// slice, so no two partitions touch the same word). An image belongs to one
+// goroutine.
 type Image struct {
 	pages map[uint64]*page
 	count int // words ever written
 	// One-entry page cache: consecutive accesses cluster heavily by page.
 	lastNo   uint64
 	lastPage *page
-
-	shared bool
-	mu     sync.Mutex // serializes shared-mode page allocation
-	cpages atomic.Pointer[map[uint64]*page]
-	ccount atomic.Int64
 }
 
 // NewImage returns an empty (all-zero) memory image.
 func NewImage() *Image { return &Image{pages: make(map[uint64]*page), lastNo: ^uint64(0)} }
-
-// SetShared switches the image into concurrent mode (see the type comment).
-// Call once, before handing the image to concurrently running partitions;
-// there is no way back, but every accessor keeps working after the run ends.
-func (im *Image) SetShared() {
-	if im.shared {
-		return
-	}
-	im.shared = true
-	im.lastNo, im.lastPage = ^uint64(0), nil
-	m := im.pages
-	im.cpages.Store(&m)
-	im.ccount.Store(int64(im.count))
-}
-
-// sync re-adopts the shared-mode state into the plain fields so that
-// single-goroutine accessors (Len, Snapshot, Equal) see the final contents.
-func (im *Image) sync() {
-	if im.shared {
-		im.pages = *im.cpages.Load()
-		im.count = int(im.ccount.Load())
-	}
-}
-
-// writeShared is Write in concurrent mode.
-func (im *Image) writeShared(addr, val uint64) {
-	wordNo := addr / WordBytes
-	no := wordNo >> pageShift
-	p := (*im.cpages.Load())[no]
-	if p == nil {
-		p = im.allocShared(no)
-	}
-	off := wordNo & (pageWords - 1)
-	bit := uint64(1) << (off % 64)
-	w := &p.written[off/64]
-	// CAS loop rather than atomic.OrUint64, which needs a newer language
-	// version than the module targets.
-	for {
-		old := atomic.LoadUint64(w)
-		if old&bit != 0 {
-			break
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|bit) {
-			im.ccount.Add(1)
-			break
-		}
-	}
-	p.words[off] = val
-}
-
-// allocShared publishes a new page copy-on-write under the allocation lock.
-func (im *Image) allocShared(no uint64) *page {
-	im.mu.Lock()
-	defer im.mu.Unlock()
-	cur := *im.cpages.Load()
-	if p := cur[no]; p != nil {
-		return p
-	}
-	next := make(map[uint64]*page, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	p := new(page)
-	next[no] = p
-	im.cpages.Store(&next)
-	return p
-}
 
 func (im *Image) pageFor(wordNo uint64) *page {
 	no := wordNo >> pageShift
@@ -151,12 +67,7 @@ func (im *Image) pageFor(wordNo uint64) *page {
 // Read returns the word at the (word-aligned) byte address.
 func (im *Image) Read(addr uint64) uint64 {
 	wordNo := addr / WordBytes
-	var p *page
-	if im.shared {
-		p = (*im.cpages.Load())[wordNo>>pageShift]
-	} else {
-		p = im.pageFor(wordNo)
-	}
+	p := im.pageFor(wordNo)
 	if p == nil {
 		return 0
 	}
@@ -165,10 +76,6 @@ func (im *Image) Read(addr uint64) uint64 {
 
 // Write stores val at the (word-aligned) byte address.
 func (im *Image) Write(addr, val uint64) {
-	if im.shared {
-		im.writeShared(addr, val)
-		return
-	}
 	wordNo := addr / WordBytes
 	p := im.pageFor(wordNo)
 	if p == nil {
@@ -186,8 +93,7 @@ func (im *Image) Write(addr, val uint64) {
 }
 
 // Recycle hands the image's pages to the next images written in this
-// process and leaves the image empty. It is not for an image in shared
-// mode: the sharded machine recycles nothing.
+// process and leaves the image empty.
 func (im *Image) Recycle() {
 	for _, p := range im.pages {
 		pagePool.Put(p)
@@ -198,14 +104,10 @@ func (im *Image) Recycle() {
 }
 
 // Len returns the number of words ever written.
-func (im *Image) Len() int {
-	im.sync()
-	return im.count
-}
+func (im *Image) Len() int { return im.count }
 
 // Snapshot copies the image (used by the serializability replay checker).
 func (im *Image) Snapshot() *Image {
-	im.sync()
 	c := NewImage()
 	c.count = im.count
 	for no, p := range im.pages {
@@ -218,8 +120,6 @@ func (im *Image) Snapshot() *Image {
 // Equal reports whether two images hold identical contents (treating absent
 // words as zero).
 func (im *Image) Equal(other *Image) bool {
-	im.sync()
-	other.sync()
 	for no, p := range im.pages {
 		q := other.pages[no]
 		for i := range p.words {

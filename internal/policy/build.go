@@ -32,7 +32,7 @@ type Deps struct {
 
 // Engine is one assembled transaction-lifecycle engine: the tm.Protocol the
 // cores drive, plus the concrete machinery behind it (for stats collection,
-// invariant checks, tracing, and the sharded machine's hooks). Exactly one
+// invariant checks, tracing and array recycling). Exactly one
 // of the two machinery groups is populated, per the policy's version
 // management axis.
 type Engine struct {

@@ -59,38 +59,24 @@ type bucket struct{ head, tail int32 }
 //     with bits.TrailingZeros64. Push appends to a tail and dispatch pops a
 //     head, both O(1); a delay-0 event simply appends to the current bucket.
 //   - pq, a binary min-heap over (when, seq), is only the overflow: events
-//     due at or beyond now+wheelSize when scheduled, and cross-shard mail
-//     (atDelivery).
+//     due at or beyond now+wheelSize when scheduled.
 //
-// Dispatch is exactly (when, seq) order over one global queue, with mail in
-// its own seq band (see mailSeqBase). At cycle t:
-//
-//  1. overflow events due at t run first — they were scheduled at least
-//     wheelSize cycles earlier, so they carry smaller seqs than any bucket-t
-//     event;
-//  2. then the bucket-t events scheduled before the clock reached t, in FIFO
-//     (= seq) order; mark is the last of them;
-//  3. then atDelivery mail due at t;
-//  4. last, the same-cycle spawns appended to bucket t after mark.
-//
-// An event scheduled at Now() while no Run is executing joins step 2 if step
-// 4 is empty (its seq is above every earlier local event's and below mail's)
-// and step 4 otherwise, behind the spawns already queued — exactly where the
-// single global order puts it.
+// Dispatch is exactly (when, seq) order over one global queue. At cycle t
+// the overflow events due at t run first — they were scheduled at least
+// wheelSize cycles earlier, so they carry smaller seqs than any bucket-t
+// event — and then bucket t in FIFO (= seq) order, including the same-cycle
+// spawns and any Schedule(0) made while no Run is executing.
 type Engine struct {
 	buckets [wheelSize]bucket
 	occ     [wheelWords]uint64 // bit b set iff buckets[b] is non-empty
 	nodes   []node             // slab; nodes[0] is the nil sentinel
 	free    int32              // freelist head
 	inWheel int                // nodes pending in the wheel
-	mark    int32              // last step-2 node of the current bucket, or 0
 
 	pq      []event // overflow min-heap ordered by eventLess
 	now     Cycle
 	seq     uint64
-	mailSeq uint64 // cross-shard deliveries; offset by mailSeqBase
 	stopped bool
-	running bool
 	// Executed counts events run; useful for run-away detection in tests.
 	Executed uint64
 }
@@ -125,9 +111,6 @@ func (e *Engine) push(when Cycle, fn func()) {
 	}
 	b := uint(when) & wheelMask
 	bk := &e.buckets[b]
-	// Outside a Run, a current-cycle event with no spawns queued ahead of it
-	// extends step 2 (see the order on Engine).
-	toStep2 := when == e.now && !e.running && bk.tail == e.mark
 	i := e.free
 	if i != 0 {
 		e.free = e.nodes[i].next
@@ -147,9 +130,6 @@ func (e *Engine) push(when Cycle, fn func()) {
 	}
 	bk.tail = i
 	e.inWheel++
-	if toStep2 {
-		e.mark = i
-	}
 }
 
 // popBucket removes the head of bucket b, which must be the current cycle's
@@ -168,9 +148,6 @@ func (e *Engine) popBucket(b uint) func() {
 	n.next = e.free
 	e.free = i
 	e.inWheel--
-	if i == e.mark {
-		e.mark = 0
-	}
 	return fn
 }
 
@@ -179,27 +156,6 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.inWheel + len(e.pq) }
-
-// mailSeqBase is the seq band for cross-shard deliveries. Placing deliveries
-// above every locally assigned seq makes their position in the (when, seq)
-// order a function of canonical data only — (send cycle, source shard, send
-// index) — rather than of when the barrier that inserted them happened to
-// fall. At an equal cycle the order is therefore always: events scheduled
-// from earlier cycles, then deliveries, then same-cycle delay-0 spawns. The
-// run loop holds mail back until the current bucket's step-2 events have run,
-// which puts it before the spawns queued after mark.
-const mailSeqBase = uint64(1) << 63
-
-// atDelivery schedules a cross-shard delivery at an absolute future cycle.
-// The caller (ShardedEngine's barrier) guarantees when > Now() for every
-// shard because delivery delays are at least one full quantum.
-func (e *Engine) atDelivery(when Cycle, fn func()) {
-	if when <= e.now {
-		panic("sim: cross-shard delivery not in the future")
-	}
-	e.mailSeq++
-	e.heapPush(event{when: when, seq: mailSeqBase + e.mailSeq, fn: fn})
-}
 
 // nextBucket returns the cycle of the earliest non-empty wheel bucket; ok is
 // false when the wheel is empty. Every wheel event is due in
@@ -233,13 +189,6 @@ func (e *Engine) nextWhen() (when Cycle, ok bool) {
 	return when, ok
 }
 
-// advance moves the clock to t; everything already in t's bucket becomes
-// step 2 of its cycle.
-func (e *Engine) advance(t Cycle) {
-	e.now = t
-	e.mark = e.buckets[uint(t)&wheelMask].tail
-}
-
 // Run executes events until the queue empties, Stop is called, or the
 // simulated clock passes limit (0 means no limit). It returns the cycle at
 // which it stopped. After Stop, a subsequent Run resumes mid-cycle with
@@ -253,45 +202,26 @@ func (e *Engine) Run(limit Cycle) Cycle {
 	if limit != 0 && limit < e.now {
 		return e.now
 	}
-	return e.run(limit != 0, limit)
-}
-
-// runWindow executes events with when <= end (inclusive; end may be 0, unlike
-// Run's 0-means-unlimited sentinel). If the next pending event lies beyond
-// end, the clock advances to end and the event stays queued. Used by
-// ShardedEngine, whose first window can legitimately close at cycle 0.
-func (e *Engine) runWindow(end Cycle) Cycle {
-	if end < e.now {
-		return e.now
-	}
-	return e.run(true, end)
-}
-
-// run is the shared core of Run and runWindow: limited selects whether limit
-// is honored (inclusive) or ignored.
-func (e *Engine) run(limited bool, limit Cycle) Cycle {
 	e.stopped = false
-	e.running = true
-	defer func() { e.running = false }()
 	for !e.stopped {
 		var fn func()
 		b := uint(e.now) & wheelMask
-		if len(e.pq) > 0 && e.pq[0].when == e.now && (e.pq[0].seq < mailSeqBase || e.mark == 0) {
-			fn = e.heapPop().fn // step 1, or step 3 once step 2 is done
+		if len(e.pq) > 0 && e.pq[0].when == e.now {
+			fn = e.heapPop().fn
 		} else if e.buckets[b].head != 0 {
-			fn = e.popBucket(b) // steps 2 and 4
+			fn = e.popBucket(b)
 		} else {
 			when, ok := e.nextWhen()
 			if !ok {
 				return e.now
 			}
-			if limited && when > limit {
-				// Leave it queued so a subsequent Run can resume. limit >= e.now
-				// is guaranteed by the callers, so this never rewinds the clock.
-				e.advance(limit)
+			if limit != 0 && when > limit {
+				// Leave it queued so a subsequent Run can resume; limit >= e.now
+				// was checked above, so this never rewinds the clock.
+				e.now = limit
 				return e.now
 			}
-			e.advance(when)
+			e.now = when
 			continue
 		}
 		e.Executed++

@@ -331,18 +331,17 @@ func TestEngineMatchesOracle(t *testing.T) {
 
 // TestEngineSameCycleOrder pins the order of every kind of event due at one
 // cycle T: an overflow event (scheduled a full wheel turn ahead), then an
-// event scheduled before the clock reached T, then cross-shard mail, then
-// delay-0 spawns, then a Schedule(0) made while stopped with spawns pending.
-// A Schedule(0) made while stopped with no spawn pending has a smaller seq
-// than the mail and runs before it.
+// event scheduled before the clock reached T, then delay-0 spawns, then a
+// Schedule(0) made while stopped with spawns pending. A Schedule(0) made
+// while stopped with no spawn pending runs before the spawns queued after it.
 func TestEngineSameCycleOrder(t *testing.T) {
 	const T = wheelSize + 5
 	for _, tc := range []struct {
 		stopIn string // the event that calls Stop
 		want   []string
 	}{
-		{"spawn1", []string{"overflow", "earlier", "mail", "spawn1", "spawn2", "stopped"}},
-		{"overflow", []string{"overflow", "earlier", "stopped", "mail", "spawn1", "spawn2"}},
+		{"spawn1", []string{"overflow", "earlier", "spawn1", "spawn2", "stopped"}},
+		{"overflow", []string{"overflow", "earlier", "stopped", "spawn1", "spawn2"}},
 	} {
 		e := NewEngine()
 		var got []string
@@ -364,9 +363,8 @@ func TestEngineSameCycleOrder(t *testing.T) {
 				e.Schedule(0, ev("spawn2", nil))
 			}))
 		})
-		e.atDelivery(T, ev("mail", nil))
-		if len(e.pq) != 2 {
-			t.Fatalf("overflow heap holds %d events, want the overflow event and the mail", len(e.pq))
+		if len(e.pq) != 1 {
+			t.Fatalf("overflow heap holds %d events, want the overflow event", len(e.pq))
 		}
 		e.Run(0)
 		if e.Now() != T {

@@ -51,7 +51,7 @@ func TestReopenedGateAdmitsParkedWarps(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarpsPerCore = 4
 	i := 0
-	dispatch := func(core, slot int) *isa.Program {
+	dispatch := func() *isa.Program {
 		if i >= len(progs) {
 			return nil
 		}

@@ -40,7 +40,7 @@ type Core struct {
 	protocol tm.Protocol
 	memsys   MemSystem
 	rng      *sim.RNG
-	dispatch func(core, slot int) *isa.Program
+	dispatch func() *isa.Program
 
 	warps []*Warp
 
@@ -58,8 +58,9 @@ type Core struct {
 	// logPool is the free list of transaction logs. Logs belong to
 	// transaction slots: a warp takes one in startTx and returns it in endTx,
 	// so a core never holds more logs than its peak number of concurrent
-	// transactions. The list is per core, not per machine, because sharded
-	// cores run in separate domains on different goroutines.
+	// transactions. The list is per core, like storePool, so the hot path
+	// needs no handle on the machine; Recycle hands the logs to the
+	// process-wide pool for the next run.
 	logPool []*tm.TxLog
 
 	rec *trace.Recorder
@@ -77,7 +78,7 @@ func (c *Core) ActiveTx() int { return c.txActive }
 
 // NewCore builds a core. dispatch supplies warp programs; it is called again
 // whenever a warp finishes one (returning nil retires the warp).
-func NewCore(id int, eng *sim.Engine, cfg Config, protocol tm.Protocol, memsys MemSystem, rng *sim.RNG, dispatch func(core, slot int) *isa.Program) *Core {
+func NewCore(id int, eng *sim.Engine, cfg Config, protocol tm.Protocol, memsys MemSystem, rng *sim.RNG, dispatch func() *isa.Program) *Core {
 	c := &Core{
 		ID:       id,
 		cfg:      cfg,
@@ -144,7 +145,7 @@ func (c *Core) newWarpFor(slot int) *Warp {
 // distribution matches an eager build exactly.
 func (c *Core) Start() {
 	for slot := 0; slot < c.cfg.WarpsPerCore; slot++ {
-		if p := c.dispatch(c.ID, slot); p != nil {
+		if p := c.dispatch(); p != nil {
 			c.newWarpFor(slot).assign(p)
 		}
 	}
@@ -370,7 +371,7 @@ func (c *Core) frameDone(w *Warp) {
 		w.fence(w.wakeFn)
 		return
 	}
-	if p := c.dispatch(c.ID, w.slot); p != nil {
+	if p := c.dispatch(); p != nil {
 		w.assign(p)
 		c.scheduleIssue()
 		return

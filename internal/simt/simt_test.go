@@ -125,7 +125,7 @@ func newCoreHarness(progs []*isa.Program, cfgEdit func(*Config)) *coreHarness {
 		cfgEdit(&cfg)
 	}
 	i := 0
-	dispatch := func(core, slot int) *isa.Program {
+	dispatch := func() *isa.Program {
 		if i >= len(progs) {
 			return nil
 		}

@@ -67,8 +67,8 @@ func NewMetrics() *Metrics {
 // Merge folds other into m: counters add, histograms merge bucket-wise,
 // maxima take the larger value, and Truncated ORs (a merge containing any
 // partial input is itself partial). Merging is associative and commutative
-// (up to float rounding in the Accum sums), so per-shard metrics can be
-// combined in any order — see TestMetricsMergeAssociative.
+// (up to float rounding in the Accum sums), so the metrics of many runs can
+// be totalled in any order — see TestMetricsMergeAssociative.
 func (m *Metrics) Merge(other *Metrics) {
 	if other == nil {
 		return

@@ -113,21 +113,15 @@ func (s *Store) Degraded() error { return s.err }
 // SHA-256 of SchemaVersion, the gpu.Config, and the workload parameters.
 // Fields that cannot change the (completed) result — Trace, Record,
 // CycleBudget — are zeroed first, so e.g. a traced run and an untraced run
-// share a record (they are cycle-identical by construction). Shards is
-// collapsed to the semantics class that actually executed (0 serial, 1
-// sharded): every Shards >= 1 worker count produces identical results, but
-// serial and sharded runs are distinct classes and never share a record.
+// share a record (they are cycle-identical by construction). The deprecated
+// Shards field stays in the hashed JSON at its only accepted value, 0, so
+// every address written before the sharded engine was removed still holds.
 //
 // cfg.Protocol is hashed as is: it is already the canonical identity
 // (gpu.ProtocolOf), so a preset point keys as its legacy protocol name and
 // stored sweeps stay warm, and any other matrix point as "policy:" plus its
 // canonical axis tuple.
 func Key(cfg gpu.Config, bench string, scale float64, seed uint64) string {
-	if cfg.Shards > 0 && gpu.Shardable(cfg) {
-		cfg.Shards = 1
-	} else {
-		cfg.Shards = 0
-	}
 	cfg.Trace = nil
 	cfg.Record = false
 	cfg.CycleBudget = 0

@@ -6,18 +6,20 @@ import (
 	"testing"
 
 	"getm/internal/gpu"
+	"getm/internal/policy"
 	"getm/internal/stats"
 	"getm/internal/tmtest"
 	"getm/internal/workloads"
 )
 
-// The accounting invariants must hold for every protocol on contended and
+// The accounting invariants must hold for every accepted policy point — the
+// four presets and every other valid matrix point — on contended and
 // uncontended workloads alike: aborts partition exactly by cause, and lane
 // attempts partition exactly into commits and aborts.
 func TestAccountingInvariants(t *testing.T) {
-	protos := []gpu.Protocol{gpu.ProtoGETM, gpu.ProtoWarpTM, gpu.ProtoWarpTMEL, gpu.ProtoEAPG}
 	benches := []string{"ht-h", "atm"}
-	for _, proto := range protos {
+	for _, pol := range policy.Valid() {
+		proto := gpu.ProtocolOf(pol)
 		for _, bench := range benches {
 			t.Run(fmt.Sprintf("%s/%s", proto, bench), func(t *testing.T) {
 				k, err := workloads.Build(bench, workloads.TM, workloads.Params{Scale: 0.05, Seed: 7})
