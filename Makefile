@@ -14,13 +14,14 @@ vet:
 build:
 	$(GO) build ./...
 
-# Race-detect the concurrent layers: the memoizing runner, the event engine,
-# the SIMT core and the machine, whose array recyclers are shared by
-# concurrent runs (one kernel also runs on two machines at once here). Kept
-# separate from `short` so the (slower) instrumented run only covers the
-# packages with goroutines or process-wide pools.
+# Race-detect the concurrent layers: the memoizing runner and getm-sweep,
+# whose local sweeps run on the runner's worker pool, the event engine, the
+# SIMT core and the machine, whose array recyclers are shared by concurrent
+# runs (one kernel also runs on two machines at once here). Kept separate
+# from `short` so the (slower) instrumented run only covers the packages
+# with goroutines or process-wide pools.
 race:
-	$(GO) test -race ./internal/harness/ ./internal/sim/ ./internal/simt/ ./internal/gpu/
+	$(GO) test -race ./internal/harness/ ./cmd/getm-sweep/ ./internal/sim/ ./internal/simt/ ./internal/gpu/
 
 # The short-scale suite across every package.
 short:
@@ -38,13 +39,16 @@ trace-gate:
 
 # Persistence & cancellation gate: stored metrics must round-trip exactly
 # (bit-flips and truncation read as misses, never as data), a resumed sweep
-# must simulate only the missing cells with byte-identical reports, and a
-# context cancel must stop the engine within one chunk of cycles.
+# must simulate only the missing cells with byte-identical reports (getm-bench
+# and getm-sweep resume through the runner), each cell must simulate once
+# however its jobs spell it, and a context cancel must stop the engine within
+# one chunk of cycles.
 store-gate:
 	$(GO) test -run 'TestStore|TestKey|TestLoadDir' ./internal/store/
-	$(GO) test -run 'TestRunnerStore|TestResume|TestRunnerCanceled' ./internal/harness/
+	$(GO) test -run 'TestRunnerStore|TestResume|TestRunnerCanceled|TestPrecomputeCellIdentity' ./internal/harness/
 	$(GO) test -run 'TestCancelLatency|TestRunContext|TestCycleBudget|TestChunkedRun' ./internal/gpu/
 	$(GO) test -run 'TestStoreResume' ./cmd/getm-sim/
+	$(GO) test -run 'TestStdoutByteIdenticalAcrossModes' ./cmd/getm-sweep/
 
 # Serving gate: the HTTP service's concurrency guarantees under the race
 # detector — load shedding (429 + Retry-After), readiness flips, graceful

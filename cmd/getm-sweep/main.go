@@ -11,10 +11,12 @@
 // Knobs: conc (tx warps/core), gran (GETM conflict granularity, bytes),
 // meta (GETM precise metadata entries), stall (GETM stall-buffer lines),
 // backoff (retry backoff cap, cycles), inflight (WarpTM commit pipelining
-// depth), cores (SIMT core count).
+// depth), cores (SIMT core count; 56 selects the paper's scaled machine, as
+// in getm-sim and getm-serve).
 //
 // Sweep points are independent deterministic simulations, so -workers N runs
-// them in parallel; the table is assembled in value order either way.
+// them in parallel; the table is assembled in value order either way, and a
+// value listed twice simulates once.
 //
 // With -store DIR each completed point is persisted crash-safely and (unless
 // -resume=false) points already present in the store — from this or an
@@ -54,16 +56,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"getm/internal/gpu"
+	"getm/internal/harness"
 	"getm/internal/policy"
 	"getm/internal/report"
 	"getm/internal/serve"
 	"getm/internal/stats"
 	"getm/internal/store"
-	"getm/internal/workloads"
 )
 
 func main() {
@@ -77,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	proto := fs.String("proto", "getm", "protocol: getm, warptm, warptm-el, eapg, fglock")
 	policyFlag := fs.String("policy", "", "protocol-matrix point: a preset name or an axis list like vm=eager,cd=eager,res=timestamp (overrides -proto)")
 	policyGrid := fs.Bool("policy-grid", false, "sweep the full policy matrix instead of a knob: every valid point on each -bench workload")
-	knob := fs.String("knob", "conc", "parameter to sweep: conc, gran, meta, stall, backoff, inflight, cores")
+	knob := fs.String("knob", "conc", "parameter to sweep: conc, gran, meta, stall, backoff, inflight, cores (56 = the paper's scaled machine)")
 	values := fs.String("values", "1,2,4,8,16", "comma-separated knob values")
 	scale := fs.Float64("scale", 1.0, "workload scale")
 	seed := fs.Uint64("seed", 42, "workload seed")
@@ -114,17 +115,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
+	ex := execOpts{workers: *workers, storeDir: *storeDir, resume: *resume, timeout: *timeout, server: *server}
 	if *policyGrid {
 		if *policyFlag != "" {
 			fmt.Fprintln(stderr, "error: -policy-grid sweeps every valid point; it cannot be combined with -policy")
 			return 2
 		}
-		return runPolicyGrid(stdout, stderr, gridOpts{
-			benches: *bench, scale: *scale, seed: *seed, conc: *conc,
-			format: *format, workers: *workers, storeDir: *storeDir,
-			resume: *resume, timeout: *timeout, server: *server,
-			explicitBench: explicitFlag(fs, "bench"),
-		})
+		benches := []string{"ht-h", "atm"}
+		if explicitFlag(fs, "bench") {
+			benches = nil
+			for _, b := range strings.Split(*bench, ",") {
+				if b = strings.TrimSpace(b); b != "" {
+					benches = append(benches, b)
+				}
+			}
+		}
+		return runPolicyGrid(stdout, stderr, benches, *scale, *seed, *conc, *format, ex)
 	}
 
 	if *server != "" && *knob != "conc" && *knob != "cores" {
@@ -142,19 +148,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vals = append(vals, v)
 	}
 
-	tab := report.NewTable("sweep",
-		fmt.Sprintf("%s on %s, sweeping %s", label, *bench, *knob),
-		*knob, "cycles", "tx exec", "tx wait", "commits", "aborts/1K", "xbar MB")
-
-	variant := workloads.TM
-	if protocol == gpu.ProtoFGLock {
-		variant = workloads.FGLock
-	}
-
-	configs := make([]gpu.Config, len(vals))
+	// Each point's machine is the one getm-sim, getm-serve and the
+	// experiments build for the same flags, plus the swept field.
+	points := make([]point, len(vals))
 	for i, v := range vals {
-		cfg := gpu.DefaultConfig(protocol)
-		cfg.Core.MaxTxWarps = *conc
+		job := harness.Job{Proto: protocol, Bench: *bench, Conc: *conc}
+		cfg := job.Config()
 		switch *knob {
 		case "conc":
 			cfg.Core.MaxTxWarps = v
@@ -169,107 +168,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case "inflight":
 			cfg.WarpTM.MaxInFlight = v
 		case "cores":
-			cfg.Cores = v
+			job.Cores = v
+			cfg = job.Config()
 		default:
 			fmt.Fprintf(stderr, "unknown knob %q\n", *knob)
 			return 1
 		}
-		configs[i] = cfg
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	var st *store.Store
-	if *storeDir != "" {
-		st = store.Open(*storeDir)
-		if err := st.Degraded(); err != nil {
-			fmt.Fprintln(stderr, "warning: store degraded (results will not persist):", err)
+		name := fmt.Sprintf("%s=%d", *knob, v)
+		points[i] = point{
+			name: name,
+			cell: harness.Cell{Bench: *bench, Scale: *scale, Seed: *seed, Config: cfg, Desc: label + "/" + *bench + "/" + name},
+			spec: serverSweepSpec(*proto, *policyFlag, *bench, *scale, *seed, *conc, *knob, v),
 		}
 	}
-
-	// Each point is an independent deterministic simulation; run them on a
-	// bounded worker pool and keep results indexed so the table order (and
-	// therefore the output) matches the serial run exactly. With a store,
-	// points persisted by an earlier invocation are loaded instead of re-run.
-	par := *workers
-	if par <= 0 {
-		par = runtime.NumCPU()
-	}
-	metrics := make([]*stats.Metrics, len(vals))
-	errs := make([]error, len(vals))
-	var simulated, reused atomic.Int64
-	// Every point runs the same kernel (gpu.Kernel's contract lets the
-	// workers share it); it is built once, by the first point that
-	// simulates.
-	kernel := sync.OnceValues(func() (*gpu.Kernel, error) {
-		return workloads.Build(*bench, variant, workloads.Params{Scale: *scale, Seed: *seed})
-	})
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := range vals {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if *server != "" {
-				sp := serverSweepSpec(*proto, *policyFlag, *bench, *scale, *seed, *conc, *knob, vals[i])
-				metrics[i], errs[i] = postPoint(ctx, *server, sp)
-				return
-			}
-			var key string
-			if st != nil {
-				key = store.Key(configs[i], *bench, *scale, *seed)
-				if *resume {
-					if m, ok := st.Get(key); ok {
-						metrics[i] = m
-						reused.Add(1)
-						return
-					}
-				}
-			}
-			k, err := kernel()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := gpu.RunContext(ctx, configs[i], k)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// A partial point can't sit in a table next to complete ones —
-			// the comparison would be meaningless. Treat it as the failure
-			// it is; the store backstop refuses truncated metrics anyway.
-			if res.Truncated || res.Metrics.Truncated {
-				errs[i] = fmt.Errorf("truncated at cycle %d (partial metrics discarded)", res.TruncatedAt)
-				return
-			}
-			metrics[i] = res.Metrics
-			simulated.Add(1)
-			if st != nil {
-				desc := fmt.Sprintf("%s/%s/%s=%d", label, *bench, *knob, vals[i])
-				if perr := st.Put(key, desc, res.Metrics); perr != nil {
-					fmt.Fprintln(stderr, "warning: store:", perr)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if st != nil {
-		fmt.Fprintf(stderr, "%d simulated, %d reused from store\n", simulated.Load(), reused.Load())
+	metrics := runPoints(points, ex, stderr)
+	if metrics == nil {
+		return 1
 	}
 
+	tab := report.NewTable("sweep",
+		fmt.Sprintf("%s on %s, sweeping %s", label, *bench, *knob),
+		*knob, "cycles", "tx exec", "tx wait", "commits", "aborts/1K", "xbar MB")
 	for i, v := range vals {
-		if errs[i] != nil {
-			fmt.Fprintf(stderr, "error at %s=%d: %v\n", *knob, v, errs[i])
-			return 1
-		}
 		m := metrics[i]
 		tab.AddRow(
 			report.Int(uint64(v)),
@@ -290,168 +210,146 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// gridOpts carries the sweep flags the policy-grid mode shares with the
-// knob mode.
-type gridOpts struct {
-	benches       string
-	scale         float64
-	seed          uint64
-	conc          int
-	format        string
-	workers       int
-	storeDir      string
-	resume        bool
-	timeout       time.Duration
-	server        string
-	explicitBench bool
+// execOpts carries the flags that decide where and how a sweep's points
+// run.
+type execOpts struct {
+	workers  int
+	storeDir string
+	resume   bool
+	timeout  time.Duration
+	server   string
 }
 
-// runPolicyGrid sweeps the full protocol policy matrix: every implementable
-// point (policy.Valid — the four presets plus the eight unexplored valid
-// combinations) on every listed benchmark, reporting commit throughput and
-// abort rate per cell. Cells are independent deterministic simulations and
-// run on the same bounded worker pool as knob sweeps; with -store each cell
-// persists under its canonicalized policy key, so preset rows share records
-// with name-based runs and a resumed grid re-runs only the missing cells.
-func runPolicyGrid(stdout, stderr io.Writer, o gridOpts) int {
-	benchList := []string{"ht-h", "atm"}
-	if o.explicitBench {
-		benchList = nil
-		for _, b := range strings.Split(o.benches, ",") {
-			if b = strings.TrimSpace(b); b != "" {
-				benchList = append(benchList, b)
-			}
-		}
-	}
-	points := policy.Valid()
+// point is one sweep cell: its name on error lines, the cell a local sweep
+// simulates, and the run request a -server sweep posts.
+type point struct {
+	name string
+	cell harness.Cell
+	spec serve.RunSpec
+}
 
-	type cell struct {
-		pol   policy.Policy
-		bench string
-	}
-	var cells []cell
-	for _, p := range points {
-		for _, b := range benchList {
-			cells = append(cells, cell{p, b})
-		}
-	}
-
+// runPoints runs every point on -workers parallel workers and returns their
+// metrics in order. With -server the points are posted to the server;
+// otherwise one harness.Runner simulates them, deduplicated by cell and
+// sharing one kernel per bench, and with -store persists each point and
+// reuses the points an earlier (possibly killed) invocation stored. A
+// failure prints the first failing point, in order, to stderr and returns
+// nil: a table only ever holds complete runs.
+func runPoints(points []point, o execOpts, stderr io.Writer) []*stats.Metrics {
 	ctx := context.Background()
 	if o.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
-	var st *store.Store
-	if o.storeDir != "" {
-		st = store.Open(o.storeDir)
-		if err := st.Degraded(); err != nil {
-			fmt.Fprintln(stderr, "warning: store degraded (results will not persist):", err)
+	metrics := make([]*stats.Metrics, len(points))
+	errs := make([]error, len(points))
+	if o.server != "" {
+		par := o.workers
+		if par <= 0 {
+			par = runtime.NumCPU()
+		}
+		sem := make(chan struct{}, par)
+		var wg sync.WaitGroup
+		for i := range points {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sem <- struct{}{}
+				defer func() { <-sem }()
+				metrics[i], errs[i] = postPoint(ctx, o.server, points[i].spec)
+			}(i)
+		}
+		wg.Wait()
+	} else {
+		r := harness.NewRunner(1) // cells carry their own scale and seed
+		r.Ctx = ctx
+		if o.storeDir != "" {
+			r.Store = store.Open(o.storeDir)
+			if err := r.Store.Degraded(); err != nil {
+				fmt.Fprintln(stderr, "warning: store degraded (results will not persist):", err)
+			}
+			r.StoreReuse = o.resume
+			var logMu sync.Mutex
+			r.Verbose = func(s string) {
+				// The runner's only store line is a failed write.
+				if strings.HasPrefix(s, "store: ") {
+					logMu.Lock()
+					fmt.Fprintln(stderr, "warning:", s)
+					logMu.Unlock()
+				}
+			}
+		}
+		cells := make([]harness.Cell, len(points))
+		for i, p := range points {
+			cells[i] = p.cell
+		}
+		// Failures are read back per point below: RunCell returns a cell's
+		// cached result or failure (a canceled cell fails again at once).
+		_ = r.RunCells(cells, o.workers)
+		if r.Store != nil {
+			fmt.Fprintf(stderr, "%d simulated, %d reused from store\n", r.Simulated(), r.StoreHits())
+		}
+		for i, p := range points {
+			if metrics[i], errs[i] = r.RunCell(ctx, p.cell); errs[i] != nil {
+				break
+			}
 		}
 	}
+	for i, p := range points {
+		if errs[i] != nil {
+			fmt.Fprintf(stderr, "error at %s: %v\n", p.name, errs[i])
+			return nil
+		}
+	}
+	return metrics
+}
 
-	par := o.workers
-	if par <= 0 {
-		par = runtime.NumCPU()
+// runPolicyGrid sweeps the full protocol policy matrix: every implementable
+// point (policy.Valid — the four presets plus the eight unexplored valid
+// combinations) on every listed benchmark, reporting commit throughput and
+// abort rate per cell. Cells run like knob-sweep points; with -store each
+// persists under its canonicalized policy key, so preset rows share records
+// with name-based runs and a resumed grid re-runs only the missing cells.
+func runPolicyGrid(stdout, stderr io.Writer, benches []string, scale float64, seed uint64, conc int, format string, ex execOpts) int {
+	pols := policy.Valid()
+	var points []point
+	for _, p := range pols {
+		for _, b := range benches {
+			name := p.String() + "/" + b
+			cfg := harness.Job{Proto: gpu.ProtocolOf(p), Bench: b, Conc: conc}.Config()
+			points = append(points, point{
+				name: name,
+				cell: harness.Cell{Bench: b, Scale: scale, Seed: seed, Config: cfg, Desc: name},
+				spec: serve.RunSpec{Policy: p.String(), Benchmark: b, Scale: scale, Seed: seed, Conc: conc},
+			})
+		}
 	}
-	metrics := make([]*stats.Metrics, len(cells))
-	errs := make([]error, len(cells))
-	var simulated, reused atomic.Int64
-	// Cells on one bench share its kernel, built once by the first cell
-	// that simulates.
-	kernels := make(map[string]func() (*gpu.Kernel, error), len(benchList))
-	for _, b := range benchList {
-		b := b
-		kernels[b] = sync.OnceValues(func() (*gpu.Kernel, error) {
-			return workloads.Build(b, workloads.TM, workloads.Params{Scale: o.scale, Seed: o.seed})
-		})
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if o.server != "" {
-				sp := serve.RunSpec{
-					Policy:    cells[i].pol.String(),
-					Benchmark: cells[i].bench,
-					Scale:     o.scale,
-					Seed:      o.seed,
-					Conc:      o.conc,
-				}
-				metrics[i], errs[i] = postPoint(ctx, o.server, sp)
-				return
-			}
-			cfg := gpu.DefaultConfig(gpu.ProtocolOf(cells[i].pol))
-			cfg.Core.MaxTxWarps = o.conc
-			var key string
-			if st != nil {
-				key = store.Key(cfg, cells[i].bench, o.scale, o.seed)
-				if o.resume {
-					if m, ok := st.Get(key); ok {
-						metrics[i] = m
-						reused.Add(1)
-						return
-					}
-				}
-			}
-			k, err := kernels[cells[i].bench]()
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := gpu.RunContext(ctx, cfg, k)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if res.Truncated || res.Metrics.Truncated {
-				errs[i] = fmt.Errorf("truncated at cycle %d (partial metrics discarded)", res.TruncatedAt)
-				return
-			}
-			metrics[i] = res.Metrics
-			simulated.Add(1)
-			if st != nil {
-				desc := cells[i].pol.String() + "/" + cells[i].bench
-				if perr := st.Put(key, desc, res.Metrics); perr != nil {
-					fmt.Fprintln(stderr, "warning: store:", perr)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if st != nil {
-		fmt.Fprintf(stderr, "%d simulated, %d reused from store\n", simulated.Load(), reused.Load())
+	metrics := runPoints(points, ex, stderr)
+	if metrics == nil {
+		return 1
 	}
 
 	tab := report.NewTable("policy-grid",
 		fmt.Sprintf("policy matrix (%d points) × {%s}, scale %g",
-			len(points), strings.Join(benchList, ","), o.scale),
+			len(pols), strings.Join(benches, ","), scale),
 		"policy", "bench", "cycles", "commits", "aborts/1K", "commits/Kcyc")
-	for i, c := range cells {
-		if errs[i] != nil {
-			fmt.Fprintf(stderr, "error at %s/%s: %v\n", c.pol, c.bench, errs[i])
-			return 1
-		}
+	for i, p := range points {
 		m := metrics[i]
 		throughput := 0.0
 		if m.TotalCycles > 0 {
 			throughput = float64(m.Commits) * 1000 / float64(m.TotalCycles)
 		}
 		tab.AddRow(
-			report.Str(c.pol.String()),
-			report.Str(c.bench),
+			report.Str(p.spec.Policy),
+			report.Str(p.cell.Bench),
 			report.Int(m.TotalCycles),
 			report.Int(m.Commits),
 			report.Num(m.AbortsPer1KCommits(), 0),
 			report.Num(throughput, 2),
 		)
 	}
-	fmt.Fprint(stdout, tab.Render(report.Format(o.format)))
+	fmt.Fprint(stdout, tab.Render(report.Format(format)))
 	return 0
 }
 

@@ -45,11 +45,19 @@ func TestSweepServerModeMatchesLocal(t *testing.T) {
 			local.String(), remote.String())
 	}
 
-	// The cores knob is the other remotely expressible axis.
-	var coresOut, coresErr bytes.Buffer
-	if code := run([]string{"-bench", "ht-l", "-scale", "0.05", "-knob", "cores",
-		"-values", "15", "-server", url}, &coresOut, &coresErr); code != 0 {
-		t.Fatalf("cores sweep exited %d\nstderr: %s", code, coresErr.String())
+	// The cores knob is the other remotely expressible axis. 56 is the
+	// paper's scaled machine on both paths, not a 56-core default one.
+	cores := []string{"-bench", "ht-l", "-scale", "0.05", "-knob", "cores", "-values", "15,56"}
+	var coresLocal, coresRemote, coresErr bytes.Buffer
+	if code := run(cores, &coresLocal, &coresErr); code != 0 {
+		t.Fatalf("local cores sweep exited %d\nstderr: %s", code, coresErr.String())
+	}
+	if code := run(append(cores, "-server", url), &coresRemote, &coresErr); code != 0 {
+		t.Fatalf("server cores sweep exited %d\nstderr: %s", code, coresErr.String())
+	}
+	if coresRemote.String() != coresLocal.String() {
+		t.Errorf("server-mode cores table differs from local:\n--- local ---\n%s--- server ---\n%s",
+			coresLocal.String(), coresRemote.String())
 	}
 }
 

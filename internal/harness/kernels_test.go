@@ -21,32 +21,33 @@ func TestUnbuildableKernelIsAnError(t *testing.T) {
 	if _, again := r.RunE(bad); again != err {
 		t.Fatalf("second RunE = %v, want the cached %v", again, err)
 	}
-	if n := r.InFlight(); n != 0 {
+	if n := inFlight(r); n != 0 {
 		t.Fatalf("%d simulations still in flight after the failure", n)
 	}
 
-	batch := []Job{
+	batch := cellsOf(r, []Job{
 		{Proto: gpu.ProtoWarpTM, Bench: "nope", Conc: 1},
 		{Proto: gpu.ProtoWarpTM, Bench: "nope", Conc: 2},
 		{Proto: gpu.ProtoFGLock, Bench: "nope"},
 		{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 1},
+	})
+	if err := r.RunCells(batch, 2); err == nil {
+		t.Fatal("RunCells with unknown benchmarks returned no error")
 	}
-	if err := r.runParallel(batch, 2); err == nil {
-		t.Fatal("runParallel with unknown benchmarks returned no error")
+	if !r.cached(batch[3].ID()) {
+		t.Fatal("the healthy cell did not complete alongside the failing ones")
 	}
-	if !r.cached(batch[3].key()) {
-		t.Fatal("the healthy job did not complete alongside the failing ones")
-	}
-	if n := r.InFlight(); n != 0 {
+	if n := inFlight(r); n != 0 {
 		t.Fatalf("%d simulations still in flight after the batch", n)
 	}
 }
 
-// The batch kernel table builds each (bench, variant) kernel once however
-// many jobs ask for it at once, hands every job the same kernel (or the same
-// build error), and drops an entry when the last job that needs it finishes.
+// The batch kernel table builds each (bench, variant, scale, seed) kernel
+// once however many cells ask for it at once, hands every cell the same
+// kernel (or the same build error), and drops an entry when the last cell
+// that needs it finishes.
 func TestKernelTableBuildsOncePerBatch(t *testing.T) {
-	jobs := []Job{
+	cells := cellsOf(NewRunner(0.05), []Job{
 		{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 1},
 		{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 2},
 		{Proto: gpu.ProtoWarpTM, Bench: "ht-h", Conc: 1},
@@ -55,32 +56,32 @@ func TestKernelTableBuildsOncePerBatch(t *testing.T) {
 		{Proto: gpu.ProtoEAPG, Bench: "atm", Conc: 4},
 		{Proto: gpu.ProtoGETM, Bench: "nope", Conc: 1},
 		{Proto: gpu.ProtoGETM, Bench: "nope", Conc: 2},
-	}
+	})
 	boom := errors.New("boom")
 	var mu sync.Mutex
 	builds := map[kernelKey]int{}
-	kt := newKernelTable(jobs, func(j Job) (*gpu.Kernel, error) {
+	kt := newKernelTable(cells, func(c Cell) (*gpu.Kernel, error) {
 		mu.Lock()
-		builds[kernelKeyOf(j)]++
+		builds[kernelKeyOf(c)]++
 		mu.Unlock()
-		if j.Bench == "nope" {
+		if c.Bench == "nope" {
 			return nil, boom
 		}
-		return &gpu.Kernel{Name: j.Bench}, nil
+		return &gpu.Kernel{Name: c.Bench}, nil
 	})
 
-	got := make([]*gpu.Kernel, len(jobs))
+	got := make([]*gpu.Kernel, len(cells))
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for i, c := range cells {
 		wg.Add(1)
-		go func(i int, j Job) {
+		go func(i int, c Cell) {
 			defer wg.Done()
-			k, err := kt.kernel(j)
-			if (j.Bench == "nope") != errors.Is(err, boom) {
-				t.Errorf("%s: kernel error %v", j.key(), err)
+			k, err := kt.kernel(c)
+			if (c.Bench == "nope") != errors.Is(err, boom) {
+				t.Errorf("%s: kernel error %v", c.Desc, err)
 			}
 			got[i] = k
-		}(i, j)
+		}(i, c)
 	}
 	wg.Wait()
 	for key, n := range builds {
@@ -92,20 +93,20 @@ func TestKernelTableBuildsOncePerBatch(t *testing.T) {
 		t.Errorf("%d kernels built, want 4 (ht-h TM, ht-h FGLock, atm TM, nope TM)", len(builds))
 	}
 	if got[0] != got[1] || got[0] != got[2] || got[4] != got[5] || got[0] == got[3] {
-		t.Error("jobs of one (bench, variant) did not share one kernel")
+		t.Error("cells of one (bench, variant) did not share one kernel")
 	}
 
-	for _, j := range jobs[:3] {
-		kt.done(j)
+	for _, c := range cells[:3] {
+		kt.done(c)
 	}
-	if _, ok := kt.entries[kernelKeyOf(jobs[0])]; ok {
-		t.Error("ht-h's TM kernel kept after its last job finished")
+	if _, ok := kt.entries[kernelKeyOf(cells[0])]; ok {
+		t.Error("ht-h's TM kernel kept after its last cell finished")
 	}
 	if len(kt.entries) != 3 {
 		t.Errorf("%d entries left, want 3", len(kt.entries))
 	}
-	for _, j := range jobs[3:] {
-		kt.done(j)
+	for _, c := range cells[3:] {
+		kt.done(c)
 	}
 	if len(kt.entries) != 0 {
 		t.Errorf("%d entries left after the batch", len(kt.entries))

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"getm/internal/gpu"
@@ -21,18 +22,41 @@ func TestPrecomputeMatchesSequential(t *testing.T) {
 		for _, p := range []gpu.Protocol{gpu.ProtoWarpTM, gpu.ProtoGETM} {
 			for _, c := range []int{1, 8} {
 				j := Job{Proto: p, Bench: b, Conc: c}
-				if !par.cached(j.key()) {
-					t.Fatalf("job %s not precomputed", j.key())
+				if !par.cached(par.cell(j).ID()) {
+					t.Fatalf("job %s not precomputed", j.desc())
 				}
 				a := seq.Run(j)
 				bm := par.Run(j)
 				if a.TotalCycles != bm.TotalCycles || a.Commits != bm.Commits || a.Aborts != bm.Aborts {
 					t.Fatalf("parallel result differs for %s: (%d,%d,%d) vs (%d,%d,%d)",
-						j.key(), a.TotalCycles, a.Commits, a.Aborts,
+						j.desc(), a.TotalCycles, a.Commits, a.Aborts,
 						bm.TotalCycles, bm.Commits, bm.Aborts)
 				}
 			}
 		}
+	}
+}
+
+// Every simulation a Precompute pass runs is a distinct cell. Fig 14's
+// default points (4096 metadata entries, 32-byte granules) spell the base
+// cell a second time, so the grid's 315 jobs are 297 cells and cost 297
+// simulations.
+func TestPrecomputeCellIdentity(t *testing.T) {
+	r := NewRunner(0.03)
+	counts := countingStub(r)
+	if err := Precompute(r, 2); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	counts.Range(func(id, n any) bool {
+		cells++
+		if n := n.(*atomic.Int64).Load(); n != 1 {
+			t.Errorf("cell %s simulated %d times, want 1", id, n)
+		}
+		return true
+	})
+	if got := r.Simulated(); got != 297 || cells != 297 {
+		t.Fatalf("Precompute ran %d simulations of %d distinct cells, want 297 of 297", got, cells)
 	}
 }
 
@@ -128,8 +152,8 @@ func TestRunnerTraceSink(t *testing.T) {
 		if rec == nil {
 			t.Fatalf("nil recorder for %s", key)
 		}
-		if key != traced.storeKey(j) {
-			t.Fatalf("sink key %q, want %q", key, traced.storeKey(j))
+		if key != traced.StoreKey(j) {
+			t.Fatalf("sink key %q, want %q", key, traced.StoreKey(j))
 		}
 	}
 

@@ -41,7 +41,7 @@ func TestPersistHookReplacesStorePut(t *testing.T) {
 		t.Fatalf("%d simulations, want 1", runs.Load())
 	}
 	mu.Lock()
-	hookM, hooked := persisted[r.storeKey(j)]
+	hookM, hooked := persisted[r.StoreKey(j)]
 	mu.Unlock()
 	if !hooked {
 		t.Fatal("Persist hook never received the completed result")
@@ -49,7 +49,7 @@ func TestPersistHookReplacesStorePut(t *testing.T) {
 	if hookM.TotalCycles != m.TotalCycles {
 		t.Fatalf("hook got TotalCycles %d, run returned %d", hookM.TotalCycles, m.TotalCycles)
 	}
-	if _, ok := r.Store.Get(r.storeKey(j)); ok {
+	if _, ok := r.Store.Get(r.StoreKey(j)); ok {
 		t.Fatal("runner wrote the store directly despite the Persist hook")
 	}
 }
@@ -111,7 +111,7 @@ func TestPersistHookErrorDoesNotFailRun(t *testing.T) {
 // the hook, exactly as they never reached Store.Put.
 func TestPersistHookSkipsErrorsAndCanceled(t *testing.T) {
 	r := NewRunner(0.1)
-	r.simulate = func(context.Context, Job, float64, uint64) (*stats.Metrics, error) {
+	r.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		return nil, errors.New("boom")
 	}
 	calls := 0

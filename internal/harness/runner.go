@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"getm/internal/gpu"
@@ -31,19 +32,23 @@ var ConcLevels = []int{1, 2, 4, 8, 16, 0}
 // never persisted, and — because stored metrics round-trip exactly — its
 // reports are byte-identical to an uninterrupted run's.
 //
-// Concurrency contract: Run, RunE, RunOptimal, OptimalConc, Err, and the
-// parallel precompute machinery are all safe to call from any number of
-// goroutines. A singleflight-style in-flight map guarantees that each unique
-// Job.key() simulates exactly once per process: concurrent callers of the
-// same job block until the one executing simulation finishes and then share
-// its (immutable) result. The configuration fields (Scale, Seed, Verbose,
-// Ctx, Store, StoreReuse) must be set before the first Run* call and not
-// mutated afterwards; Verbose may be invoked from any worker goroutine.
+// A simulation's identity is its Cell: every cache, the singleflight map and
+// batch dedupe key on Cell.ID, so each unique cell simulates exactly once
+// per process however it was spelled. Jobs are the experiments' shorthand
+// for cells and expand at the runner's Scale, Seed and Policy pin.
+//
+// Concurrency contract: Run, RunE, RunCell, RunCells, RunOptimal,
+// OptimalConc, Err, and Precompute are all safe to call from any number of
+// goroutines. Concurrent callers of one cell block until the one executing
+// simulation finishes and then share its (immutable) result. The
+// configuration fields (Scale, Seed, Verbose, Ctx, Store, StoreReuse) must
+// be set before the first Run* call and not mutated afterwards; Verbose may
+// be invoked from any worker goroutine.
 type Runner struct {
-	// Scale shrinks workloads for quick runs (1.0 = full reproduction
-	// scale).
+	// Scale shrinks the workloads jobs expand to (1.0 = full reproduction
+	// scale). Cells carry their own.
 	Scale float64
-	// Seed drives workload generation.
+	// Seed drives the workload generation of the cells jobs expand to.
 	Seed uint64
 	// Verbose, if set, receives progress lines (possibly from multiple
 	// goroutines at once).
@@ -63,7 +68,7 @@ type Runner struct {
 	// CLIs' `-resume=false`.
 	StoreReuse bool
 	// Persist, if set, replaces the direct Store.Put for completed
-	// simulations: the runner hands (storeKey, jobKey, metrics) to the hook
+	// simulations: the runner hands (storeKey, desc, metrics) to the hook
 	// and moves on. A serving stack points this at a write-behind coalescer
 	// so the simulation path never blocks on an fsync; the hook owner then
 	// guarantees durability on its own schedule (flush interval, high-water
@@ -71,11 +76,11 @@ type Runner struct {
 	// hook must front the same store the runner consults — any record it has
 	// not flushed yet is still covered by the runner's in-memory tier.
 	Persist func(storeKey, desc string, m *stats.Metrics) error
-	// Policy, when non-zero, pins every transactional cell (every protocol
-	// but fglock) to one protocol-matrix point: normalization replaces the
-	// job's Proto with gpu.ProtocolOf(Policy). The v2 API's WithPolicy
-	// option sets this. A preset point is its legacy protocol name, so
-	// pinning a preset changes no cache or store identity.
+	// Policy, when non-zero, pins every transactional job (every protocol
+	// but fglock) to one protocol-matrix point: expanding a job into its
+	// cell replaces its Proto with gpu.ProtocolOf(Policy). The v2 API's
+	// WithPolicy option sets this. A preset point is its legacy protocol
+	// name, so pinning a preset changes no cache or store identity.
 	Policy policy.Policy
 	// Trace, if set, attaches a trace recorder to every simulation this
 	// runner actually executes (cache and store hits never trace — there is
@@ -84,16 +89,17 @@ type Runner struct {
 	// to untraced ones, so cached metrics stay byte-identical either way.
 	Trace *trace.Options
 	// TraceSink receives each executed simulation's recorder, keyed by the
-	// job's store key (the durable run id a serving front end hands out).
+	// cell's store key.
 	// Called from whichever goroutine ran the simulation, after the metrics
 	// are final but before they are published; must not block for long.
 	TraceSink func(storeKey string, rec *trace.Recorder)
-	// Progress, if set, is called after every batch job completes with the
+	// Progress, if set, is called after every batch cell completes with the
 	// running done count and the batch total — the hook a sweep CLI uses for
 	// live progress and ETA lines. Invoked from worker goroutines; must be
 	// safe for concurrent use.
 	Progress func(done, total int)
 
+	// cache, errCache and inflight are keyed by Cell.ID.
 	mu       sync.Mutex
 	cache    map[string]*stats.Metrics
 	errCache map[string]error
@@ -104,18 +110,18 @@ type Runner struct {
 	diskHits int // results served from the on-disk store
 
 	// simulate replaces runJob in tests (counting stubs, failure injection).
-	simulate func(context.Context, Job, float64, uint64) (*stats.Metrics, error)
+	simulate func(context.Context, Cell) (*stats.Metrics, error)
 }
 
-// inflightRun is the singleflight cell shared by concurrent callers of one
-// job key; done is closed once m/err are final.
+// inflightRun is the singleflight entry shared by concurrent callers of one
+// cell; done is closed once m/err are final.
 type inflightRun struct {
 	done chan struct{}
 	m    *stats.Metrics
 	err  error
 }
 
-// NewRunner returns a runner at the given scale.
+// NewRunner returns a runner whose jobs expand at the given scale.
 func NewRunner(scale float64) *Runner {
 	return &Runner{
 		Scale:    scale,
@@ -127,7 +133,41 @@ func NewRunner(scale float64) *Runner {
 	}
 }
 
-// Job describes one simulation.
+// Cell is one simulation: a benchmark, built at a workload scale and seed,
+// run on one machine. Bench, Scale, Seed and Config are exactly the store
+// key's inputs; Desc labels the cell's store record and log lines and is not
+// part of its identity.
+type Cell struct {
+	Bench  string
+	Scale  float64
+	Seed   uint64
+	Config gpu.Config
+	Desc   string
+}
+
+// StoreKey is the cell's content address in the on-disk store. It zeroes
+// cost-bound fields (CycleBudget), so budgeted and unbudgeted runs of one
+// cell share a record: only complete results are ever persisted, and a
+// complete result satisfies both.
+func (c Cell) StoreKey() string { return store.Key(c.Config, c.Bench, c.Scale, c.Seed) }
+
+// ID is the cell's identity: its store key, suffixed "-b<cycles>" when a
+// cycle budget bounds the run. A budgeted run is a different ask — its
+// truncated result is a different artifact — that still shares the complete
+// cell's stored record. A serving front end hands the ID out as the run id,
+// valid across processes for as long as the store schema stands.
+func (c Cell) ID() string { return c.idFor(c.StoreKey()) }
+
+// idFor is ID given the cell's already-computed store key.
+func (c Cell) idFor(storeKey string) string {
+	if c.Config.CycleBudget == 0 {
+		return storeKey
+	}
+	return storeKey + "-b" + strconv.FormatUint(uint64(c.Config.CycleBudget), 10)
+}
+
+// Job is the experiments' shorthand for a cell on the paper's machines;
+// Cell expands it at a workload scale and seed.
 type Job struct {
 	// Proto is the cell's protocol identity (gpu.Config.Protocol): a preset
 	// name, fglock, or a non-preset matrix point as gpu.ProtocolOf spells it.
@@ -148,11 +188,18 @@ type Job struct {
 	CycleBudget uint64
 }
 
-func (j Job) key() string {
-	// The trailing |s0 stays: the key is each record's description, which
-	// cmd/benchdiff pairs records by across store dirs.
+// desc is the job's cell description: the label of its store record and its
+// log lines. The trailing |s0 stays: cmd/benchdiff pairs records by
+// description across store dirs.
+func (j Job) desc() string {
 	return fmt.Sprintf("%s|%s|c%d|n%d|m%d|g%d|b%d|s0",
 		j.Proto, j.Bench, j.Conc, j.Cores, j.MetaEntries, j.Granularity, j.CycleBudget)
+}
+
+// Cell expands the job into the cell it describes at a workload scale and
+// seed.
+func (j Job) Cell(scale float64, seed uint64) Cell {
+	return Cell{Bench: j.Bench, Scale: scale, Seed: seed, Config: j.Config(), Desc: j.desc()}
 }
 
 // Config builds the machine configuration the job describes. The public
@@ -179,49 +226,50 @@ func (j Job) Config() gpu.Config {
 	return cfg
 }
 
-// RunE simulates the job and returns its metrics or the simulation error.
-// Results (including errors — simulations are deterministic, so a failing
-// job fails identically on retry) are cached by Job.key(); concurrent calls
-// for the same key share a single simulation. With a Store attached, a miss
-// in memory consults the disk tier before simulating (when StoreReuse is
-// set), and every completed simulation is persisted. Canceled and truncated
-// runs are cached in neither tier.
+// RunE simulates the job's cell and returns its metrics or the simulation
+// error. Results (including errors — simulations are deterministic, so a
+// failing cell fails identically on retry) are cached by Cell.ID; concurrent
+// calls for one cell share a single simulation. With a Store attached, a
+// miss in memory consults the disk tier before simulating (when StoreReuse
+// is set), and every completed simulation is persisted. Canceled and
+// truncated runs are cached in neither tier.
 func (r *Runner) RunE(j Job) (*stats.Metrics, error) {
-	return r.runE(nil, j, nil)
+	return r.runE(nil, r.cell(j), nil)
 }
 
-// RunECtx is RunE with a per-call context: this call's simulation (and its
-// wait on a shared in-flight simulation) is bounded by ctx instead of the
-// runner-wide Ctx. It is the entry point for request-scoped deadlines in a
-// serving stack: each request carries its own deadline while still sharing
-// one simulation with identical concurrent requests. A cancellation of a
-// per-call context is returned to the caller (matching gpu.ErrCanceled) but
-// — unlike a runner-wide Ctx cancellation — not recorded in Err, which would
-// otherwise grow without bound in a long-lived server.
-func (r *Runner) RunECtx(ctx context.Context, j Job) (*stats.Metrics, error) {
+// RunCell is RunE for a cell, with a per-call context: this call's
+// simulation (and its wait on a shared in-flight simulation) is bounded by
+// ctx instead of the runner-wide Ctx. It is the entry point for
+// request-scoped deadlines in a serving stack: each request carries its own
+// deadline while still sharing one simulation with identical concurrent
+// requests. A cancellation of a per-call context is returned to the caller
+// (matching gpu.ErrCanceled) but — unlike a runner-wide Ctx cancellation —
+// not recorded in Err, which would otherwise grow without bound in a
+// long-lived server.
+func (r *Runner) RunCell(ctx context.Context, c Cell) (*stats.Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return r.runE(ctx, j, nil)
+	return r.runE(ctx, c, nil)
 }
 
-// norm applies runner-wide defaults a Job leaves unset. Every path that
-// derives a cache or store identity from a Job must normalize first, so one
-// cell has one key whether its policy came from the job or from the runner.
-func (r *Runner) norm(j Job) Job {
+// cell expands a job at the runner's scale and seed. A Policy pin replaces
+// the protocol of every transactional job first, so one cell has one
+// identity whether its policy came from the job or from the runner.
+func (r *Runner) cell(j Job) Cell {
 	if !r.Policy.IsZero() && j.Proto != gpu.ProtoFGLock {
 		j.Proto = gpu.ProtocolOf(r.Policy)
 	}
-	return j
+	return j.Cell(r.Scale, r.Seed)
 }
 
 // runE is the shared two-tier cached singleflight path. ctx != nil marks a
-// per-call context (RunECtx); nil falls back to the runner-wide Ctx. A
-// non-nil kernels is the runParallel batch's kernel table; nil builds the
+// per-call context (RunCell); nil falls back to the runner-wide Ctx. A
+// non-nil kernels is the RunCells batch's kernel table; nil builds the
 // kernel for this run alone.
-func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.Metrics, error) {
-	j = r.norm(j)
-	key := j.key()
+func (r *Runner) runE(ctx context.Context, cell Cell, kernels *kernelTable) (*stats.Metrics, error) {
+	storeKey := cell.StoreKey()
+	key := cell.idFor(storeKey)
 	perCall := ctx != nil
 	r.mu.Lock()
 	if m, ok := r.cache[key]; ok {
@@ -233,7 +281,7 @@ func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.
 		return nil, err
 	}
 	if c, ok := r.inflight[key]; ok {
-		// Another goroutine is simulating this job; wait and share. A
+		// Another goroutine is simulating this cell; wait and share. A
 		// per-call context may stop waiting early — the shared simulation
 		// keeps running for the callers still interested in it.
 		r.mu.Unlock()
@@ -241,7 +289,7 @@ func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.
 			select {
 			case <-c.done:
 			case <-ctx.Done():
-				return nil, fmt.Errorf("harness: %s: %w", key,
+				return nil, fmt.Errorf("harness: %s: %w", cell.Desc,
 					errors.Join(gpu.ErrCanceled, context.Cause(ctx)))
 			}
 			return c.m, c.err
@@ -261,7 +309,7 @@ func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.
 	// or truncated records fail verification inside Get and read as misses.
 	fromDisk := false
 	if r.Store != nil && r.StoreReuse {
-		if m, ok := r.Store.Get(r.storeKey(j)); ok {
+		if m, ok := r.Store.Get(storeKey); ok {
 			c.m, fromDisk = m, true
 		}
 	}
@@ -270,12 +318,12 @@ func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.
 			ctx = context.Background()
 		}
 		if sim != nil {
-			c.m, c.err = sim(ctx, j, r.Scale, r.Seed)
+			c.m, c.err = sim(ctx, cell)
 		} else {
 			var rec *trace.Recorder
-			c.m, rec, c.err = r.runJob(ctx, j, kernels)
+			c.m, rec, c.err = r.runJob(ctx, cell, kernels)
 			if c.err == nil && rec != nil && r.TraceSink != nil {
-				r.TraceSink(r.storeKey(j), rec)
+				r.TraceSink(storeKey, rec)
 			}
 		}
 		if c.err == nil && c.m != nil && !c.m.Truncated {
@@ -285,14 +333,14 @@ func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.
 				// on its own schedule; the simulation path never waits on
 				// disk. Durability until the next flush is the hook's
 				// contract (e.g. a final flush inside a graceful drain).
-				if err := r.Persist(r.storeKey(j), key, c.m); err != nil && r.Verbose != nil {
+				if err := r.Persist(storeKey, cell.Desc, c.m); err != nil && r.Verbose != nil {
 					r.Verbose("store: " + err.Error())
 				}
 			case r.Store != nil:
 				// Persist before publishing; a crash after this point costs
 				// nothing on resume. Put is atomic, so a concurrent process
 				// writing the same (deterministic) record is harmless.
-				if err := r.Store.Put(r.storeKey(j), key, c.m); err != nil && r.Verbose != nil {
+				if err := r.Store.Put(storeKey, cell.Desc, c.m); err != nil && r.Verbose != nil {
 					r.Verbose("store: " + err.Error())
 				}
 			}
@@ -305,16 +353,16 @@ func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.
 	delete(r.inflight, key)
 	switch {
 	case canceled:
-		// Not cached: the job never completed, and a retry with a live
+		// Not cached: the cell never completed, and a retry with a live
 		// context (or a resumed process) must actually run it. Runner-wide
 		// cancellations are recorded in errs so Err reports them; per-call
 		// ones belong to their caller alone.
-		c.err = fmt.Errorf("harness: %s: %w", key, c.err)
+		c.err = fmt.Errorf("harness: %s: %w", cell.Desc, c.err)
 		if !perCall {
 			r.errs = append(r.errs, c.err)
 		}
 	case c.err != nil:
-		c.err = fmt.Errorf("harness: %s: %w", key, c.err)
+		c.err = fmt.Errorf("harness: %s: %w", cell.Desc, c.err)
 		r.errCache[key] = c.err
 		r.errs = append(r.errs, c.err)
 	case truncated:
@@ -336,26 +384,26 @@ func (r *Runner) runE(ctx context.Context, j Job, kernels *kernelTable) (*stats.
 	if r.Verbose != nil {
 		switch {
 		case c.err != nil:
-			r.Verbose("FAILED " + key + ": " + c.err.Error())
+			r.Verbose("FAILED " + cell.Desc + ": " + c.err.Error())
 		case fromDisk:
-			r.Verbose(fmt.Sprintf("load %-40s %12d cycles (store)", key, c.m.TotalCycles))
+			r.Verbose(fmt.Sprintf("load %-40s %12d cycles (store)", cell.Desc, c.m.TotalCycles))
 		case truncated:
-			r.Verbose(fmt.Sprintf("part %-40s %12d cycles (truncated)", key, c.m.TotalCycles))
+			r.Verbose(fmt.Sprintf("part %-40s %12d cycles (truncated)", cell.Desc, c.m.TotalCycles))
 		default:
-			r.Verbose(fmt.Sprintf("ran %-40s %12d cycles", key, c.m.TotalCycles))
+			r.Verbose(fmt.Sprintf("ran %-40s %12d cycles", cell.Desc, c.m.TotalCycles))
 		}
 	}
 	return c.m, c.err
 }
 
-// Lookup probes both cache tiers for the job's completed result without ever
-// simulating: the in-memory tier first, then (with StoreReuse) the disk
+// Lookup probes both cache tiers for the cell's completed result without
+// ever simulating: the in-memory tier first, then (with StoreReuse) the disk
 // store, promoting a disk hit into memory. It is the fast path a serving
 // front end takes before spending a queue slot — repeat traffic for a
 // completed cell is O(map lookup) or O(disk read), never O(simulation).
-func (r *Runner) Lookup(j Job) (*stats.Metrics, bool) {
-	j = r.norm(j)
-	key := j.key()
+func (r *Runner) Lookup(cell Cell) (*stats.Metrics, bool) {
+	storeKey := cell.StoreKey()
+	key := cell.idFor(storeKey)
 	r.mu.Lock()
 	if m, ok := r.cache[key]; ok {
 		r.mu.Unlock()
@@ -365,7 +413,7 @@ func (r *Runner) Lookup(j Job) (*stats.Metrics, bool) {
 	if r.Store == nil || !r.StoreReuse {
 		return nil, false
 	}
-	m, ok := r.Store.Get(r.storeKey(j))
+	m, ok := r.Store.Get(storeKey)
 	if !ok {
 		return nil, false
 	}
@@ -381,26 +429,9 @@ func (r *Runner) Lookup(j Job) (*stats.Metrics, bool) {
 	return m, true
 }
 
-// InFlight returns the number of simulations executing (or being loaded from
-// the store) right now — the singleflight map's size.
-func (r *Runner) InFlight() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.inflight)
-}
-
-// storeKey returns the job's content address in the on-disk store. The key
-// zeroes cost-bound fields (CycleBudget), so budgeted and unbudgeted runs of
-// one cell share a record: only complete results are ever persisted, and a
-// complete result satisfies both.
-func (r *Runner) storeKey(j Job) string {
-	return store.Key(j.Config(), j.Bench, r.Scale, r.Seed)
-}
-
-// StoreKey exposes the job's content address — the durable identity a
-// serving front end hands out as a run id, valid across processes for as
-// long as the store schema stands.
-func (r *Runner) StoreKey(j Job) string { return r.storeKey(r.norm(j)) }
+// StoreKey is the content address of the job's cell at the runner's scale,
+// seed and policy pin.
+func (r *Runner) StoreKey(j Job) string { return r.cell(j).StoreKey() }
 
 // Simulated returns the number of simulations this process actually executed
 // — cache and store hits excluded. It is the instrumentation behind the
@@ -475,13 +506,14 @@ func (r *Runner) RunOptimal(proto gpu.Protocol, bench string) *stats.Metrics {
 	return r.Run(Job{Proto: proto, Bench: bench, Conc: r.OptimalConc(proto, bench)})
 }
 
-// cached reports whether the job's result is already in the cache.
-func (r *Runner) cached(key string) bool {
+// cached reports whether the cell with this ID has a cached result or
+// failure.
+func (r *Runner) cached(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, ok := r.cache[key]
+	_, ok := r.cache[id]
 	if !ok {
-		_, ok = r.errCache[key]
+		_, ok = r.errCache[id]
 	}
 	return ok
 }

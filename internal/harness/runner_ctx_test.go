@@ -19,7 +19,7 @@ import (
 func TestRunECtxPerCallCancelNotRecorded(t *testing.T) {
 	r := NewRunner(0.1)
 	var runs atomic.Int64
-	r.simulate = func(ctx context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
+	r.simulate = func(ctx context.Context, _ Cell) (*stats.Metrics, error) {
 		runs.Add(1)
 		select {
 		case <-ctx.Done():
@@ -28,26 +28,26 @@ func TestRunECtxPerCallCancelNotRecorded(t *testing.T) {
 			return stats.NewMetrics(), nil
 		}
 	}
-	j := Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 2}
+	c := r.cell(Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 2})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunECtx(ctx, j); !errors.Is(err, gpu.ErrCanceled) {
+	if _, err := r.RunCell(ctx, c); !errors.Is(err, gpu.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatalf("per-call cancellation leaked into Err: %v", err)
 	}
-	if r.cached(j.key()) {
+	if r.cached(c.ID()) {
 		t.Fatal("canceled run entered the cache")
 	}
 
 	// A retry with a live context genuinely re-runs (and here: succeeds fast).
-	r.simulate = func(context.Context, Job, float64, uint64) (*stats.Metrics, error) {
+	r.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		runs.Add(1)
 		return stats.NewMetrics(), nil
 	}
-	if _, err := r.RunECtx(context.Background(), j); err != nil {
+	if _, err := r.RunCell(context.Background(), c); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 	if got := runs.Load(); got != 2 {
@@ -62,22 +62,22 @@ func TestRunECtxJoinerStopsWaiting(t *testing.T) {
 	r := NewRunner(0.1)
 	release := make(chan struct{})
 	entered := make(chan struct{})
-	r.simulate = func(ctx context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
+	r.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		close(entered)
 		<-release
 		m := stats.NewMetrics()
 		m.TotalCycles = 777
 		return m, nil
 	}
-	j := Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4}
+	c := r.cell(Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4})
 
 	first := make(chan error, 1)
 	go func() {
-		_, err := r.RunECtx(context.Background(), j)
+		_, err := r.RunCell(context.Background(), c)
 		first <- err
 	}()
 	<-entered
-	if got := r.InFlight(); got != 1 {
+	if got := inFlight(r); got != 1 {
 		t.Fatalf("InFlight = %d, want 1", got)
 	}
 
@@ -87,7 +87,7 @@ func TestRunECtxJoinerStopsWaiting(t *testing.T) {
 	cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunECtx(ctx, j)
+		_, err := r.RunCell(ctx, c)
 		done <- err
 	}()
 	select {
@@ -103,10 +103,10 @@ func TestRunECtxJoinerStopsWaiting(t *testing.T) {
 	if err := <-first; err != nil {
 		t.Fatalf("executor failed: %v", err)
 	}
-	if m, ok := r.Lookup(j); !ok || m.TotalCycles != 777 {
+	if m, ok := r.Lookup(c); !ok || m.TotalCycles != 777 {
 		t.Fatalf("executor result not cached: %v %v", m, ok)
 	}
-	if got := r.InFlight(); got != 0 {
+	if got := inFlight(r); got != 0 {
 		t.Fatalf("InFlight = %d after completion, want 0", got)
 	}
 }
@@ -124,20 +124,21 @@ func TestLookupNeverSimulates(t *testing.T) {
 
 	r1 := seedStore()
 	var runs atomic.Int64
-	r1.simulate = func(context.Context, Job, float64, uint64) (*stats.Metrics, error) {
+	r1.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		runs.Add(1)
 		m := stats.NewMetrics()
 		m.TotalCycles = 42
 		return m, nil
 	}
 	j := Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 8}
-	if _, ok := r1.Lookup(j); ok {
+	c := r1.cell(j)
+	if _, ok := r1.Lookup(c); ok {
 		t.Fatal("Lookup hit on an empty runner")
 	}
 	if _, err := r1.RunE(j); err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := r1.Lookup(j); !ok || m.TotalCycles != 42 {
+	if m, ok := r1.Lookup(c); !ok || m.TotalCycles != 42 {
 		t.Fatalf("memory-tier Lookup = %v %v", m, ok)
 	}
 	if runs.Load() != 1 {
@@ -146,17 +147,17 @@ func TestLookupNeverSimulates(t *testing.T) {
 
 	// A fresh process sharing the directory sees the result via Lookup alone.
 	r2 := seedStore()
-	r2.simulate = func(context.Context, Job, float64, uint64) (*stats.Metrics, error) {
+	r2.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		t.Error("Lookup triggered a simulation")
 		return stats.NewMetrics(), nil
 	}
-	if m, ok := r2.Lookup(j); !ok || m.TotalCycles != 42 {
+	if m, ok := r2.Lookup(c); !ok || m.TotalCycles != 42 {
 		t.Fatalf("disk-tier Lookup = %v %v", m, ok)
 	}
 	if got := r2.StoreHits(); got != 1 {
 		t.Fatalf("StoreHits = %d, want 1", got)
 	}
-	if m, ok := r2.Lookup(j); !ok || m.TotalCycles != 42 {
+	if m, ok := r2.Lookup(c); !ok || m.TotalCycles != 42 {
 		t.Fatalf("promoted Lookup = %v %v", m, ok)
 	}
 	if got := r2.StoreHits(); got != 1 {
@@ -174,7 +175,7 @@ func TestTruncatedResultNotCached(t *testing.T) {
 	r.Store = store.Open(t.TempDir())
 	r.StoreReuse = true
 	var runs atomic.Int64
-	r.simulate = func(context.Context, Job, float64, uint64) (*stats.Metrics, error) {
+	r.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		runs.Add(1)
 		m := stats.NewMetrics()
 		m.TotalCycles = 1000
@@ -187,7 +188,7 @@ func TestTruncatedResultNotCached(t *testing.T) {
 	if err != nil || m == nil || !m.Truncated {
 		t.Fatalf("RunE = %v, %v; want truncated metrics", m, err)
 	}
-	if r.cached(j.key()) {
+	if r.cached(r.cell(j).ID()) {
 		t.Fatal("truncated result entered the memory cache")
 	}
 	if keys, _ := r.Store.Keys(); len(keys) != 0 {
@@ -211,11 +212,11 @@ func TestBudgetedJobKeying(t *testing.T) {
 	full := Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4}
 	budgeted := full
 	budgeted.CycleBudget = 5000
-	if full.key() == budgeted.key() {
+	r := NewRunner(0.1)
+	if r.cell(full).ID() == r.cell(budgeted).ID() {
 		t.Fatal("budget not part of the in-memory key")
 	}
-	r := NewRunner(0.1)
-	if r.storeKey(full) != r.storeKey(budgeted) {
+	if r.StoreKey(full) != r.StoreKey(budgeted) {
 		t.Fatal("budget leaked into the store key: a complete record would not satisfy a budgeted request")
 	}
 	if cfg := budgeted.Config(); uint64(cfg.CycleBudget) != 5000 {

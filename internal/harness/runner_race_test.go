@@ -18,16 +18,33 @@ import (
 	"getm/internal/stats"
 )
 
-// countingStub installs a fake simulator that counts executions per job key
+// countingStub installs a fake simulator that counts executions per cell ID
 // and returns distinguishable metrics without running the GPU model.
 func countingStub(r *Runner) *sync.Map {
 	var counts sync.Map
-	r.simulate = func(_ context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
-		c, _ := counts.LoadOrStore(j.key(), new(atomic.Int64))
-		c.(*atomic.Int64).Add(1)
-		return &stats.Metrics{TotalCycles: uint64(100 + j.Conc)}, nil
+	r.simulate = func(_ context.Context, c Cell) (*stats.Metrics, error) {
+		n, _ := counts.LoadOrStore(c.ID(), new(atomic.Int64))
+		n.(*atomic.Int64).Add(1)
+		return &stats.Metrics{TotalCycles: uint64(100 + c.Config.Core.MaxTxWarps)}, nil
 	}
 	return &counts
+}
+
+// cellsOf expands jobs at the runner's scale, seed and policy pin.
+func cellsOf(r *Runner, jobs []Job) []Cell {
+	cells := make([]Cell, len(jobs))
+	for i, j := range jobs {
+		cells[i] = r.cell(j)
+	}
+	return cells
+}
+
+// inFlight returns the number of simulations executing (or being loaded
+// from the store) right now — the singleflight map's size.
+func inFlight(r *Runner) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.inflight)
 }
 
 // TestRunConcurrentHammer calls Run, RunE, RunOptimal, and OptimalConc from
@@ -75,20 +92,24 @@ func TestRunConcurrentHammer(t *testing.T) {
 	})
 }
 
-// TestRunParallelDedupesBatch feeds runParallel a batch full of key
-// duplicates — including override values equal to the defaults, which
-// produce the same key as the plain job — and checks exactly-once execution.
+// TestRunParallelDedupesBatch feeds RunCells a batch full of duplicates —
+// including override values equal to the defaults (the paper machine's
+// 4096 metadata entries, 32-byte granules and 15 cores), which spell the
+// same cell as the plain job — and checks exactly-once execution.
 func TestRunParallelDedupesBatch(t *testing.T) {
 	r := NewRunner(0.03)
 	counts := countingStub(r)
 
 	base := Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4}
-	jobs := []Job{base, base, base,
+	cells := cellsOf(r, []Job{base, base, base,
 		{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4, MetaEntries: 0, Granularity: 0},
+		{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4, MetaEntries: 4096},
+		{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4, Granularity: 32},
+		{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4, Cores: 15},
 		{Proto: gpu.ProtoWarpTM, Bench: "atm", Conc: 2},
 		{Proto: gpu.ProtoWarpTM, Bench: "atm", Conc: 2},
-	}
-	if err := r.runParallel(jobs, 4); err != nil {
+	})
+	if err := r.RunCells(cells, 4); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -104,8 +125,8 @@ func TestRunParallelDedupesBatch(t *testing.T) {
 		t.Fatalf("batch executed %d unique jobs, want 2", total)
 	}
 
-	// A second batch over the same keys must be a pure cache hit.
-	if err := r.runParallel(jobs, 4); err != nil {
+	// A second batch over the same cells must be a pure cache hit.
+	if err := r.RunCells(cells, 4); err != nil {
 		t.Fatal(err)
 	}
 	counts.Range(func(k, v any) bool {
@@ -125,8 +146,8 @@ func TestRunSurfacesErrors(t *testing.T) {
 	r := NewRunner(0.03)
 	boom := errors.New("boom")
 	var failRuns atomic.Int64
-	r.simulate = func(_ context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
-		if j.Bench == "atm" {
+	r.simulate = func(_ context.Context, c Cell) (*stats.Metrics, error) {
+		if c.Bench == "atm" {
 			failRuns.Add(1)
 			return nil, boom
 		}
@@ -136,16 +157,16 @@ func TestRunSurfacesErrors(t *testing.T) {
 	bad := Job{Proto: gpu.ProtoGETM, Bench: "atm", Conc: 4}
 	good := Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: 4}
 
-	if err := r.runParallel([]Job{bad, good}, 2); !errors.Is(err, boom) {
-		t.Fatalf("runParallel error = %v, want wrapped boom", err)
+	if err := r.RunCells(cellsOf(r, []Job{bad, good}), 2); !errors.Is(err, boom) {
+		t.Fatalf("RunCells error = %v, want wrapped boom", err)
 	}
-	if !r.cached(good.key()) {
+	if !r.cached(r.cell(good).ID()) {
 		t.Fatal("healthy job did not complete alongside the failing one")
 	}
 
 	if _, err := r.RunE(bad); !errors.Is(err, boom) {
 		t.Fatalf("RunE error = %v, want wrapped boom", err)
-	} else if !strings.Contains(err.Error(), bad.key()) {
+	} else if !strings.Contains(err.Error(), bad.desc()) {
 		t.Fatalf("error %q does not identify the failing job", err)
 	}
 	if m := r.Run(bad); m == nil || m.TotalCycles != 0 {
@@ -167,7 +188,7 @@ func TestInflightSharing(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var runs atomic.Int64
-	r.simulate = func(_ context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
+	r.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		runs.Add(1)
 		close(started)
 		<-release

@@ -21,14 +21,13 @@ import (
 
 // richStub installs a deterministic fake simulator whose metrics exercise
 // every field shape reports consume — scalars, causes, histograms, float
-// accumulators — derived purely from (job, scale, seed) so two runners
-// always agree.
+// accumulators — derived purely from the cell so two runners always agree.
 func richStub(r *Runner) *atomic.Int64 {
 	var runs atomic.Int64
-	r.simulate = func(_ context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
+	r.simulate = func(_ context.Context, c Cell) (*stats.Metrics, error) {
 		runs.Add(1)
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%g|%d", j.key(), scale, seed)
+		fmt.Fprintf(h, "%s|%g|%d", c.Desc, c.Scale, c.Seed)
 		v := h.Sum64()
 		m := stats.NewMetrics()
 		m.TotalCycles = 1000 + v%100000
@@ -136,7 +135,7 @@ func TestRunnerStoreCorruptRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := r1.Store.Dir() + "/" + r1.storeKey(j) + ".json"
+	path := r1.Store.Dir() + "/" + r1.StoreKey(j) + ".json"
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +236,7 @@ func TestRunnerCanceledNotCached(t *testing.T) {
 	r.StoreReuse = true
 	var runs atomic.Int64
 	fail := true
-	r.simulate = func(_ context.Context, j Job, scale float64, seed uint64) (*stats.Metrics, error) {
+	r.simulate = func(context.Context, Cell) (*stats.Metrics, error) {
 		runs.Add(1)
 		if fail {
 			return nil, fmt.Errorf("kernel canceled at cycle 42: %w", gpu.ErrCanceled)
@@ -252,7 +251,7 @@ func TestRunnerCanceledNotCached(t *testing.T) {
 	if err := r.Err(); !errors.Is(err, gpu.ErrCanceled) {
 		t.Fatalf("Err() = %v, want to surface the cancellation", err)
 	}
-	if r.cached(j.key()) {
+	if r.cached(r.cell(j).ID()) {
 		t.Fatal("canceled run entered a cache tier")
 	}
 	if keys, _ := r.Store.Keys(); len(keys) != 0 {

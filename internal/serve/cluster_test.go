@@ -155,9 +155,9 @@ func waitProbed(t *testing.T, s *Server) {
 // simulatedTotal sums getm_serve_simulated_total across the fabric — the
 // "no cell paid for twice" acceptance signal.
 func (tc *testCluster) simulatedTotal() int {
-	n := tc.coord.s.pool.simulated()
+	n := tc.coord.s.pool.runner.Simulated()
 	for _, w := range tc.workers {
-		n += w.s.pool.simulated()
+		n += w.s.pool.runner.Simulated()
 	}
 	return n
 }
@@ -281,7 +281,7 @@ func TestClusterShardedSweepMatchesSingleNode(t *testing.T) {
 	if got, wantN := tc.simulatedTotal(), len(specs); got != wantN {
 		t.Errorf("cluster simulated %d cells, want exactly %d (each cell once)", got, wantN)
 	}
-	if n := tc.coord.s.pool.simulated(); n != 0 {
+	if n := tc.coord.s.pool.runner.Simulated(); n != 0 {
 		t.Errorf("coordinator simulated %d cells; a coordinator must only route", n)
 	}
 
@@ -362,7 +362,7 @@ func TestClusterKillWorkerResume(t *testing.T) {
 	// Kill a worker that actually executed part of wave 1.
 	victim := -1
 	for i, w := range tc.workers {
-		if w.s.pool.simulated() > 0 {
+		if w.s.pool.runner.Simulated() > 0 {
 			victim = i
 			break
 		}
@@ -382,7 +382,7 @@ func TestClusterKillWorkerResume(t *testing.T) {
 			got, len(specs),
 			map[bool]string{true: "cells were re-simulated", false: "cells were lost"}[got > len(specs)])
 	}
-	if n := tc.workers[victim].s.pool.simulated(); n == 0 {
+	if n := tc.workers[victim].s.pool.runner.Simulated(); n == 0 {
 		t.Error("victim simulated nothing before the kill; the test lost its point")
 	}
 

@@ -265,8 +265,8 @@ func (m *metricsSet) write(w io.Writer, s *Server) {
 	c("getm_serve_completed_total", "runs finished without error", m.completed.Load())
 	c("getm_serve_failed_total", "runs finished with an error", m.failed.Load())
 	c("getm_serve_truncated_total", "runs returning partial (truncated) metrics", m.truncated.Load())
-	c("getm_serve_simulated_total", "simulations actually executed (cache and store hits excluded)", int64(p.simulated()))
-	c("getm_serve_store_hits_total", "results served from the on-disk store", int64(p.storeHits()))
+	c("getm_serve_simulated_total", "simulations actually executed (cache and store hits excluded)", int64(p.runner.Simulated()))
+	c("getm_serve_store_hits_total", "results served from the on-disk store", int64(p.runner.StoreHits()))
 	c("getm_serve_store_status_hits_total", "GET /v1/runs answered durably from the store", m.storeStatusHits.Load())
 	if coal := s.coal; coal != nil {
 		g("getm_serve_coalesce_pending", "completed results awaiting the next batched store flush", coal.pendingCount())

@@ -27,10 +27,11 @@ const (
 
 // pool is the execution side of the server: a fixed worker set behind a
 // bounded weighted-fair wait queue, a job table deduplicating distinct
-// requests, and one harness.Runner per (scale, seed) sharing the durable
-// store. Admission, status, and drain all meet here.
+// requests, and one harness.Runner memoizing every cell in front of the
+// durable store. Admission, status, and drain all meet here.
 type pool struct {
-	s *Server
+	s      *Server
+	runner *harness.Runner
 
 	fq       *fairQueue
 	workerWG sync.WaitGroup
@@ -46,16 +47,7 @@ type pool struct {
 	// jobs is the job table, id -> *jobState. Reads are lock-free; every
 	// insert happens under mu, so admit's check-then-insert is atomic.
 	jobs sync.Map
-
-	mu      sync.Mutex
-	runners map[runnerKey]*harness.Runner
-}
-
-// runnerKey identifies one workload parameterization; jobs differing only in
-// machine knobs share a runner (and its caches).
-type runnerKey struct {
-	scale float64
-	seed  uint64
+	mu   sync.Mutex
 }
 
 func newPool(s *Server) *pool {
@@ -65,10 +57,28 @@ func newPool(s *Server) *pool {
 		weightOf = func(client string) int { return w[client] }
 	}
 	p := &pool{
-		s:       s,
-		fq:      newFairQueue(s.cfg.QueueDepth, s.cfg.PerClientQueue, weightOf),
-		runners: make(map[runnerKey]*harness.Runner),
+		s:  s,
+		fq: newFairQueue(s.cfg.QueueDepth, s.cfg.PerClientQueue, weightOf),
 	}
+	// The runner sees only cells, which carry their own scale and seed, so
+	// its Scale and Seed go unused.
+	r := harness.NewRunner(1)
+	r.Store = s.cfg.Store
+	r.StoreReuse = true
+	r.Verbose = s.cfg.Verbose
+	if s.coal != nil {
+		// Write-behind: completed cells accumulate in the coalescer and hit
+		// the disk as batched commits instead of one fsync per simulation.
+		r.Persist = p.persist
+	}
+	if s.traces != nil {
+		// Span capture extends to the engine: executed runs carry a sim-level
+		// recorder, retained in a bounded LRU keyed by run id so /v1/spans
+		// can put the request span and its engine events on one timeline.
+		r.Trace = &trace.Options{RingSize: simTraceRing}
+		r.TraceSink = s.traces.put
+	}
+	p.runner = r
 	p.baseCtx, p.baseCancel = context.WithCancelCause(context.Background())
 	p.workerWG.Add(s.cfg.Workers)
 	for i := 0; i < s.cfg.Workers; i++ {
@@ -89,8 +99,6 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 	if p.draining.Load() {
 		return nil, admitDraining
 	}
-	r := p.runnerFor(sp)
-	job := sp.job()
 	id := p.s.runIDFor(&sp)
 
 	p.mu.Lock()
@@ -103,7 +111,7 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 	// Fast path: the cell already has a completed result in a cache tier.
 	// Serving it costs a map lookup or a disk read — never a queue slot, so
 	// repeat traffic cannot be shed even under saturation.
-	if m, ok := r.Lookup(job); ok && !m.Truncated {
+	if m, ok := p.runner.Lookup(sp.cell()); ok && !m.Truncated {
 		js := &jobState{id: id, spec: sp, client: client, done: make(chan struct{}), m: m, source: "cache"}
 		js.setStatus(statusDone)
 		close(js.done)
@@ -137,16 +145,18 @@ func (p *pool) admit(sp RunSpec, client string) (*jobState, admitOutcome) {
 	}
 }
 
-// runIDFor resolves a validated spec's public run id: the content address
-// (a canonical-JSON marshal plus a SHA-256) is computed once per spec
-// identity and cached under spec.cacheKey, where the lock-free join in
-// Server.place finds it.
+// runIDFor resolves a validated spec's public run id, its cell's ID: for an
+// unbudgeted request exactly the result's content address in the on-disk
+// store, so the id stays resolvable across server restarts (GET falls back
+// to a store read); a budgeted request's id carries a "-b<budget>" suffix,
+// which the store fallback strips. The id (a canonical-JSON marshal plus a
+// SHA-256) is computed once per spec identity and cached under
+// spec.cacheKey, where the lock-free join in Server.place finds it.
 func (s *Server) runIDFor(sp *RunSpec) string {
 	if v, ok := s.idCache.Load(sp.cacheKey()); ok {
 		return v.(string)
 	}
-	r := s.pool.runnerFor(*sp)
-	id := runID(r.StoreKey(sp.job()), *sp)
+	id := sp.cell().ID()
 	s.idCache.Store(sp.cacheKey(), id)
 	return id
 }
@@ -211,42 +221,11 @@ func (p *pool) runTask(js *jobState) {
 	close(js.done)
 }
 
-// simulate is the production execute hook: the request's (scale, seed)
-// runner memoizes, singleflights, and persists the cell.
+// simulate is the production execute hook: the runner memoizes,
+// singleflights, and persists the cell.
 func (s *Server) simulate(ctx context.Context, js *jobState) (*stats.Metrics, string, error) {
-	r := s.pool.runnerFor(js.spec)
-	m, err := r.RunECtx(ctx, js.spec.job())
+	m, err := s.pool.runner.RunCell(ctx, js.spec.cell())
 	return m, "run", err
-}
-
-// runnerFor returns (creating on first use) the runner owning this
-// workload parameterization's caches.
-func (p *pool) runnerFor(sp RunSpec) *harness.Runner {
-	k := runnerKey{sp.Scale, sp.Seed}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if r, ok := p.runners[k]; ok {
-		return r
-	}
-	r := harness.NewRunner(sp.Scale)
-	r.Seed = sp.Seed
-	r.Store = p.s.cfg.Store
-	r.StoreReuse = true
-	r.Verbose = p.s.cfg.Verbose
-	if p.s.coal != nil {
-		// Write-behind: completed cells accumulate in the coalescer and hit
-		// the disk as batched commits instead of one fsync per simulation.
-		r.Persist = p.persist
-	}
-	if p.s.traces != nil {
-		// Span capture extends to the engine: executed runs carry a sim-level
-		// recorder, retained in a bounded LRU keyed by run id so /v1/spans
-		// can put the request span and its engine events on one timeline.
-		r.Trace = &trace.Options{RingSize: simTraceRing}
-		r.TraceSink = p.s.traces.put
-	}
-	p.runners[k] = r
-	return r
 }
 
 // simTraceRing sizes the per-run sim recorder rings under span capture:
@@ -254,7 +233,7 @@ func (p *pool) runnerFor(sp RunSpec) *harness.Runner {
 // tail of a serving-scale simulation.
 const simTraceRing = 1 << 12
 
-// persist is the runners' Persist hook: it hands a completed cell to the
+// persist is the runner's Persist hook: it hands a completed cell to the
 // coalescer and times the hand-off. The duration lands on the owning
 // jobState (resolved by store key — the run id), in the persist-stage
 // histogram via runTask's observeStages, and on the span timeline.
@@ -267,34 +246,6 @@ func (p *pool) persist(storeKey, desc string, m *stats.Metrics) error {
 	}
 	p.s.span(stagePersist, "", storeKey, uint64(d.Microseconds()), 0)
 	return err
-}
-
-// simulated and storeHits aggregate the runner instrumentation across every
-// workload parameterization.
-func (p *pool) simulated() int {
-	n := 0
-	for _, r := range p.snapshotRunners() {
-		n += r.Simulated()
-	}
-	return n
-}
-
-func (p *pool) storeHits() int {
-	n := 0
-	for _, r := range p.snapshotRunners() {
-		n += r.StoreHits()
-	}
-	return n
-}
-
-func (p *pool) snapshotRunners() []*harness.Runner {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rs := make([]*harness.Runner, 0, len(p.runners))
-	for _, r := range p.runners {
-		rs = append(rs, r)
-	}
-	return rs
 }
 
 // drain refuses new work, gives queued and in-flight runs until timeout to

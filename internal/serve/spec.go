@@ -131,31 +131,19 @@ func (sp *RunSpec) cacheKey() string {
 		sp.Protocol, sp.Benchmark, sp.Scale, sp.Seed, sp.Conc, sp.Cores, sp.CycleBudget)
 }
 
-// job translates the spec into the harness's cell identity.
-func (sp *RunSpec) job() harness.Job {
+// cell translates the spec into the harness cell it asks for; the cell's ID
+// is the request's run id.
+func (sp *RunSpec) cell() harness.Cell {
 	return harness.Job{
 		Proto:       gpu.Protocol(sp.Protocol),
 		Bench:       sp.Benchmark,
 		Conc:        sp.Conc,
 		Cores:       sp.Cores,
 		CycleBudget: sp.CycleBudget,
-	}
+	}.Cell(sp.Scale, sp.Seed)
 }
 
-// runID returns the request's public id. For an unbudgeted request this is
-// exactly the result's content address in the on-disk store, so the id stays
-// resolvable across server restarts (GET falls back to a store read). A
-// budgeted request gets a "-b<budget>" suffix: its truncated result is a
-// different artifact than the cell's complete one, but a complete stored
-// record still satisfies it, so the store fallback strips the suffix.
-func runID(storeKey string, sp RunSpec) string {
-	if sp.CycleBudget == 0 {
-		return storeKey
-	}
-	return storeKey + "-b" + strconv.FormatUint(sp.CycleBudget, 10)
-}
-
-// baseID strips a runID back to its store key.
+// baseID strips a run id back to its store key.
 func baseID(id string) string {
 	if i := strings.IndexByte(id, '-'); i >= 0 {
 		return id[:i]

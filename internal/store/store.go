@@ -28,7 +28,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -150,120 +149,54 @@ func (s *Store) Put(key, desc string, m *stats.Metrics) error {
 	if s.err != nil || m == nil {
 		return nil
 	}
-	if m.Truncated {
-		// A truncated snapshot persisted as a complete record would be served
-		// forever after as the cell's true result. Callers already skip
-		// truncated runs; this is the backstop that makes the invariant local.
-		return fmt.Errorf("store: refusing to persist truncated metrics for %s", key)
-	}
-	payload, err := json.Marshal(Record{Key: key, Desc: desc, Metrics: m})
+	data, err := encode(Record{Key: key, Desc: desc, Metrics: m})
 	if err != nil {
-		return fmt.Errorf("store: encode %s: %w", key, err)
+		return err
 	}
-	sum := sha256.Sum256(payload)
-	f, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := f.Name()
-	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "%s %d %s\n", magic, SchemaVersion, hex.EncodeToString(sum[:]))
-	w.Write(payload)
-	if err := w.Flush(); err == nil {
-		err = f.Sync()
-	} else {
-		f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: write %s: %w", key, err)
-	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: commit %s: %w", key, err)
-	}
-	return nil
+	return s.write(key, data)
 }
 
 // PutBatch persists a set of records as one batched commit: every record's
-// temp file is written first, then all are fsynced together, then all are
-// renamed into place, and finally the directory itself is synced so the
-// renames are durable. Each individual record keeps the Put crash-safety
-// contract (a reader only ever sees a complete, checksummed file); the batch
-// merely clusters the expensive syncs so a write-behind caller pays for them
-// once per flush instead of once per result. Records with nil metrics are
+// temp file is written first, then all are fsynced and renamed into place
+// back to back, and finally the directory itself is synced so the renames
+// are durable. Each individual record keeps the Put crash-safety contract (a
+// reader only ever sees a complete, checksummed file); the batch merely
+// clusters the expensive syncs so a write-behind caller pays for them once
+// per flush instead of once per result. Records with nil metrics are
 // skipped; truncated metrics are refused like Put refuses them. Failures are
 // per-record and joined — one bad record does not abort the rest.
 func (s *Store) PutBatch(recs []Record) error {
 	if s.err != nil || len(recs) == 0 {
 		return nil
 	}
-	type staged struct {
-		f   *os.File
-		tmp string
-		key string
-	}
 	var errs []error
-	fail := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf(format, args...))
-	}
-	stagedRecs := make([]staged, 0, len(recs))
-
-	// Phase 1: write every temp file (buffered, no sync yet).
+	pending := make([]staged, 0, len(recs))
 	for _, rec := range recs {
 		if rec.Metrics == nil {
 			continue
 		}
-		if rec.Metrics.Truncated {
-			fail("store: refusing to persist truncated metrics for %s", rec.Key)
-			continue
-		}
-		payload, err := json.Marshal(rec)
+		data, err := encode(rec)
 		if err != nil {
-			fail("store: encode %s: %w", rec.Key, err)
+			errs = append(errs, err)
 			continue
 		}
-		sum := sha256.Sum256(payload)
-		f, err := os.CreateTemp(s.dir, ".put-*")
+		st, err := s.stage(rec.Key, data)
 		if err != nil {
-			fail("store: %w", err)
+			errs = append(errs, err)
 			continue
 		}
-		w := bufio.NewWriter(f)
-		fmt.Fprintf(w, "%s %d %s\n", magic, SchemaVersion, hex.EncodeToString(sum[:]))
-		w.Write(payload)
-		if err := w.Flush(); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			fail("store: write %s: %w", rec.Key, err)
-			continue
-		}
-		stagedRecs = append(stagedRecs, staged{f: f, tmp: f.Name(), key: rec.Key})
+		pending = append(pending, st)
 	}
-
-	// Phase 2+3: sync all staged files back to back, then rename them into
-	// place. Issuing the syncs together lets the kernel coalesce the flushes.
+	// Issuing the syncs together lets the kernel coalesce the flushes.
 	committed := 0
-	for _, st := range stagedRecs {
-		err := st.f.Sync()
-		if cerr := st.f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(st.tmp, s.path(st.key))
-		}
-		if err != nil {
-			os.Remove(st.tmp)
-			fail("store: commit %s: %w", st.key, err)
+	for _, st := range pending {
+		if err := s.commit(st); err != nil {
+			errs = append(errs, err)
 			continue
 		}
 		committed++
 	}
-
-	// Phase 4: one directory sync makes every rename in the batch durable.
+	// One directory sync makes every rename in the batch durable.
 	if committed > 0 {
 		if d, err := os.Open(s.dir); err == nil {
 			d.Sync()
@@ -271,6 +204,73 @@ func (s *Store) PutBatch(recs []Record) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// encode renders one record file: a header line (magic, schema, and the hex
+// SHA-256 of the payload) followed by the JSON payload. It refuses truncated
+// metrics: a truncated snapshot persisted as a complete record would be
+// served forever after as the cell's true result. Callers already skip
+// truncated runs; this is the backstop that makes the invariant local.
+func encode(rec Record) ([]byte, error) {
+	if rec.Metrics.Truncated {
+		return nil, fmt.Errorf("store: refusing to persist truncated metrics for %s", rec.Key)
+	}
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("store: encode %s: %w", rec.Key, err)
+	}
+	sum := sha256.Sum256(payload)
+	header := fmt.Sprintf("%s %d %s\n", magic, SchemaVersion, hex.EncodeToString(sum[:]))
+	return append(append(make([]byte, 0, len(header)+len(payload)), header...), payload...), nil
+}
+
+// staged is a record file written to a temp file in the store directory,
+// not yet synced or visible under its key.
+type staged struct {
+	f   *os.File
+	key string
+}
+
+// write atomically commits encoded record bytes under key.
+func (s *Store) write(key string, data []byte) error {
+	st, err := s.stage(key, data)
+	if err != nil {
+		return err
+	}
+	return s.commit(st)
+}
+
+// stage writes data to a new temp file in the store directory. A failed
+// write removes the temp file.
+func (s *Store) stage(key string, data []byte) (staged, error) {
+	f, err := os.CreateTemp(s.dir, ".put-*")
+	if err != nil {
+		return staged{}, fmt.Errorf("store: %w", err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return staged{}, fmt.Errorf("store: write %s: %w", key, err)
+	}
+	return staged{f: f, key: key}, nil
+}
+
+// commit fsyncs and closes a staged file, then renames it into place under
+// its key — the step that makes the record visible, all at once. A failure
+// removes the temp file.
+func (s *Store) commit(st staged) error {
+	err := st.f.Sync()
+	if cerr := st.f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(st.f.Name(), s.path(st.key))
+	}
+	if err != nil {
+		os.Remove(st.f.Name())
+		return fmt.Errorf("store: commit %s: %w", st.key, err)
+	}
+	return nil
 }
 
 // SetFill installs a read-through fill source consulted when Get misses
@@ -312,7 +312,7 @@ func (s *Store) Get(key string) (*stats.Metrics, bool) {
 	// Write-through: commit the verified bytes locally with the same
 	// temp+fsync+rename discipline as Put, so the fill is paid once per node.
 	// A write failure is not a read failure — the record is already verified.
-	s.putRaw(key, raw)
+	s.write(key, raw)
 	return rec.Metrics, true
 }
 
@@ -332,36 +332,6 @@ func (s *Store) ReadRaw(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return data, true
-}
-
-// putRaw atomically commits pre-encoded record bytes (already verified by
-// decode) under key, with the same temp-file + fsync + rename discipline as
-// Put.
-func (s *Store) putRaw(key string, data []byte) error {
-	if s.err != nil {
-		return nil
-	}
-	f, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: write %s: %w", key, err)
-	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: commit %s: %w", key, err)
-	}
-	return nil
 }
 
 // validKey reports whether key looks like a content address (lowercase hex,
