@@ -104,20 +104,27 @@ obs-gate:
 # spec, CLI flag — must give one store key; the four paper protocols must
 # stay bit-identical as presets (golden fingerprints, golden store
 # addresses); every point, and fglock, must give the same metrics on
-# recycled machine arrays as on fresh ones; unknown protocols and invalid
-# combinations must be rejected on all three surfaces (API errors.Is, CLI
-# exit 2, serve 400), never with a panic; benchdiff -policy must find a
-# point's cells in both store description forms; and the assembled
+# recycled machine arrays as on fresh ones; unknown protocols, invalid
+# combinations and machines outside gpu.Config.Validate's domain (and
+# unknown benchmarks and bad scales, through harness.Cell.Validate) must be
+# rejected on all three surfaces (API errors.Is, CLI exit 2, serve 400),
+# never with a panic; every paper machine must validate, and GETM must
+# complete its coarse-granule regression cells; benchdiff -policy must find
+# a point's cells in both store description forms; and the assembled
 # lifecycle engine must stay race-clean.
 policy-gate:
 	$(GO) test -short ./internal/policy/
 	$(GO) test -race -run 'TestPresetFingerprints|TestNonPresetPointsRun' ./internal/policy/
 	$(GO) test -run 'TestKeyStabilityAcrossPolicyRedesign|TestKeyNonPresetPolicies' ./internal/store/
-	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip|TestFreshVsRecycledIdentical' ./internal/gpu/
-	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity|TestProtocolIdentityAcrossEdges' .
-	$(GO) test -run 'TestPolicyFlag|TestPolicyPresetSharesStoreRecord|TestUnknownProtoFlag' ./cmd/getm-sim/
-	$(GO) test -run 'TestPolicyGrid|TestPolicyFlagErrors' ./cmd/getm-sweep/
-	$(GO) test -run 'TestSubmitPolicy|TestPolicyMetricsLabel' ./internal/serve/
+	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip|TestFreshVsRecycledIdentical|TestConfigValidate|TestRunRejectsInvalidConfig|TestShardsRejected|TestCoarseGranuleCellsComplete' ./internal/gpu/
+	$(GO) test -run 'TestVUOwnRequestsWokenOnHandoff' ./internal/core/
+	$(GO) test -run 'TestCellValidate' ./internal/harness/
+	$(GO) test -run 'TestUnknownBenchmark|TestBuildRejectsBadScale' ./internal/workloads/
+	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity|TestProtocolIdentityAcrossEdges|TestTypedErrors|TestRunRejectsBadScale|TestRunInvalidConfig|TestRunExperimentInvalidScale' .
+	$(GO) test -run 'TestPolicyFlag|TestPolicyPresetSharesStoreRecord|TestUnknownProtoFlag|TestInvalidCellFlags' ./cmd/getm-sim/
+	$(GO) test -run 'TestPolicyGrid|TestPolicyFlagErrors|TestInvalidKnobValues' ./cmd/getm-sweep/
+	$(GO) test -run 'TestInvalidScale' ./cmd/getm-bench/
+	$(GO) test -run 'TestSubmitPolicy|TestPolicyMetricsLabel|TestAdmissionParity' ./internal/serve/
 	$(GO) test -run 'TestMatchesPolicy|TestParseStoreDirPolicy' ./cmd/benchdiff/
 
 # Cluster gate: the distributed sweep fabric under the race detector — an

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"getm/internal/area"
@@ -30,7 +31,8 @@ func Protocols() []string {
 // Benchmarks lists the TM workloads from the paper's Table III.
 func Benchmarks() []string { return workloads.Names() }
 
-// Options configures one simulation run.
+// Options configures one simulation run. A field outside its stated range
+// is an error matching ErrInvalidConfig, before anything simulates.
 //
 // Two fields use the zero value as a "default, please" sentinel rather than
 // a literal setting: Scale == 0 is normalized to 1.0 (full reproduction
@@ -51,18 +53,22 @@ type Options struct {
 	Policy Policy
 	// Benchmark is one of Benchmarks() (default "atm").
 	Benchmark string
-	// Concurrency limits transactional warps per core; 0 means unlimited.
+	// Concurrency limits transactional warps per core: 0 means unlimited,
+	// and 1 to 48 (a core's warps) caps them.
 	Concurrency int
-	// Cores selects the machine: 15 (default, the paper's GTX480-like
-	// setup) or 56 (the scalability configuration).
+	// Cores selects the machine: 0 or 15 is the paper's GTX480-like setup,
+	// 56 the scalability configuration, and any other count from 1 to 56 the
+	// GTX480-like setup with that many cores.
 	Cores int
 	// Scale multiplies workload sizes. 0 is a sentinel for the default 1.0;
-	// any other scale that is not finite and positive is an error.
+	// any other scale must be finite and positive.
 	Scale float64
 	// Seed drives workload generation. 0 is a sentinel for the default 42.
 	Seed uint64
 	// MetadataEntries and GranularityBytes override GETM's metadata table
-	// (0 = paper defaults: 4096 entries, 32-byte granules).
+	// (0 = paper defaults: 4096 entries, 32-byte granules). Entries range
+	// from 24 (32 at 56 cores) to 65536; a granule is a power of two from 8
+	// to 4096 bytes.
 	MetadataEntries  int
 	GranularityBytes int
 }
@@ -100,32 +106,15 @@ func (o Options) job() harness.Job {
 	}
 }
 
-// validate checks the enumerable fields up front so bad options fail with
-// the typed sentinels before any simulation work.
+// validate checks the protocol fields up front so bad options fail with
+// the typed sentinels before any simulation work; the cell checks the rest.
 func (o Options) validate() error {
 	if !o.Policy.IsZero() {
 		if err := o.Policy.Validate(); err != nil {
 			return err
 		}
-	} else {
-		okProto := false
-		for _, p := range Protocols() {
-			if o.Protocol == p {
-				okProto = true
-			}
-		}
-		if !okProto {
-			return fmt.Errorf("%w %q (want one of %v)", ErrUnknownProtocol, o.Protocol, Protocols())
-		}
-	}
-	okBench := false
-	for _, b := range Benchmarks() {
-		if o.Benchmark == b {
-			okBench = true
-		}
-	}
-	if !okBench {
-		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownBenchmark, o.Benchmark, Benchmarks())
+	} else if !slices.Contains(Protocols(), o.Protocol) {
+		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownProtocol, o.Protocol, Protocols())
 	}
 	return nil
 }
@@ -195,7 +184,11 @@ func RunContext(ctx context.Context, o Options) (Metrics, error) {
 	if err := o.validate(); err != nil {
 		return Metrics{}, err
 	}
-	m, err := harness.NewRunner(o.Scale).RunCell(ctx, o.job().Cell(o.Scale, o.Seed))
+	cell := o.job().Cell(o.Scale, o.Seed)
+	if err := cell.Validate(); err != nil {
+		return Metrics{}, fmt.Errorf("getm: %w", err)
+	}
+	m, err := harness.NewRunner(o.Scale).RunCell(ctx, cell)
 	if m == nil {
 		return Metrics{}, err
 	}
@@ -245,9 +238,8 @@ func Experiments() []Experiment {
 }
 
 // RunExperiment regenerates one of the paper's figures or tables at the
-// given workload scale (1.0 = full; non-positive values mean 1.0) and
-// returns the rendered report. It is the context-free wrapper around
-// RunExperimentContext.
+// given workload scale (1.0 = full, as is 0) and returns the rendered
+// report. It is the context-free wrapper around RunExperimentContext.
 func RunExperiment(id string, scale float64) (string, error) {
 	return RunExperimentContext(context.Background(), id, WithScale(scale))
 }

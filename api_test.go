@@ -1,6 +1,7 @@
 package getm
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -28,12 +29,13 @@ func TestRunRejectsUnknownBenchmark(t *testing.T) {
 	}
 }
 
-// A scale that is not finite and positive is an error, not the full-scale
-// (or minimum-size) run it used to fall back to. 0 stays the default 1.0.
+// A scale that is not finite and positive is an error matching
+// ErrInvalidConfig, not the full-scale (or minimum-size) run it used to fall
+// back to. 0 stays the default 1.0.
 func TestRunRejectsBadScale(t *testing.T) {
 	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if m, err := Run(Options{Benchmark: "ht-h", Scale: scale}); err == nil || m.TotalCycles != 0 {
-			t.Errorf("scale %v: ran %d cycles (err %v), want an error", scale, m.TotalCycles, err)
+		if m, err := Run(Options{Benchmark: "ht-h", Scale: scale}); !errors.Is(err, ErrInvalidConfig) || m.TotalCycles != 0 {
+			t.Errorf("scale %v: ran %d cycles (err %v), want ErrInvalidConfig", scale, m.TotalCycles, err)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"getm/internal/harness"
 	"getm/internal/store"
+	"getm/internal/workloads"
 )
 
 // expConfig collects the functional options for RunExperimentContext.
@@ -27,14 +28,11 @@ type expConfig struct {
 // Option configures RunExperimentContext.
 type Option func(*expConfig)
 
-// WithScale sets the workload scale (1.0 = full reproduction scale).
-// Non-positive values mean 1.0.
+// WithScale sets the workload scale (1.0 = full reproduction scale, as is
+// 0). Any other scale must be finite and positive, or RunExperimentContext
+// returns an error matching ErrInvalidConfig.
 func WithScale(s float64) Option {
-	return func(c *expConfig) {
-		if s > 0 {
-			c.scale = s
-		}
-	}
+	return func(c *expConfig) { c.scale = s }
 }
 
 // WithWorkers precomputes the experiment grid on n parallel workers before
@@ -89,11 +87,14 @@ func WithPolicy(p Policy) Option {
 // (see Experiments) and returns the rendered report, honouring ctx: a cancel
 // or deadline stops in-flight simulations within one chunk of simulated
 // cycles and returns an error matching ErrCanceled. Unknown ids return an
-// error matching ErrUnknownExperiment.
+// error matching ErrUnknownExperiment, a bad scale ErrInvalidConfig.
 func RunExperimentContext(ctx context.Context, id string, opts ...Option) (string, error) {
-	c := expConfig{scale: 1}
+	var c expConfig
 	for _, o := range opts {
 		o(&c)
+	}
+	if c.scale == 0 {
+		c.scale = 1
 	}
 
 	e, ok := harness.ByID(id)
@@ -104,6 +105,9 @@ func RunExperimentContext(ctx context.Context, id string, opts ...Option) (strin
 		if err := c.policy.Validate(); err != nil {
 			return "", fmt.Errorf("getm: experiment %s: %w", id, err)
 		}
+	}
+	if err := (workloads.Params{Scale: c.scale}).Validate(); err != nil {
+		return "", fmt.Errorf("getm: experiment %s: %w", id, err)
 	}
 	if c.shards > 0 {
 		return "", fmt.Errorf("getm: experiment %s: WithShards(%d): the sharded engine was removed, so only n <= 0 is accepted", id, c.shards)

@@ -6,6 +6,7 @@ package getm_test
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -172,5 +173,45 @@ func TestWithShardsRejected(t *testing.T) {
 	}
 	if got != want {
 		t.Fatal("WithShards(0) changed the report")
+	}
+}
+
+// Every machine option outside its documented range is an error matching
+// ErrInvalidConfig, returned before anything simulates; none falls back to
+// the default machine (TestRunRejectsBadScale covers Scale).
+func TestRunInvalidConfig(t *testing.T) {
+	base := getm.Options{Benchmark: "ht-h", Scale: 0.05}
+	for name, set := range map[string]func(*getm.Options){
+		"concurrency -1":      func(o *getm.Options) { o.Concurrency = -1 },
+		"concurrency 49":      func(o *getm.Options) { o.Concurrency = 49 },
+		"cores -1":            func(o *getm.Options) { o.Cores = -1 },
+		"cores 57":            func(o *getm.Options) { o.Cores = 57 },
+		"granularity -8":      func(o *getm.Options) { o.GranularityBytes = -8 },
+		"granularity 3":       func(o *getm.Options) { o.GranularityBytes = 3 },
+		"granularity 8192":    func(o *getm.Options) { o.GranularityBytes = 8192 },
+		"metadata entries -1": func(o *getm.Options) { o.MetadataEntries = -1 },
+		"metadata entries 1":  func(o *getm.Options) { o.MetadataEntries = 1 },
+		"metadata entries 3":  func(o *getm.Options) { o.MetadataEntries = 3 },
+	} {
+		o := base
+		set(&o)
+		m, err := getm.Run(o)
+		if !errors.Is(err, getm.ErrInvalidConfig) || m.TotalCycles != 0 {
+			t.Errorf("%s: ran %d cycles, err = %v; want ErrInvalidConfig", name, m.TotalCycles, err)
+		}
+	}
+}
+
+// A scale that is not finite and positive is an error matching
+// ErrInvalidConfig, not a full-scale experiment; 0 stays the default 1.0.
+func TestRunExperimentInvalidScale(t *testing.T) {
+	for _, s := range []float64{-1, math.NaN(), math.Inf(1)} {
+		out, err := getm.RunExperimentContext(context.Background(), "fig3", getm.WithScale(s))
+		if !errors.Is(err, getm.ErrInvalidConfig) || out != "" {
+			t.Errorf("WithScale(%v): err = %v, %d bytes of report; want ErrInvalidConfig", s, err, len(out))
+		}
+	}
+	if _, err := getm.RunExperiment("fig3", -1); !errors.Is(err, getm.ErrInvalidConfig) {
+		t.Errorf("RunExperiment at scale -1: err = %v, want ErrInvalidConfig", err)
 	}
 }

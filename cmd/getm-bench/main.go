@@ -52,6 +52,7 @@ import (
 	"getm/internal/report"
 	"getm/internal/store"
 	"getm/internal/trace"
+	"getm/internal/workloads"
 )
 
 func main() {
@@ -100,6 +101,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
 		return 0
+	}
+	if err := (workloads.Params{Scale: *scale}).Validate(); err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 2
 	}
 
 	if *cpuprofile != "" {

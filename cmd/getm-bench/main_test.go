@@ -115,3 +115,21 @@ func TestListOnStdout(t *testing.T) {
 		t.Errorf("-list wrote to stderr: %s", stderr.String())
 	}
 }
+
+// A scale that is not finite and positive is a usage error: exit 2, one
+// "error:" line and nothing on stdout, not a report of n/a cells.
+func TestInvalidScale(t *testing.T) {
+	for _, s := range []string{"-1", "0", "NaN", "+Inf"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-scale", s, "fig3"}, &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("-scale %s exited %d, want 2 (stderr: %s)", s, code, stderr.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "error: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("-scale %s: want one error line, got:\n%s", s, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-scale %s wrote to stdout:\n%s", s, stdout.String())
+		}
+	}
+}

@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policyFlag := fs.String("policy", "", "protocol-matrix point: a preset name or an axis list like vm=eager,cd=eager,res=timestamp (overrides -proto)")
 	conc := fs.Int("conc", 0, "max concurrent tx warps per core (0 = unlimited)")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
-	cores := fs.Int("cores", 15, "SIMT core count (15 or 56 for the paper's configs)")
+	cores := fs.Int("cores", 15, "SIMT core count, 1-56 (15 or 56 for the paper's configs)")
 	seed := fs.Uint64("seed", 42, "workload seed")
 	verbose := fs.Bool("verbose", false, "print extra counters")
 	traceFile := fs.String("trace", "", "write a machine trace to this file")
@@ -70,10 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// -policy overrides -proto: a preset behaves exactly like naming the
-	// protocol (same config, same store key). An invalid point or an unknown
-	// protocol is a usage error, like any other bad flag value. label is the
-	// protocol as the header and the store description print it: a
-	// non-preset point as its bare axis tuple.
+	// protocol (same config, same store key). An invalid point or cell is a
+	// usage error, like any other bad flag value. label is the protocol as
+	// the header and the store description print it: a non-preset point as
+	// its bare axis tuple.
 	protocol, label := gpu.Protocol(*proto), *proto
 	if *policyFlag != "" {
 		p, err := policy.Parse(*policyFlag)
@@ -83,14 +83,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		protocol, label = gpu.ProtocolOf(p), p.String()
 	}
-	if _, err := protocol.Resolve(); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 2
-	}
 
 	// The record's description is the point as the header prints it.
 	cell := harness.Job{Proto: protocol, Bench: *bench, Conc: *conc, Cores: *cores}.Cell(*scale, *seed)
 	cell.Desc = label + "/" + *bench
+	if err := cell.Validate(); err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 2
+	}
 
 	r := harness.NewRunner(*scale) // the cell carries its own scale and seed
 	var rec *trace.Recorder

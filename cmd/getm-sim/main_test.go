@@ -381,3 +381,29 @@ func TestUnknownProtoFlag(t *testing.T) {
 		}
 	}
 }
+
+// A cell outside the accepted domain is a usage error: exit 2, one "error:"
+// line and nothing on stdout, before anything simulates. None of these runs
+// the default machine or scale instead.
+func TestInvalidCellFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-conc", "-1"},
+		{"-conc", "49"},
+		{"-cores", "-5"},
+		{"-cores", "57"},
+		{"-scale", "-1"},
+		{"-bench", "nosuch"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-bench", "ht-h"}, args...), &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("%v exited %d, want 2 (stderr: %s)", args, code, stderr.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "error: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: want one error line, got:\n%s", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote to stdout:\n%s", args, stdout.String())
+		}
+	}
+}

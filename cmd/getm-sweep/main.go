@@ -12,7 +12,8 @@
 // meta (GETM precise metadata entries), stall (GETM stall-buffer lines),
 // backoff (retry backoff cap, cycles), inflight (WarpTM commit pipelining
 // depth), cores (SIMT core count; 56 selects the paper's scaled machine, as
-// in getm-sim and getm-serve).
+// in getm-sim and getm-serve). Cores beyond those the kernel's warps fill
+// do nothing: at scale 0.1 every benchmark but cc runs on core 0 alone.
 //
 // Sweep points are independent deterministic simulations, so -workers N runs
 // them in parallel; the table is assembled in value order either way, and a
@@ -78,8 +79,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	proto := fs.String("proto", "getm", "protocol: getm, warptm, warptm-el, eapg, fglock")
 	policyFlag := fs.String("policy", "", "protocol-matrix point: a preset name or an axis list like vm=eager,cd=eager,res=timestamp (overrides -proto)")
 	policyGrid := fs.Bool("policy-grid", false, "sweep the full policy matrix instead of a knob: every valid point on each -bench workload")
-	knob := fs.String("knob", "conc", "parameter to sweep: conc, gran, meta, stall, backoff, inflight, cores (56 = the paper's scaled machine)")
-	values := fs.String("values", "1,2,4,8,16", "comma-separated knob values")
+	knob := fs.String("knob", "conc", "parameter to sweep: conc, gran, meta, stall, backoff, inflight, cores (56 = the paper's scaled machine; cores the kernel's warps do not fill stay idle: at scale 0.1 all benchmarks but cc run on core 0)")
+	values := fs.String("values", "1,2,4,8,16", "comma-separated non-negative knob values")
 	scale := fs.Float64("scale", 1.0, "workload scale")
 	seed := fs.Uint64("seed", 42, "workload seed")
 	conc := fs.Int("conc", 8, "tx warps/core when not the swept knob")
@@ -111,10 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		protocol, label = gpu.ProtocolOf(p), p.String()
 	}
-	if _, err := protocol.Resolve(); err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 2
-	}
 	ex := execOpts{workers: *workers, storeDir: *storeDir, resume: *resume, timeout: *timeout, server: *server}
 	if *policyGrid {
 		if *policyFlag != "" {
@@ -141,9 +138,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var vals []int
 	for _, s := range strings.Split(*values, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			fmt.Fprintf(stderr, "bad value %q: %v\n", s, err)
-			return 1
+		if err != nil || v < 0 {
+			fmt.Fprintf(stderr, "error: bad value %q: want a non-negative integer\n", s)
+			return 2
 		}
 		vals = append(vals, v)
 	}
@@ -181,9 +178,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			spec: serverSweepSpec(*proto, *policyFlag, *bench, *scale, *seed, *conc, *knob, v),
 		}
 	}
-	metrics := runPoints(points, ex, stderr)
+	metrics, code := runPoints(points, ex, stderr)
 	if metrics == nil {
-		return 1
+		return code
 	}
 
 	tab := report.NewTable("sweep",
@@ -233,9 +230,16 @@ type point struct {
 // otherwise one harness.Runner simulates them, deduplicated by cell and
 // sharing one kernel per bench, and with -store persists each point and
 // reuses the points an earlier (possibly killed) invocation stored. A
-// failure prints the first failing point, in order, to stderr and returns
-// nil: a table only ever holds complete runs.
-func runPoints(points []point, o execOpts, stderr io.Writer) []*stats.Metrics {
+// failure prints the first failing point to stderr and returns nil with the
+// exit code: 2 if harness.Cell.Validate rejects a point (then none runs),
+// else 1, as a table only ever holds complete runs.
+func runPoints(points []point, o execOpts, stderr io.Writer) ([]*stats.Metrics, int) {
+	for _, p := range points {
+		if err := p.cell.Validate(); err != nil {
+			fmt.Fprintf(stderr, "error: %s: %v\n", p.name, err)
+			return nil, 2
+		}
+	}
 	ctx := context.Background()
 	if o.timeout > 0 {
 		var cancel context.CancelFunc
@@ -300,10 +304,10 @@ func runPoints(points []point, o execOpts, stderr io.Writer) []*stats.Metrics {
 	for i, p := range points {
 		if errs[i] != nil {
 			fmt.Fprintf(stderr, "error at %s: %v\n", p.name, errs[i])
-			return nil
+			return nil, 1
 		}
 	}
-	return metrics
+	return metrics, 0
 }
 
 // runPolicyGrid sweeps the full protocol policy matrix: every implementable
@@ -326,9 +330,9 @@ func runPolicyGrid(stdout, stderr io.Writer, benches []string, scale float64, se
 			})
 		}
 	}
-	metrics := runPoints(points, ex, stderr)
+	metrics, code := runPoints(points, ex, stderr)
 	if metrics == nil {
-		return 1
+		return code
 	}
 
 	tab := report.NewTable("policy-grid",

@@ -206,3 +206,37 @@ func TestPolicyPointLabels(t *testing.T) {
 		t.Errorf("record desc %q, want %q", recs[0].Desc, want)
 	}
 }
+
+// A knob value that is negative, or that puts a point's cell outside the
+// accepted domain, is a usage error: exit 2, one "error:" line and nothing
+// on stdout, before any point runs — never a panic on a worker goroutine,
+// never a row labelled with a wrapped uint64.
+func TestInvalidKnobValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-knob", "gran", "-values", "0"},
+		{"-knob", "gran", "-values", "32,3"},
+		{"-knob", "conc", "-values", "-3"},
+		{"-knob", "conc", "-values", "49"},
+		{"-knob", "backoff", "-values", "-1"},
+		{"-knob", "stall", "-values", "-1"},
+		{"-knob", "meta", "-values", "1"},
+		{"-knob", "cores", "-values", "57"},
+		{"-knob", "conc", "-values", "x"},
+		{"-proto", "warptm", "-knob", "inflight", "-values", "0"},
+		{"-bench", "nosuch", "-values", "1"},
+		{"-policy-grid", "-bench", "ht-h,nosuch"},
+		{"-scale", "-1", "-values", "1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-bench", "ht-h", "-scale", "0.05"}, args...), &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("%v exited %d, want 2 (stderr: %s)", args, code, stderr.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "error: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: want one error line, got:\n%s", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote to stdout:\n%s", args, stdout.String())
+		}
+	}
+}

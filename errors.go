@@ -5,6 +5,7 @@ import (
 
 	"getm/internal/gpu"
 	"getm/internal/policy"
+	"getm/internal/workloads"
 )
 
 // Typed errors for the public API, usable with errors.Is. The v2 surface
@@ -14,7 +15,9 @@ var (
 	// ErrUnknownProtocol reports an Options.Protocol outside Protocols().
 	ErrUnknownProtocol = errors.New("getm: unknown protocol")
 	// ErrUnknownBenchmark reports an Options.Benchmark outside Benchmarks().
-	ErrUnknownBenchmark = errors.New("getm: unknown benchmark")
+	ErrUnknownBenchmark = workloads.ErrUnknownBenchmark
+	// ErrInvalidConfig reports an Options field or WithScale out of range.
+	ErrInvalidConfig = gpu.ErrInvalidConfig
 	// ErrUnknownExperiment reports an experiment id outside Experiments().
 	ErrUnknownExperiment = errors.New("getm: unknown experiment")
 	// ErrInvalidPolicy reports a Policy combination outside Policies(): an

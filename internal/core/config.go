@@ -48,8 +48,8 @@ type Config struct {
 	// OverflowPenalty is the extra access latency (cycles) when the precise
 	// table spills to the in-memory overflow list.
 	OverflowPenalty sim.Cycle
-	// BackoffBase and BackoffCap configure the probabilistically increasing
-	// retry backoff for aborted transactions (cycles).
+	// BackoffBase and BackoffCap are read by no code: GETM backs off by
+	// simt.Config's (64–8192 cycles). They stay because store.Key hashes them.
 	BackoffBase uint64
 	BackoffCap  uint64
 

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // StallBuffer queues transactional accesses that passed the timestamp check
 // but found their granule write-reserved by an older transaction (Fig 9).
 // It tracks a small number of address lines, each holding several requests
@@ -86,18 +88,11 @@ func (b *StallBuffer) Enqueue(r *StalledReq) bool {
 // Release pops the oldest (minimum warpts) request waiting on granule, if
 // any. The caller re-enters it into the validation unit.
 func (b *StallBuffer) Release(granule uint64) *StalledReq {
-	q := b.byGranule[granule]
-	if len(q) == 0 {
+	r := b.oldest(granule)
+	if r == nil {
 		return nil
 	}
-	oldest := 0
-	for i := 1; i < len(q); i++ {
-		if q[i].Warpts < q[oldest].Warpts {
-			oldest = i
-		}
-	}
-	r := q[oldest]
-	q = append(q[:oldest], q[oldest+1:]...)
+	q := slices.DeleteFunc(b.byGranule[granule], func(x *StalledReq) bool { return x == r })
 	if len(q) == 0 {
 		delete(b.byGranule, granule)
 	} else {
@@ -108,6 +103,17 @@ func (b *StallBuffer) Release(granule uint64) *StalledReq {
 		b.tracker.dec()
 	}
 	return r
+}
+
+// oldest returns granule's first minimum-warpts waiter, or nil.
+func (b *StallBuffer) oldest(granule uint64) *StalledReq {
+	var o *StalledReq
+	for _, r := range b.byGranule[granule] {
+		if o == nil || r.Warpts < o.Warpts {
+			o = r
+		}
+	}
+	return o
 }
 
 // DrainAll removes and returns every queued request (rollover flush).

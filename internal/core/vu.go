@@ -226,6 +226,16 @@ func (v *VU) wakeNext(granule uint64) {
 	}
 }
 
+// wakeOlder retries every request stalled on granule whose warpts is below
+// its new reservation's wts: the new owner's own requests, which pass by
+// owner bypass, and older ones, which abort. Left queued behind the new
+// owner they would break queue's invariant (DESIGN.md §4).
+func (v *VU) wakeOlder(granule, wts uint64) {
+	for r := v.Stall.oldest(granule); r != nil && r.Warpts < wts; r = v.Stall.oldest(granule) {
+		v.wakeNext(granule)
+	}
+}
+
 // processLoad: owner check ①, timestamp check ③, lock check ⑤ (Fig 6 left).
 func (v *VU) processLoad(op *vuOp, e *Entry, metaCycles sim.Cycle) {
 	req := op.req
@@ -301,6 +311,7 @@ func (v *VU) processStore(op *vuOp, e *Entry, metaCycles sim.Cycle) {
 		v.traceOutcome(req, trace.VUSuccess, tm.CauseNone, e)
 		op.rep = Reply{Status: StatusSuccess}
 		v.eng.Schedule(metaCycles, op.replyFn)
+		v.wakeOlder(e.Granule, e.WTS)
 	default:
 		// ④ Abort (WAW or RAW): written or observed by a later transaction.
 		v.AbortsWAWRAW++
@@ -312,7 +323,8 @@ func (v *VU) processStore(op *vuOp, e *Entry, metaCycles sim.Cycle) {
 
 // queue places a request in the stall buffer (aborting it if full). The
 // request must be logically younger than the reservation owner — the
-// invariant that makes the wait-for graph acyclic (see DESIGN.md).
+// invariant that makes the wait-for graph acyclic; wakeOlder keeps it true
+// when the reservation changes hands (DESIGN.md §4, stall-buffer wake-up).
 func (v *VU) queue(op *vuOp, e *Entry, metaCycles sim.Cycle) {
 	req := op.req
 	if req.Warpts+1 < e.WTS {

@@ -320,3 +320,34 @@ func TestVUServiceRateSerializes(t *testing.T) {
 		t.Fatalf("ended at %d, service rate not enforced", end)
 	}
 }
+
+// A reservation that changes hands must not leave the new owner's own
+// requests queued behind it: warp 2 queues two stores to one granule behind
+// warp 1; when warp 1 commits, the first store takes the reservation and the
+// second, which waited on the old owner, must pass by owner bypass instead
+// of waiting on its own warp forever.
+func TestVUOwnRequestsWokenOnHandoff(t *testing.T) {
+	h := newVUHarness()
+	h.run(t, 1, 10, 0x100, true) // warp 1 reserves (wts 11)
+	var r1, r2 *Reply
+	h.submitAsync(2, 15, 0x100, true, func(r Reply) { r1 = &r })
+	h.submitAsync(2, 15, 0x108, true, func(r Reply) { r2 = &r }) // same 32 B granule
+	h.eng.Run(0)
+	if r1 != nil || r2 != nil || h.vu.Stall.Occupancy() != 2 {
+		t.Fatalf("both younger stores should queue: r1=%+v r2=%+v", r1, r2)
+	}
+	h.eng.Schedule(0, func() {
+		h.cu.Submit([]CommitEntry{{Addr: 0x100, Data: 1, Writes: 1, Commit: true}}, nil)
+	})
+	h.eng.Run(0)
+	if r1 == nil || r1.Status != StatusSuccess {
+		t.Fatalf("first store = %+v, want success", r1)
+	}
+	if r2 == nil || r2.Status != StatusSuccess {
+		t.Fatalf("second store = %+v, want success by owner bypass after warp 1 commits", r2)
+	}
+	e, _, _ := h.vu.Meta.Lookup(h.vu.cfg.GranuleOf(0x100))
+	if e.Owner != 2 || e.Writes != 2 || h.vu.Stall.Occupancy() != 0 {
+		t.Fatalf("entry after handoff = %+v, %d still queued", e, h.vu.Stall.Occupancy())
+	}
+}

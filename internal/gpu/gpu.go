@@ -127,8 +127,7 @@ type Config struct {
 	// emission — nothing is allocated.
 	Trace *trace.Options
 	// Shards is kept only so existing callers compile and store keys keep
-	// their JSON: 0 is the only accepted value, and RunContext returns an
-	// error for any other.
+	// their JSON: 0 is the only value Validate accepts.
 	//
 	// Deprecated: the sharded engine was removed; every run is serial.
 	Shards int
@@ -168,6 +167,52 @@ func ScaledConfig(p Protocol) Config {
 	cfg.WarpTM.TCDEntries *= 2
 	cfg.GETM.PreciseEntries *= 2
 	return cfg
+}
+
+// ErrInvalidConfig is wrapped by the error Validate (and so every run)
+// returns for a machine outside the accepted domain.
+var ErrInvalidConfig = errors.New("invalid config")
+
+// Validate reports whether the model runs this machine: Resolve's error for
+// the Protocol, or ErrInvalidConfig for a field an edge (the API, the CLIs,
+// getm-serve) can set outside its range (fields only tests set have none):
+//   - Cores 1–56: 56 is the paper's largest machine (Fig 17).
+//   - Core.MaxTxWarps 0 to Core.WarpsPerCore: a larger cap runs as 0.
+//   - GETM.GranularityBytes a power of two, 8 (one word) to 4096: 0 divides
+//     by zero in GranuleOf, 3 splits words, 4096 is the regression cells'.
+//   - GETM.PreciseEntries Partitions × CuckooWays to 65536: below the floor
+//     every way still gets one slot (one machine, several addresses); the
+//     ceiling, 8× Fig 14a's largest, bounds what a caller can allocate.
+//   - GETM.StallLines ≥ 0: a negative count runs as 0 (no stall buffer).
+//   - WarpTM.MaxInFlight ≥ 1: at 0 WarpTM never commits.
+//   - Shards 0: the sharded engine was removed.
+//
+// Validate reads c and never rewrites it, so no store address moves.
+func (c Config) Validate() error {
+	if _, err := c.Protocol.Resolve(); err != nil {
+		return err
+	}
+	var err error
+	g, minEntries := c.GETM.GranularityBytes, c.Partitions*c.GETM.CuckooWays
+	switch {
+	case c.Cores < 1 || c.Cores > 56:
+		err = fmt.Errorf("Cores %d out of range [1, 56]", c.Cores)
+	case c.Core.MaxTxWarps < 0 || c.Core.MaxTxWarps > c.Core.WarpsPerCore:
+		err = fmt.Errorf("Core.MaxTxWarps %d out of range [0, %d] (0 = unlimited)", c.Core.MaxTxWarps, c.Core.WarpsPerCore)
+	case g < 8 || g > 4096 || g&(g-1) != 0:
+		err = fmt.Errorf("GETM.GranularityBytes %d is not a power of two in [8, 4096]", g)
+	case c.GETM.PreciseEntries < minEntries || c.GETM.PreciseEntries > 65536:
+		err = fmt.Errorf("GETM.PreciseEntries %d out of range [%d, 65536]", c.GETM.PreciseEntries, minEntries)
+	case c.GETM.StallLines < 0:
+		err = fmt.Errorf("GETM.StallLines %d must be >= 0", c.GETM.StallLines)
+	case c.WarpTM.MaxInFlight < 1:
+		err = fmt.Errorf("WarpTM.MaxInFlight %d must be >= 1", c.WarpTM.MaxInFlight)
+	case c.Shards != 0:
+		err = fmt.Errorf("Shards %d: the sharded engine was removed, so only 0 is accepted", c.Shards)
+	default:
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
 }
 
 // Kernel is a runnable workload: one program per warp's worth of threads,
@@ -227,21 +272,18 @@ func Run(cfg Config, k *Kernel) (*Result, error) {
 // partial metrics tagged Truncated alongside an error wrapping ErrCanceled.
 // Chunked stepping is cycle-identical to an unchunked run, so passing a
 // cancellable context that never fires changes nothing about the result.
-// An unresolvable Config.Protocol is an error wrapping ErrUnknownProtocol.
+// A machine Validate rejects is its error, before anything simulates.
 func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
+	}
 	if len(k.Programs) == 0 {
 		return nil, fmt.Errorf("gpu: kernel %q has no programs", k.Name)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, errors.Join(ErrCanceled, err))
 	}
-	if cfg.Shards != 0 {
-		return nil, fmt.Errorf("gpu: kernel %q: Shards is %d, but the sharded engine was removed; only 0 is accepted", k.Name, cfg.Shards)
-	}
-	pol, err := cfg.Protocol.Resolve()
-	if err != nil {
-		return nil, fmt.Errorf("gpu: kernel %q: %w", k.Name, err)
-	}
+	pol, _ := cfg.Protocol.Resolve() // Validate resolved it
 	img := mem.NewImage()
 	if k.Init != nil {
 		k.Init(img)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"getm/internal/gpu"
+	"getm/internal/workloads"
 )
 
 // A kernel that cannot be built is the job's error, on a single run and in
@@ -110,5 +111,32 @@ func TestKernelTableBuildsOncePerBatch(t *testing.T) {
 	}
 	if len(kt.entries) != 0 {
 		t.Errorf("%d entries left after the batch", len(kt.entries))
+	}
+}
+
+// Cell.Validate is the one check of whether a cell can run: the benchmark
+// and scale as workloads.Validate checks them, the machine as
+// gpu.Config.Validate does. Job.Config sets a nonzero override as given, so
+// a negative one reaches the machine check instead of running the default.
+func TestCellValidate(t *testing.T) {
+	if err := (Job{Proto: gpu.ProtoGETM, Bench: "ht-h"}).Cell(0.1, 42).Validate(); err != nil {
+		t.Fatalf("paper cell: %v", err)
+	}
+	for name, c := range map[string]struct {
+		cell Cell
+		want error
+	}{
+		"unknown bench":    {Job{Proto: gpu.ProtoGETM, Bench: "nope"}.Cell(0.1, 42), workloads.ErrUnknownBenchmark},
+		"scale 0":          {Job{Proto: gpu.ProtoGETM, Bench: "ht-h"}.Cell(0, 42), gpu.ErrInvalidConfig},
+		"scale -1":         {Job{Proto: gpu.ProtoGETM, Bench: "ht-h"}.Cell(-1, 42), gpu.ErrInvalidConfig},
+		"cores -1":         {Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Cores: -1}.Cell(0.1, 42), gpu.ErrInvalidConfig},
+		"conc -1":          {Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Conc: -1}.Cell(0.1, 42), gpu.ErrInvalidConfig},
+		"meta entries -1":  {Job{Proto: gpu.ProtoGETM, Bench: "ht-h", MetaEntries: -1}.Cell(0.1, 42), gpu.ErrInvalidConfig},
+		"granularity -8":   {Job{Proto: gpu.ProtoGETM, Bench: "ht-h", Granularity: -8}.Cell(0.1, 42), gpu.ErrInvalidConfig},
+		"unknown protocol": {Job{Proto: "bogus", Bench: "ht-h"}.Cell(0.1, 42), gpu.ErrUnknownProtocol},
+	} {
+		if err := c.cell.Validate(); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, c.want)
+		}
 	}
 }

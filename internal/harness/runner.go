@@ -148,6 +148,15 @@ type Cell struct {
 	Desc   string
 }
 
+// Validate reports whether the cell can run (workloads.Validate, then
+// gpu.Config.Validate). Each edge calls it once per cell, before keying it.
+func (c Cell) Validate() error {
+	if err := workloads.Validate(c.Bench, workloads.Params{Scale: c.Scale, Seed: c.Seed}); err != nil {
+		return err
+	}
+	return c.Config.Validate()
+}
+
 // StoreKey is the cell's content address in the on-disk store. It zeroes
 // cost-bound fields (CycleBudget), so budgeted and unbudgeted runs of one
 // cell share a record: only complete results are ever persisted, and a
@@ -207,22 +216,19 @@ func (j Job) Cell(scale float64, seed uint64) Cell {
 
 // Config builds the machine configuration the job describes. The public
 // API builds its runs through it too, so a cell has one configuration
-// whichever edge asked for it.
+// whichever edge asked for it. A nonzero override is set as given.
 func (j Job) Config() gpu.Config {
-	var cfg gpu.Config
+	cfg := gpu.DefaultConfig(j.Proto)
 	if j.Cores == 56 {
 		cfg = gpu.ScaledConfig(j.Proto)
-	} else {
-		cfg = gpu.DefaultConfig(j.Proto)
-		if j.Cores > 0 {
-			cfg.Cores = j.Cores
-		}
+	} else if j.Cores != 0 {
+		cfg.Cores = j.Cores
 	}
 	cfg.Core.MaxTxWarps = j.Conc
-	if j.MetaEntries > 0 {
+	if j.MetaEntries != 0 {
 		cfg.GETM.PreciseEntries = j.MetaEntries
 	}
-	if j.Granularity > 0 {
+	if j.Granularity != 0 {
 		cfg.GETM.GranularityBytes = j.Granularity
 	}
 	cfg.CycleBudget = sim.Cycle(j.CycleBudget)

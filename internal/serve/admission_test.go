@@ -46,8 +46,22 @@ type parityDeltas struct {
 // policy, while a single POST made while draining is.
 func TestAdmissionParity(t *testing.T) {
 	const valid = `{"protocol":"getm","benchmark":"ht-h","scale":0.1,"seed":%d,"async":true}`
-	invalid := `{"protocol":"nope","benchmark":"ht-h"}`
-	invalidErr := `unknown protocol "nope" (want getm, warptm, warptm-el, eapg, fglock)`
+	// invalids are the specs the invalid class refuses: a protocol that is
+	// not a wire name, and cells outside the accepted domain.
+	invalids := []struct{ name, spec, err string }{
+		{"", `{"protocol":"nope","benchmark":"ht-h"}`,
+			`unknown protocol "nope" (want getm, warptm, warptm-el, eapg, fglock)`},
+		{"/cores=-1", `{"protocol":"getm","benchmark":"ht-h","scale":0.1,"cores":-1}`,
+			`invalid config: Cores -1 out of range [1, 56]`},
+		{"/cores=57", `{"protocol":"getm","benchmark":"ht-h","scale":0.1,"cores":57}`,
+			`invalid config: Cores 57 out of range [1, 56]`},
+		{"/conc=-1", `{"protocol":"getm","benchmark":"ht-h","scale":0.1,"conc":-1}`,
+			`invalid config: Core.MaxTxWarps -1 out of range [0, 48] (0 = unlimited)`},
+		{"/conc=49", `{"protocol":"getm","benchmark":"ht-h","scale":0.1,"conc":49}`,
+			`invalid config: Core.MaxTxWarps 49 out of range [0, 48] (0 = unlimited)`},
+		{"/scale=-1", `{"protocol":"getm","benchmark":"ht-h","scale":-1}`,
+			`invalid config: scale -1 is not finite and positive`},
+	}
 
 	// single starts a server under cfg, drives it into its refusing state
 	// with arrange, and returns its URL.
@@ -111,21 +125,25 @@ func TestAdmissionParity(t *testing.T) {
 	queueFull := Config{Workers: 1, QueueDepth: 1}
 	clientFull := Config{Workers: 1, QueueDepth: 8, PerClientQueue: 1}
 	refused := fmt.Sprintf(valid, 99)
-	cases := []struct {
+	type parityCase struct {
 		name  string
 		rig   func(t *testing.T) string
 		batch bool
 		spec  string
 		want  parityAnswer
 		delta parityDeltas
-	}{
-		{"invalid/single", func(t *testing.T) string { return single(t, Config{Workers: 1, QueueDepth: 1}, nil) }, false, invalid,
-			parityAnswer{code: 400, err: invalidErr}, parityDeltas{}},
-		{"invalid/batch", func(t *testing.T) string { return single(t, Config{Workers: 1, QueueDepth: 1}, nil) }, true, invalid,
-			parityAnswer{code: 200, shed: "0", status: "invalid", err: invalidErr}, parityDeltas{}},
-		{"invalid/coordinator-batch", func(t *testing.T) string { return coordinator(t, nil) }, true, invalid,
-			parityAnswer{code: 200, shed: "0", status: "invalid", err: invalidErr}, parityDeltas{}},
-
+	}
+	var cases []parityCase
+	for _, inv := range invalids {
+		cases = append(cases,
+			parityCase{"invalid" + inv.name + "/single", func(t *testing.T) string { return single(t, Config{Workers: 1, QueueDepth: 1}, nil) }, false, inv.spec,
+				parityAnswer{code: 400, err: inv.err}, parityDeltas{}},
+			parityCase{"invalid" + inv.name + "/batch", func(t *testing.T) string { return single(t, Config{Workers: 1, QueueDepth: 1}, nil) }, true, inv.spec,
+				parityAnswer{code: 200, shed: "0", status: "invalid", err: inv.err}, parityDeltas{}},
+			parityCase{"invalid" + inv.name + "/coordinator-batch", func(t *testing.T) string { return coordinator(t, nil) }, true, inv.spec,
+				parityAnswer{code: 200, shed: "0", status: "invalid", err: inv.err}, parityDeltas{}})
+	}
+	cases = append(cases, []parityCase{
 		{"quota/single", func(t *testing.T) string { return single(t, quotaCfg, spendToken) }, false, refused,
 			parityAnswer{code: 429, retryAfter: "600", err: "over per-client quota (0.001 req/s); retry later"},
 			parityDeltas{rejected: 1, quota: 1, clientShed: 1, policy: 1}},
@@ -156,7 +174,7 @@ func TestAdmissionParity(t *testing.T) {
 		{"draining/batch", func(t *testing.T) string { return single(t, Config{Workers: 1, QueueDepth: 1}, drained) }, true, refused,
 			parityAnswer{code: 503, closes: true, err: "server is draining"},
 			parityDeltas{rejected: 2, clientShed: 2}},
-	}
+	}...)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			url := c.rig(t)

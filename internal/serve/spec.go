@@ -8,7 +8,6 @@ import (
 	"getm/internal/gpu"
 	"getm/internal/harness"
 	"getm/internal/policy"
-	"getm/internal/workloads"
 )
 
 // RunSpec is the body of POST /v1/runs: one simulation request. The zero
@@ -36,7 +35,8 @@ type RunSpec struct {
 	// Conc caps concurrent transactional warps per core (0 = unlimited).
 	Conc int `json:"conc,omitempty"`
 	// Cores selects the machine: 0 or 15 for the paper's GTX480-like
-	// config, 56 for the scaled one.
+	// config, 56 for the scaled one. A cell outside harness.Cell.Validate's
+	// domain is refused with 400.
 	Cores int `json:"cores,omitempty"`
 	// CycleBudget bounds the simulation's cost: the run stops after this
 	// many simulated cycles and returns partial metrics tagged truncated
@@ -69,11 +69,11 @@ func (sp *RunSpec) normalize() {
 	}
 }
 
-// validate checks a normalized spec against static limits; maxScale is the
-// server's admission ceiling. A spec carrying a Policy is parsed here and
-// its point canonicalized into Protocol (gpu.ProtocolOf), so policy and
-// protocol spellings of the same point share one run id; invalid points
-// fail — the caller maps the error to 400.
+// validate checks a normalized spec against the server's limits (maxScale
+// is its admission ceiling), then checks the cell it asks for. A spec
+// carrying a Policy is parsed here and its point canonicalized into Protocol
+// (gpu.ProtocolOf), so policy and protocol spellings of the same point share
+// one run id; invalid points fail — the caller maps the error to 400.
 func (sp *RunSpec) validate(maxScale float64) error {
 	if sp.Policy != "" {
 		p, err := policy.Parse(sp.Policy)
@@ -84,30 +84,13 @@ func (sp *RunSpec) validate(maxScale float64) error {
 	} else if !protocols[sp.Protocol] {
 		return fmt.Errorf("unknown protocol %q (want getm, warptm, warptm-el, eapg, fglock)", sp.Protocol)
 	}
-	names := workloads.Names()
-	ok := false
-	for _, n := range names {
-		if n == sp.Benchmark {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return fmt.Errorf("unknown benchmark %q (want one of %v)", sp.Benchmark, names)
-	}
-	if sp.Scale <= 0 || sp.Scale > maxScale {
-		return fmt.Errorf("scale %g out of range (0, %g]", sp.Scale, maxScale)
-	}
-	if sp.Conc < 0 {
-		return fmt.Errorf("conc %d must be >= 0", sp.Conc)
-	}
-	if sp.Cores < 0 || sp.Cores > 56 {
-		return fmt.Errorf("cores %d out of range [0, 56]", sp.Cores)
+	if sp.Scale > maxScale {
+		return fmt.Errorf("scale %g above the server's limit %g", sp.Scale, maxScale)
 	}
 	if sp.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms %d must be >= 0", sp.TimeoutMS)
 	}
-	return nil
+	return sp.cell().Validate()
 }
 
 // policyLabel is the bounded-cardinality /metrics label for the spec: the

@@ -21,14 +21,14 @@ type Config struct {
 	// IntraWarpCyclesPerEntry prices commit-time two-phase intra-warp
 	// conflict resolution (lazy protocols).
 	IntraWarpCyclesPerEntry int
-	// SerializeCyclesPerEntry prices the tx-log unit's commit-time log walk.
+	// SerializeCyclesPerEntry is read by no code; it stays for store.Key.
 	SerializeCyclesPerEntry int
 	// BackoffBase and BackoffCap bound the probabilistically increasing
 	// retry backoff (cycles).
 	BackoffBase uint64
 	BackoffCap  uint64
-	// LocalOpCycles is the latency of register and redo-log local
-	// operations.
+	// LocalOpCycles is read by no code either; store.Key hashes it, so it
+	// stays.
 	LocalOpCycles uint64
 }
 

@@ -18,8 +18,10 @@
 package workloads
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"getm/internal/gpu"
@@ -42,8 +44,7 @@ const (
 // Params tune workload generation.
 type Params struct {
 	// Scale multiplies thread and data counts (1.0 = this package's
-	// defaults; see the package comment). Build rejects a scale that is not
-	// finite and positive.
+	// defaults; see the package comment). It must be finite and positive.
 	Scale float64
 	// Seed drives operand generation.
 	Seed uint64
@@ -65,11 +66,30 @@ func Names() []string {
 	return []string{"ht-h", "ht-m", "ht-l", "atm", "cl", "clto", "bh", "cc", "ap"}
 }
 
-// Build constructs the named benchmark. The scale must be finite and
-// positive: any other value has no size to multiply by.
-func Build(name string, v Variant, p Params) (*gpu.Kernel, error) {
+// ErrUnknownBenchmark is wrapped by Validate's error for a name not in Names.
+var ErrUnknownBenchmark = errors.New("unknown benchmark")
+
+// Validate reports whether Build accepts the benchmark name and params.
+func Validate(name string, p Params) error {
+	if !slices.Contains(Names(), name) {
+		return fmt.Errorf("%w %q (want one of %v)", ErrUnknownBenchmark, name, Names())
+	}
+	return p.Validate()
+}
+
+// Validate reports whether the scale is finite and positive, wrapping
+// gpu.ErrInvalidConfig if not: any other has no size to multiply by.
+func (p Params) Validate() error {
 	if !(p.Scale > 0) || math.IsInf(p.Scale, 1) {
-		return nil, fmt.Errorf("workloads: %s: scale %v is not finite and positive", name, p.Scale)
+		return fmt.Errorf("%w: scale %v is not finite and positive", gpu.ErrInvalidConfig, p.Scale)
+	}
+	return nil
+}
+
+// Build constructs the named benchmark, or returns Validate's error.
+func Build(name string, v Variant, p Params) (*gpu.Kernel, error) {
+	if err := Validate(name, p); err != nil {
+		return nil, fmt.Errorf("workloads: %w", err)
 	}
 	switch name {
 	case "ht-h":
@@ -91,7 +111,7 @@ func Build(name string, v Variant, p Params) (*gpu.Kernel, error) {
 	case "ap":
 		return buildApriori(name, v, p), nil
 	}
-	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
+	panic("workloads: " + name + " is in Names but has no builder")
 }
 
 // --- generation helpers ---

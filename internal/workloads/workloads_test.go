@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -32,8 +33,8 @@ func TestAllBenchmarksBuildBothVariants(t *testing.T) {
 }
 
 func TestUnknownBenchmark(t *testing.T) {
-	if _, err := Build("nope", TM, DefaultParams()); err == nil {
-		t.Fatal("unknown benchmark accepted")
+	if _, err := Build("nope", TM, DefaultParams()); !errors.Is(err, ErrUnknownBenchmark) {
+		t.Fatalf("unknown benchmark: err = %v, want ErrUnknownBenchmark", err)
 	}
 }
 
@@ -43,8 +44,8 @@ func TestBuildRejectsBadScale(t *testing.T) {
 	for _, scale := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
 		for _, name := range Names() {
 			k, err := Build(name, TM, Params{Scale: scale, Seed: 1})
-			if err == nil || k != nil {
-				t.Errorf("%s at scale %v: built a kernel (err %v)", name, scale, err)
+			if !errors.Is(err, gpu.ErrInvalidConfig) || k != nil {
+				t.Errorf("%s at scale %v: built a kernel (err %v), want ErrInvalidConfig", name, scale, err)
 			} else if !strings.Contains(err.Error(), "scale") {
 				t.Errorf("%s at scale %v: error %q does not name the scale", name, scale, err)
 			}
