@@ -27,14 +27,17 @@ race:
 short:
 	$(GO) test -short ./...
 
-# Trace overhead gate: tracing disabled must stay allocation-free on the
-# per-access hot path (a nil Recorder is one pointer compare), the GETM and
-# WarpTM access and commit paths, the SIMT core's transaction step and the
-# event queue must stay allocation-free in steady state, a second run must
-# reuse the first run's machine arrays, and a traced end-to-end run must
-# keep producing valid output from every machine layer.
+# Trace overhead and turnover gate: tracing disabled must stay
+# allocation-free on the per-access hot path (a nil Recorder is one pointer
+# compare); the GETM, WarpTM and EAPG access and commit paths, the SIMT
+# core's transaction and critical-section steps and the event queue must
+# stay allocation-free in steady state; a reset engine must run as a new
+# one; stocked free lists must come back whole; a second run must reuse the
+# first run's machine arrays, a warm run must allocate fewer than 1,000
+# objects, and a finished machine must be garbage (DESIGN §6); and a traced
+# end-to-end run must keep producing valid output from every machine layer.
 trace-gate:
-	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestCoreTxStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestSecondRunReusesMachineArrays' ./internal/core/ ./internal/warptm/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
+	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestEAPGStepAllocs|TestCoreTxStepAllocs|TestCoreLockStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestEngineResetMatchesNew|TestStock|TestSecondRunReusesMachineArrays|TestWarmRunAllocs|TestFinishedMachineIsGarbage' ./internal/core/ ./internal/warptm/ ./internal/eapg/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
 
 # Persistence & cancellation gate: stored metrics must round-trip exactly
@@ -104,7 +107,7 @@ obs-gate:
 # spec, CLI flag — must give one store key; the four paper protocols must
 # stay bit-identical as presets (golden fingerprints, golden store
 # addresses); every point, and fglock, must give the same metrics on
-# recycled machine arrays as on fresh ones; unknown protocols, invalid
+# recycled machinery as on fresh, also after a run cut short; unknown protocols, invalid
 # combinations and machines outside gpu.Config.Validate's domain (and
 # unknown benchmarks and bad scales, through harness.Cell.Validate) must be
 # rejected on all three surfaces (API errors.Is, CLI exit 2, serve 400),
@@ -116,14 +119,14 @@ policy-gate:
 	$(GO) test -short ./internal/policy/
 	$(GO) test -race -run 'TestPresetFingerprints|TestNonPresetPointsRun' ./internal/policy/
 	$(GO) test -run 'TestKeyStabilityAcrossPolicyRedesign|TestKeyNonPresetPolicies' ./internal/store/
-	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip|TestFreshVsRecycledIdentical|TestConfigValidate|TestRunRejectsInvalidConfig|TestShardsRejected|TestCoarseGranuleCellsComplete' ./internal/gpu/
+	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip|TestFreshVsRecycledIdentical|TestCutShortRunLeavesNothingBehind|TestConfigValidate|TestRunRejectsInvalidConfig|TestShardsRejected|TestCoarseGranuleCellsComplete' ./internal/gpu/
 	$(GO) test -run 'TestVUOwnRequestsWokenOnHandoff' ./internal/core/
 	$(GO) test -run 'TestCellValidate' ./internal/harness/
 	$(GO) test -run 'TestUnknownBenchmark|TestBuildRejectsBadScale' ./internal/workloads/
 	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity|TestProtocolIdentityAcrossEdges|TestTypedErrors|TestRunRejectsBadScale|TestRunInvalidConfig|TestRunExperimentInvalidScale' .
 	$(GO) test -run 'TestPolicyFlag|TestPolicyPresetSharesStoreRecord|TestUnknownProtoFlag|TestInvalidCellFlags' ./cmd/getm-sim/
 	$(GO) test -run 'TestPolicyGrid|TestPolicyFlagErrors|TestInvalidKnobValues' ./cmd/getm-sweep/
-	$(GO) test -run 'TestInvalidScale' ./cmd/getm-bench/
+	$(GO) test -run 'TestInvalidScale|TestUnknownExperiment' ./cmd/getm-bench/
 	$(GO) test -run 'TestSubmitPolicy|TestPolicyMetricsLabel|TestAdmissionParity' ./internal/serve/
 	$(GO) test -run 'TestMatchesPolicy|TestParseStoreDirPolicy' ./cmd/benchdiff/
 

@@ -106,6 +106,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "error:", err)
 		return 2
 	}
+	ids := fs.Args()
+	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
+		ids = nil
+		for _, e := range harness.All() {
+			ids = append(ids, e.ID)
+		}
+	}
+	exps := make([]harness.Experiment, len(ids))
+	for i, id := range ids {
+		e, ok := harness.ByID(id)
+		if !ok {
+			fmt.Fprintf(stderr, "error: unknown experiment %q (use -list)\n", id)
+			return 2
+		}
+		exps[i] = e
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -127,24 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stderr, "trace written to %s (%s)\n", *traceFile, *traceFormat)
-	}
-
-	ids := fs.Args()
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		ids = nil
-		for _, e := range harness.All() {
-			ids = append(ids, e.ID)
-		}
-	}
-
-	exps := make([]harness.Experiment, len(ids))
-	for i, id := range ids {
-		e, ok := harness.ByID(id)
-		if !ok {
-			fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", id)
-			return 1
-		}
-		exps[i] = e
 	}
 
 	r := harness.NewRunner(*scale)

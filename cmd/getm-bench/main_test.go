@@ -118,6 +118,33 @@ func TestListOnStdout(t *testing.T) {
 
 // A scale that is not finite and positive is a usage error: exit 2, one
 // "error:" line and nothing on stdout, not a report of n/a cells.
+// An unknown experiment id is a usage error found before anything runs:
+// exit 2, one error line, nothing on stdout, and no -trace reference run
+// written.
+func TestUnknownExperiment(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "ref.trace")
+	for _, args := range [][]string{
+		{"nosuch"},
+		{"fig3", "nosuch"},
+		{"-trace", tracePath, "nosuch"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-scale", "0.03"}, args...), &stdout, &stderr)
+		if code != 2 {
+			t.Errorf("%v exited %d, want 2 (stderr: %s)", args, code, stderr.String())
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "error: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("%v: want one error line, got:\n%s", args, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v wrote to stdout:\n%s", args, stdout.String())
+		}
+	}
+	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+		t.Errorf("the traced reference run ran before the id was rejected (stat: %v)", err)
+	}
+}
+
 func TestInvalidScale(t *testing.T) {
 	for _, s := range []string{"-1", "0", "NaN", "+Inf"} {
 		var stdout, stderr bytes.Buffer

@@ -54,6 +54,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,6 +72,9 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// knobs are the machine fields -knob can sweep.
+var knobs = []string{"conc", "gran", "meta", "stall", "backoff", "inflight", "cores"}
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("getm-sweep", flag.ContinueOnError)
@@ -130,6 +134,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runPolicyGrid(stdout, stderr, benches, *scale, *seed, *conc, *format, ex)
 	}
 
+	if !slices.Contains(knobs, *knob) {
+		fmt.Fprintf(stderr, "error: unknown knob %q (want one of %s)\n", *knob, strings.Join(knobs, ", "))
+		return 2
+	}
 	if *server != "" && *knob != "conc" && *knob != "cores" {
 		fmt.Fprintf(stderr, "error: -server sweeps support only the conc and cores knobs (%q is simulator-internal and not expressible in a run request)\n", *knob)
 		return 2
@@ -167,9 +175,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case "cores":
 			job.Cores = v
 			cfg = job.Config()
-		default:
-			fmt.Fprintf(stderr, "unknown knob %q\n", *knob)
-			return 1
 		}
 		name := fmt.Sprintf("%s=%d", *knob, v)
 		points[i] = point{

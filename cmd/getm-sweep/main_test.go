@@ -226,6 +226,7 @@ func TestInvalidKnobValues(t *testing.T) {
 		{"-bench", "nosuch", "-values", "1"},
 		{"-policy-grid", "-bench", "ht-h,nosuch"},
 		{"-scale", "-1", "-values", "1"},
+		{"-knob", "nosuch", "-values", "1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append([]string{"-bench", "ht-h", "-scale", "0.05"}, args...), &stdout, &stderr)

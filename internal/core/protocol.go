@@ -31,7 +31,9 @@ type Protocol struct {
 
 	// Freelists for the per-access and per-commit hot-path objects. The
 	// pooled objects carry prebuilt closures, so a steady-state access
-	// allocates nothing. Single goroutine per machine — no locking.
+	// allocates nothing. Single goroutine per machine — no locking. A pooled
+	// object reaches the protocol through its p field, which only an object
+	// in use has, so the lists outlive the machine (Recycle).
 	statePool *accessState
 	reqPool   *accessReq
 	logPool   *commitLog
@@ -55,6 +57,36 @@ type Protocol struct {
 }
 
 var _ tm.Protocol = (*Protocol)(nil)
+
+// Stocks of finished machines' GETM free lists (DESIGN §6).
+var (
+	stateStock = sim.NewStock(func(st *accessState) **accessState { return &st.next })
+	reqStock   = sim.NewStock(func(ar *accessReq) **accessReq { return &ar.next })
+	logStock   = sim.NewStock(func(cl *commitLog) **commitLog { return &cl.next })
+	batchStock = sim.NewStock(func(b *commitBatch) **commitBatch { return &b.next })
+	opStock    = sim.NewStock(func(op *vuOp) **vuOp { return &op.next })
+	jobStock   = sim.NewStock(func(j *cuJob) **cuJob { return &j.next })
+)
+
+// Recycle hands the protocol's free lists, and every validation and commit
+// unit's metadata arrays and free lists, to the next machine built in this
+// process. The protocol must not run afterwards.
+func (p *Protocol) Recycle() {
+	stateStock.Put(p.statePool)
+	reqStock.Put(p.reqPool)
+	logStock.Put(p.logPool)
+	batchStock.Put(p.batchPool)
+	p.statePool, p.reqPool, p.logPool, p.batchPool = nil, nil, nil, nil
+	for _, vu := range p.vus {
+		vu.Meta.Recycle()
+		opStock.Put(vu.opPool)
+		vu.opPool = nil
+	}
+	for _, cu := range p.cus {
+		jobStock.Put(cu.jobPool)
+		cu.jobPool = nil
+	}
+}
 
 // NewProtocol wires a GETM protocol instance over the given validation and
 // commit units (one per partition).
@@ -145,25 +177,31 @@ type accessReq struct {
 func (p *Protocol) getState() *accessState {
 	st := p.statePool
 	if st == nil {
-		st = &accessState{p: p, results: make([]tm.AccessResult, 0, isa.WarpWidth)}
+		st = stateStock.Get()
+	}
+	if st == nil {
+		st = &accessState{results: make([]tm.AccessResult, 0, isa.WarpWidth)}
 	} else {
 		p.statePool = st.next
 	}
+	st.p = p
 	return st
 }
 
 func (st *accessState) release() {
-	st.w = nil
-	st.lanes = nil
-	st.done = nil
-	st.next = st.p.statePool
-	st.p.statePool = st
+	p := st.p
+	st.p, st.w, st.lanes, st.done = nil, nil, nil, nil
+	st.next = p.statePool
+	p.statePool = st
 }
 
 func (p *Protocol) getAccessReq() *accessReq {
 	ar := p.reqPool
 	if ar == nil {
-		ar = &accessReq{p: p}
+		ar = reqStock.Get()
+	}
+	if ar == nil {
+		ar = &accessReq{}
 		ar.submit = func() { ar.p.vus[ar.part].Submit(&ar.req) }
 		ar.deliverFn = func() { ar.deliver() }
 		ar.req.Reply = func(rep Reply) {
@@ -178,6 +216,7 @@ func (p *Protocol) getAccessReq() *accessReq {
 	} else {
 		p.reqPool = ar.next
 	}
+	ar.p = p
 	return ar
 }
 
@@ -212,7 +251,7 @@ func (ar *accessReq) deliver() {
 			}
 		}
 	}
-	ar.st = nil
+	ar.st, ar.p = nil, nil
 	ar.next = p.reqPool
 	p.reqPool = ar
 	if st.remaining == 0 {
@@ -286,7 +325,10 @@ type commitLog struct {
 func (p *Protocol) getCommitLog(part, core int) *commitLog {
 	cl := p.logPool
 	if cl == nil {
-		cl = &commitLog{p: p}
+		cl = logStock.Get()
+	}
+	if cl == nil {
+		cl = &commitLog{}
 		cl.submit = func() { cl.p.cus[cl.part].Submit(cl.entries, cl.done) }
 		cl.done = func() {
 			q := cl.p
@@ -294,7 +336,7 @@ func (p *Protocol) getCommitLog(part, core int) *commitLog {
 			// Capture the ring-arbitration fields before recycling: the pool
 			// may hand this object to another commit from inside a callback.
 			b, part, core := cl.batch, cl.part, cl.core
-			cl.batch = nil
+			cl.p, cl.batch = nil, nil
 			cl.entries = cl.entries[:0]
 			cl.next = q.logPool
 			q.logPool = cl
@@ -308,7 +350,7 @@ func (p *Protocol) getCommitLog(part, core int) *commitLog {
 	} else {
 		p.logPool = cl.next
 	}
-	cl.part, cl.core = part, core
+	cl.p, cl.part, cl.core = p, part, core
 	return cl
 }
 
@@ -327,7 +369,10 @@ type commitBatch struct {
 func (p *Protocol) getBatch(head *commitLog, resume func(tm.CommitOutcome)) *commitBatch {
 	b := p.batchPool
 	if b == nil {
-		b = &commitBatch{p: p}
+		b = batchStock.Get()
+	}
+	if b == nil {
+		b = &commitBatch{}
 		b.runFn = func() {
 			q := b.p
 			n := 0
@@ -360,7 +405,7 @@ func (p *Protocol) getBatch(head *commitLog, resume func(tm.CommitOutcome)) *com
 			// Recycle before resume: the warp may begin its next transaction
 			// (and commit again) from inside the callback.
 			fin := b.resume
-			b.head, b.resume = nil, nil
+			b.p, b.head, b.resume = nil, nil, nil
 			b.next = q.batchPool
 			q.batchPool = b
 			q.activeTx--
@@ -374,7 +419,7 @@ func (p *Protocol) getBatch(head *commitLog, resume func(tm.CommitOutcome)) *com
 			}
 			q := b.p
 			fin := b.resume
-			b.resume = nil
+			b.p, b.resume = nil, nil
 			b.next = q.batchPool
 			q.batchPool = b
 			q.activeTx--
@@ -384,7 +429,7 @@ func (p *Protocol) getBatch(head *commitLog, resume func(tm.CommitOutcome)) *com
 	} else {
 		p.batchPool = b.next
 	}
-	b.head, b.resume = head, resume
+	b.p, b.head, b.resume = p, head, resume
 	return b
 }
 

@@ -66,7 +66,8 @@ type VU struct {
 	rolloverArmed        bool
 	rec                  *trace.Recorder
 
-	// opPool recycles vuOp objects (single goroutine per machine, no locking).
+	// opPool recycles vuOp objects (single goroutine per machine, no
+	// locking); an op reaches the VU through its v field while in use.
 	opPool *vuOp
 }
 
@@ -89,7 +90,10 @@ type vuOp struct {
 func (v *VU) getOp(req *Request) *vuOp {
 	op := v.opPool
 	if op == nil {
-		op = &vuOp{v: v}
+		op = opStock.Get()
+	}
+	if op == nil {
+		op = &vuOp{}
 		op.processFn = func() { op.v.process(op, false) }
 		op.stalled.Retry = func() { op.v.process(op, true) }
 		op.replyFn = func() {
@@ -100,16 +104,16 @@ func (v *VU) getOp(req *Request) *vuOp {
 				return
 			}
 			// Recycle before Reply: the callback may submit a fresh request.
-			req, rep := op.req, op.rep
-			op.req = nil
-			op.next = op.v.opPool
-			op.v.opPool = op
+			req, rep, v := op.req, op.rep, op.v
+			op.req, op.v = nil, nil
+			op.next = v.opPool
+			v.opPool = op
 			req.Reply(rep)
 		}
 	} else {
 		v.opPool = op.next
 	}
-	op.req = req
+	op.v, op.req = v, req
 	return op
 }
 
@@ -442,7 +446,10 @@ type cuJob struct {
 func (c *CU) getJob(entries []CommitEntry, done func()) *cuJob {
 	j := c.jobPool
 	if j == nil {
-		j = &cuJob{c: c}
+		j = jobStock.Get()
+	}
+	if j == nil {
+		j = &cuJob{}
 		j.runFn = func() {
 			cu := j.c
 			for _, e := range j.entries {
@@ -454,7 +461,7 @@ func (c *CU) getJob(entries []CommitEntry, done func()) *cuJob {
 			}
 			// Recycle before done: the callback may submit another log.
 			fin := j.done
-			j.entries, j.done = nil, nil
+			j.c, j.entries, j.done = nil, nil, nil
 			j.next = cu.jobPool
 			cu.jobPool = j
 			if fin != nil {
@@ -464,7 +471,7 @@ func (c *CU) getJob(entries []CommitEntry, done func()) *cuJob {
 	} else {
 		c.jobPool = j.next
 	}
-	j.entries, j.done = entries, done
+	j.c, j.entries, j.done = c, entries, done
 	return j
 }
 

@@ -33,7 +33,12 @@ func (s Signature) MayContain(addr uint64) bool {
 	return s&(1<<(sim.Mix64(addr/uint64(mem.WordBytes))%64)) != 0
 }
 
+// activeSig is one commit's signature record, from the commit to its resume
+// and its last broadcast delivery. Pooled with its delivery and resume
+// callbacks prebuilt; they reach the protocol through p, which only a record
+// in use has.
 type activeSig struct {
+	p     *Protocol
 	owner int
 	sig   Signature
 	// words is the precise write set: the broadcast message is idealized to
@@ -45,8 +50,31 @@ type activeSig struct {
 	// one per outstanding broadcast delivery (a congested crossbar can, in
 	// principle, deliver a broadcast after the commit has resumed).
 	refs int
-	next *activeSig
+	// resume is the core's continuation, which resumeFn runs once the inner
+	// WarpTM commit is done; deliverFn takes one core's broadcast copy.
+	resume    func(tm.CommitOutcome)
+	resumeFn  func(tm.CommitOutcome)
+	deliverFn func(core int)
+	next      *activeSig
 }
+
+// pausedAccess is an access paused behind an in-flight commit (pause-n-go),
+// pooled with its retry prebuilt.
+type pausedAccess struct {
+	p       *Protocol
+	w       *tm.WarpTx
+	isWrite bool
+	lanes   []tm.LaneAccess
+	done    func([]tm.AccessResult)
+	retryFn func()
+	next    *pausedAccess
+}
+
+// Stocks of finished machines' EAPG free lists (DESIGN §6).
+var (
+	sigStock   = sim.NewStock(func(as *activeSig) **activeSig { return &as.next })
+	pauseStock = sim.NewStock(func(pa *pausedAccess) **pausedAccess { return &pa.next })
+)
 
 // Protocol wraps WarpTM with early-abort and pause-n-go.
 type Protocol struct {
@@ -59,14 +87,16 @@ type Protocol struct {
 	// list sorted by gwid, so a broadcast delivery visits its core's warps
 	// in a fixed order (early-abort notices and their trace records are
 	// reproducible) without a per-delivery sort.
-	active     [][]*tm.WarpTx
-	committing map[int]*activeSig // gwid -> in-flight commit signature
-	// commitOrder mirrors committing, kept sorted by owner gwid so the
-	// pause-target choice among several matches is deterministic without a
-	// per-access sort.
+	active [][]*tm.WarpTx
+	// commitOrder holds the in-flight commits that broadcast a signature,
+	// sorted by owner gwid so the pause-target choice among several matches
+	// is deterministic without a per-access sort.
 	commitOrder []*activeSig
-	sigPool     *activeSig
-	abortSink   func(tm.AbortNotice)
+	// Free lists (single goroutine per machine, no locking); Recycle stocks
+	// them.
+	sigPool   *activeSig
+	pausePool *pausedAccess
+	abortSink func(tm.AbortNotice)
 
 	EarlyAborts uint64
 	Pauses      uint64
@@ -92,13 +122,20 @@ var (
 // variant (cfg.Eager), in which case intra-warp conflicts resolve eagerly too.
 func New(inner *warptm.Protocol, eng *sim.Engine, trans tm.Transport, cores int) *Protocol {
 	return &Protocol{
-		inner:      inner,
-		eng:        eng,
-		trans:      trans,
-		cores:      cores,
-		active:     make([][]*tm.WarpTx, cores),
-		committing: make(map[int]*activeSig),
+		inner:  inner,
+		eng:    eng,
+		trans:  trans,
+		cores:  cores,
+		active: make([][]*tm.WarpTx, cores),
 	}
+}
+
+// Recycle hands the free lists to the next machine built in this process
+// (the inner WarpTM recycles its own). The protocol must not run afterwards.
+func (p *Protocol) Recycle() {
+	sigStock.Put(p.sigPool)
+	pauseStock.Put(p.pausePool)
+	p.sigPool, p.pausePool = nil, nil
 }
 
 // Name implements tm.Protocol.
@@ -137,12 +174,20 @@ func (p *Protocol) dropActive(w *tm.WarpTx) {
 func (p *Protocol) getSig(owner int) *activeSig {
 	as := p.sigPool
 	if as == nil {
+		as = sigStock.Get()
+	}
+	if as == nil {
 		as = &activeSig{words: make(map[uint64]bool)}
+		as.deliverFn = func(core int) {
+			p := as.p
+			p.earlyAbortDoomed(core, as.owner, as.words)
+			p.dropSig(as)
+		}
+		as.resumeFn = func(out tm.CommitOutcome) { as.p.commitDone(as, out) }
 	} else {
 		p.sigPool = as.next
 	}
-	as.owner = owner
-	as.sig = 0
+	as.p, as.owner, as.sig = p, owner, 0
 	return as
 }
 
@@ -153,9 +198,33 @@ func (p *Protocol) dropSig(as *activeSig) {
 		return
 	}
 	clear(as.words)
+	clear(as.waiters)
 	as.waiters = as.waiters[:0]
+	as.p, as.resume = nil, nil
 	as.next = p.sigPool
 	p.sigPool = as
+}
+
+// pause parks an access until the commit it conflicts with resumes.
+func (p *Protocol) pause(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, done func([]tm.AccessResult)) *pausedAccess {
+	pa := p.pausePool
+	if pa == nil {
+		pa = pauseStock.Get()
+	}
+	if pa == nil {
+		pa = &pausedAccess{}
+		pa.retryFn = func() {
+			p, w, isWrite, lanes, done := pa.p, pa.w, pa.isWrite, pa.lanes, pa.done
+			pa.p, pa.w, pa.lanes, pa.done = nil, nil, nil, nil
+			pa.next = p.pausePool
+			p.pausePool = pa
+			p.Access(w, isWrite, lanes, done)
+		}
+	} else {
+		p.pausePool = pa.next
+	}
+	pa.p, pa.w, pa.isWrite, pa.lanes, pa.done = p, w, isWrite, lanes, done
+	return pa
 }
 
 // pauseTarget returns a committing signature that the access would conflict
@@ -184,7 +253,7 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 			p.rec.Emit(trace.SrcEAPG, trace.KEAPGPause, int32(w.Core),
 				uint64(w.GWID), uint64(as.owner), 0, 0)
 		}
-		as.waiters = append(as.waiters, func() { p.Access(w, isWrite, lanes, done) })
+		as.waiters = append(as.waiters, p.pause(w, isWrite, lanes, done).retryFn)
 		return
 	}
 	p.inner.Access(w, isWrite, lanes, done)
@@ -204,12 +273,9 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 		}
 	}
 
-	if len(as.words) == 0 {
-		as.refs = 1
-		p.dropSig(as)
-	} else {
-		as.refs = 1 + p.cores // the commit plus one per broadcast delivery
-		p.committing[w.GWID] = as
+	as.refs = 1 // the commit
+	if len(as.words) > 0 {
+		as.refs += p.cores // one per broadcast delivery
 		// Insert keeping commitOrder sorted by owner.
 		i := len(p.commitOrder)
 		p.commitOrder = append(p.commitOrder, nil)
@@ -224,28 +290,30 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 				uint64(w.GWID), uint64(as.sig), uint64(len(as.words)), 0)
 		}
 		// The LLC-side broadcast to every core (64-bit flits).
-		p.trans.BroadcastToCores(0, tm.SignatureBytes, func(core int) {
-			p.earlyAbortDoomed(core, as.owner, as.words)
-			p.dropSig(as)
-		})
+		p.trans.BroadcastToCores(0, tm.SignatureBytes, as.deliverFn)
 	}
 
-	p.inner.Commit(w, commitMask, abortMask, func(out tm.CommitOutcome) {
-		if as, ok := p.committing[w.GWID]; ok {
-			delete(p.committing, w.GWID)
-			for i, x := range p.commitOrder {
-				if x == as {
-					p.commitOrder = append(p.commitOrder[:i], p.commitOrder[i+1:]...)
-					break
-				}
+	as.resume = resume
+	p.inner.Commit(w, commitMask, abortMask, as.resumeFn)
+}
+
+// commitDone resumes the core once the inner commit is done: a commit that
+// broadcast leaves commitOrder and wakes the accesses it paused first.
+func (p *Protocol) commitDone(as *activeSig, out tm.CommitOutcome) {
+	resume := as.resume
+	if len(as.words) > 0 {
+		for i, x := range p.commitOrder {
+			if x == as {
+				p.commitOrder = append(p.commitOrder[:i], p.commitOrder[i+1:]...)
+				break
 			}
-			for _, retry := range as.waiters {
-				p.eng.Schedule(1, retry)
-			}
-			p.dropSig(as)
 		}
-		resume(out)
-	})
+		for _, retry := range as.waiters {
+			p.eng.Schedule(1, retry)
+		}
+	}
+	p.dropSig(as)
+	resume(out)
 }
 
 // earlyAbortDoomed aborts running transactions on core whose read sets

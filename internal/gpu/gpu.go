@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"getm/internal/core"
 	"getm/internal/isa"
@@ -293,10 +294,16 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 		initial = img.Snapshot()
 	}
 
-	eng := sim.NewEngine()
+	// An untraced run takes a stocked engine, and hands it back reset once
+	// the run is over. A traced run's recorder keeps its engine (and rides
+	// back in Result.Trace), so a traced run's engine is never reused.
+	var eng *sim.Engine
 	var rec *trace.Recorder
 	if cfg.Trace != nil {
+		eng = sim.NewEngine()
 		rec = trace.NewRecorder(eng, *cfg.Trace)
+	} else if eng, _ = engines.Get().(*sim.Engine); eng == nil {
+		eng = sim.NewEngine()
 	}
 	m, err := newMachine(eng, img, cfg, pol, rec)
 	if err != nil {
@@ -342,8 +349,16 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 		res.FinalImage = img
 	}
 	m.recycle(cores)
+	if rec == nil {
+		eng.Reset()
+		engines.Put(eng)
+	}
 	return res, err
 }
+
+// engines holds the reset event engines of finished untraced runs for the
+// next runs in this process (DESIGN §6).
+var engines sync.Pool
 
 // runMachine is the run loop: it starts the cores, steps the engine to the
 // cycle limit, and turns the end state into a Result — canceled, truncated

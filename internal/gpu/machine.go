@@ -32,7 +32,7 @@ type machine struct {
 	stall  *core.OccTracker
 	wtm    *warptm.Protocol
 	eapg   *eapg.Protocol
-	memsys simt.MemSystem
+	memsys *memSystem
 }
 
 // newMachine assembles the hardware for one run around pol, the matrix point
@@ -140,22 +140,28 @@ func (m *machine) registerProbes(rec *trace.Recorder, cores []*simt.Core) {
 	}
 }
 
-// recycle hands the run's large arrays to the next machine built in this
-// process, on any goroutine: LLC tags and LRU, GETM metadata ways and
-// approximate filters, WarpTM TCD filters, warp register files, transaction
+// recycle hands everything the run grew to the next machine built in this
+// process, on any goroutine (DESIGN §6): the large arrays (LLC tags and LRU,
+// GETM metadata ways and approximate filters, WarpTM TCD filters, transaction
 // logs and, unless cfg.Record keeps it for Result.FinalImage, the memory
-// image's pages. RunContext calls it once the Result is built, which holds
-// none of them; the machine must not run afterwards.
+// image's pages), the warps, and every component's free lists. RunContext
+// calls it once the Result is built, which holds none of them; the machine
+// must not run afterwards.
 func (m *machine) recycle(cores []*simt.Core) {
 	for _, p := range m.partitions {
 		p.LLC.Recycle()
 	}
-	for _, vu := range m.getmVU {
-		vu.Meta.Recycle()
+	if m.getm != nil {
+		m.getm.Recycle()
+	}
+	if m.eapg != nil {
+		m.eapg.Recycle()
 	}
 	if m.wtm != nil {
 		m.wtm.Recycle()
 	}
+	m.pair.Recycle()
+	m.memsys.recycle()
 	for _, c := range cores {
 		c.Recycle()
 	}
@@ -260,8 +266,10 @@ func (t *transport) BroadcastToCores(partition, bytes int, deliver func(core int
 }
 
 // memSystem adapts the crossbars + partitions to simt.MemSystem with
-// per-line coalescing. Access states and per-line requests are pooled with
-// prebuilt callbacks; the machine runs on one goroutine, so no locking.
+// per-line coalescing. Access states, per-line requests and lock CASes are
+// pooled with prebuilt callbacks; the machine runs on one goroutine, so no
+// locking. A pooled request reaches the memory system through its ms field,
+// which only a request in flight has.
 type memSystem struct {
 	amap       mem.AddressMap
 	img        *mem.Image
@@ -270,13 +278,28 @@ type memSystem struct {
 	eng        *sim.Engine
 	accPool    *memAccess
 	linePool   *lineReq
+	casPool    *casReq
+}
+
+// Stocks of finished machines' memory-system free lists (DESIGN §6).
+var (
+	accStock  = sim.NewStock(func(acc *memAccess) **memAccess { return &acc.next })
+	lineStock = sim.NewStock(func(lr *lineReq) **lineReq { return &lr.next })
+	casStock  = sim.NewStock(func(r *casReq) **casReq { return &r.next })
+)
+
+// recycle stocks the free lists for the next machine.
+func (ms *memSystem) recycle() {
+	accStock.Put(ms.accPool)
+	lineStock.Put(ms.linePool)
+	casStock.Put(ms.casPool)
+	ms.accPool, ms.linePool, ms.casPool = nil, nil, nil
 }
 
 // memAccess is one coalesced warp access in flight. Line grouping uses flat
 // reusable arrays instead of a map. Accesses usually carry at most WarpWidth
 // addresses, but lock-release batches can be larger, so the arrays grow.
 type memAccess struct {
-	ms          *memSystem
 	coreID      int
 	isWrite     bool
 	addrs, vals []uint64 // caller's slices, valid until done
@@ -307,7 +330,10 @@ type lineReq struct {
 func (ms *memSystem) getAccess() *memAccess {
 	acc := ms.accPool
 	if acc == nil {
-		acc = &memAccess{ms: ms, loadVals: make([]uint64, 0, isa.WarpWidth)}
+		acc = accStock.Get()
+	}
+	if acc == nil {
+		acc = &memAccess{loadVals: make([]uint64, 0, isa.WarpWidth)}
 	} else {
 		ms.accPool = acc.next
 	}
@@ -317,7 +343,10 @@ func (ms *memSystem) getAccess() *memAccess {
 func (ms *memSystem) getLineReq() *lineReq {
 	lr := ms.linePool
 	if lr == nil {
-		lr = &lineReq{ms: ms}
+		lr = lineStock.Get()
+	}
+	if lr == nil {
+		lr = &lineReq{}
 		lr.upFn = func() {
 			ms := lr.ms
 			ms.eng.Schedule(ms.partitions[lr.part].AccessDelay(lr.line), lr.accessFn)
@@ -338,7 +367,7 @@ func (ms *memSystem) getLineReq() *lineReq {
 		}
 		lr.downFn = func() {
 			acc, ms := lr.acc, lr.ms
-			lr.acc = nil
+			lr.acc, lr.ms = nil, nil
 			lr.next = ms.linePool
 			ms.linePool = lr
 			acc.remaining--
@@ -352,6 +381,7 @@ func (ms *memSystem) getLineReq() *lineReq {
 	} else {
 		ms.linePool = lr.next
 	}
+	lr.ms = ms
 	return lr
 }
 
@@ -410,28 +440,57 @@ func (ms *memSystem) Access(coreID int, isWrite bool, addrs, vals []uint64, done
 	}
 }
 
-func (ms *memSystem) AtomicCAS(coreID int, addr, compare, swap uint64, done func(old uint64, ok bool)) {
-	partID := ms.amap.Partition(addr)
-	part := ms.partitions[partID]
-	ms.pair.Up.Send(coreID, partID, tm.HeaderBytes+tm.AddrBytes+2*tm.WordBytes, func() {
-		part.AtomicCAS(addr, compare, swap, func(old uint64, ok bool) {
-			ms.pair.Down.Send(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
-				done(old, ok)
-			})
-		})
-	})
+// casReq is one lock CAS's round trip: up crossbar, the partition's atomic
+// unit slot, the swap, down crossbar. Pooled like lineReq.
+type casReq struct {
+	ms                  *memSystem
+	core, part          int
+	addr, compare, swap uint64
+	old                 uint64
+	ok                  bool
+	done                func(old uint64, ok bool)
+	upFn                func() // up-crossbar delivery: wait for the atomic slot
+	applyFn             func() // the slot: swap, reply
+	downFn              func() // down-crossbar delivery: finish
+	next                *casReq
 }
 
-func (ms *memSystem) AtomicExch(coreID int, addr, val uint64, done func(old uint64)) {
-	partID := ms.amap.Partition(addr)
-	part := ms.partitions[partID]
-	ms.pair.Up.Send(coreID, partID, tm.HeaderBytes+tm.AddrBytes+tm.WordBytes, func() {
-		part.AtomicExch(addr, val, func(old uint64) {
-			ms.pair.Down.Send(partID, coreID, tm.HeaderBytes+tm.WordBytes, func() {
-				done(old)
-			})
-		})
-	})
+func (ms *memSystem) getCAS() *casReq {
+	r := ms.casPool
+	if r == nil {
+		r = casStock.Get()
+	}
+	if r == nil {
+		r = &casReq{}
+		r.upFn = func() {
+			ms := r.ms
+			ms.eng.Schedule(ms.partitions[r.part].AtomicSlot(r.addr), r.applyFn)
+		}
+		r.applyFn = func() {
+			ms := r.ms
+			r.old, r.ok = ms.partitions[r.part].CompareAndSwap(r.addr, r.compare, r.swap)
+			ms.pair.Down.Send(r.part, r.core, tm.HeaderBytes+tm.WordBytes, r.downFn)
+		}
+		r.downFn = func() {
+			// Recycle before done: the callback may issue the next CAS.
+			ms, done, old, ok := r.ms, r.done, r.old, r.ok
+			r.ms, r.done = nil, nil
+			r.next = ms.casPool
+			ms.casPool = r
+			done(old, ok)
+		}
+	} else {
+		ms.casPool = r.next
+	}
+	r.ms = ms
+	return r
+}
+
+func (ms *memSystem) AtomicCAS(coreID int, addr, compare, swap uint64, done func(old uint64, ok bool)) {
+	r := ms.getCAS()
+	r.core, r.part = coreID, ms.amap.Partition(addr)
+	r.addr, r.compare, r.swap, r.done = addr, compare, swap, done
+	ms.pair.Up.Send(coreID, r.part, tm.HeaderBytes+tm.AddrBytes+2*tm.WordBytes, r.upFn)
 }
 
 func (ms *memSystem) AtomicAdd(coreID int, addr, delta uint64, done func(old uint64)) {

@@ -1,0 +1,59 @@
+package gpu_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	. "getm/internal/gpu"
+	"getm/internal/mem"
+	"getm/internal/policy"
+	"getm/internal/workloads"
+)
+
+// A finished machine is garbage once its run returns: what outlives it (the
+// stocked free lists and warps, the reset engine) keeps no pointer into it
+// (DESIGN §6). The probe is the run's memory image, which nothing but the
+// machine references after the kernel's Init returns, so its finalizer runs
+// only if the whole machine is unreachable. A sync.Pool keeps what it holds
+// through one collection, so a stocked object that still pointed at its
+// machine would keep the image alive through the first collection after the
+// run; the finalizer must run after that one. Every policy point and
+// fglock, so every component's stocks are exercised.
+func TestFinishedMachineIsGarbage(t *testing.T) {
+	protos := []Protocol{ProtoFGLock}
+	for _, p := range policy.Valid() {
+		protos = append(protos, ProtocolOf(p))
+	}
+	params := workloads.DefaultParams()
+	params.Scale = 0.1
+	for _, proto := range protos {
+		variant := workloads.TM
+		if proto == ProtoFGLock {
+			variant = workloads.FGLock
+		}
+		k, err := workloads.Build("ht-h", variant, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freed := make(chan struct{})
+		probe, init := *k, k.Init
+		probe.Init = func(img *mem.Image) {
+			if init != nil {
+				init(img)
+			}
+			runtime.SetFinalizer(img, func(*mem.Image) { close(freed) })
+		}
+		cfg := DefaultConfig(proto)
+		cfg.Core.MaxTxWarps = 8
+		if _, err := Run(cfg, &probe); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the finished machine's image is still reachable after a collection", proto)
+		}
+	}
+}

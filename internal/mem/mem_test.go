@@ -245,8 +245,12 @@ func TestPartitionAtomicCAS(t *testing.T) {
 	var results []bool
 	eng.Schedule(0, func() {
 		// Two competing CAS(0 -> id) on the same lock word: exactly one wins.
-		p.AtomicCAS(0x80, 0, 1, func(_ uint64, ok bool) { results = append(results, ok) })
-		p.AtomicCAS(0x80, 0, 2, func(_ uint64, ok bool) { results = append(results, ok) })
+		for _, id := range []uint64{1, 2} {
+			eng.Schedule(p.AtomicSlot(0x80), func() {
+				_, ok := p.CompareAndSwap(0x80, 0, id)
+				results = append(results, ok)
+			})
+		}
 	})
 	eng.Run(0)
 	if len(results) != 2 || !results[0] || results[1] {
@@ -257,20 +261,6 @@ func TestPartitionAtomicCAS(t *testing.T) {
 	}
 	if p.AtomicsServed != 2 {
 		t.Fatalf("atomics served = %d", p.AtomicsServed)
-	}
-}
-
-func TestPartitionAtomicExch(t *testing.T) {
-	eng := sim.NewEngine()
-	p := newTestPartition(eng)
-	p.Image.Write(0x80, 7)
-	var old uint64
-	eng.Schedule(0, func() {
-		p.AtomicExch(0x80, 0, func(o uint64) { old = o })
-	})
-	eng.Run(0)
-	if old != 7 || p.Image.Read(0x80) != 0 {
-		t.Fatalf("exch: old=%d mem=%d", old, p.Image.Read(0x80))
 	}
 }
 

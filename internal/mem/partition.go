@@ -125,11 +125,11 @@ func (p *Partition) WriteNow(addr, val uint64) {
 // whose latency the caller models, e.g. value validation pipelines).
 func (p *Partition) ReadNow(addr uint64) uint64 { return p.Image.Read(addr) }
 
-// atomicSlot returns the delay until this atomic's read-modify-write takes
-// effect. The partition's atomic unit applies effects strictly in arrival
-// order (as the ROP units in real GPUs do), so a later-arriving atomic can
-// never observe memory from before an earlier one.
-func (p *Partition) atomicSlot(addr uint64) sim.Cycle {
+// AtomicSlot admits one atomic to addr and returns the delay until its
+// read-modify-write takes effect. The partition's atomic unit applies effects
+// strictly in arrival order (as the ROP units in real GPUs do), so a
+// later-arriving atomic can never observe memory from before an earlier one.
+func (p *Partition) AtomicSlot(addr uint64) sim.Cycle {
 	effect := p.Eng.Now() + p.AccessDelay(addr)
 	if p.atomicNext > effect {
 		effect = p.atomicNext
@@ -143,32 +143,23 @@ func (p *Partition) atomicSlot(addr uint64) sim.Cycle {
 	return d
 }
 
-// AtomicCAS performs a timed compare-and-swap; done receives the old value
-// and whether the swap happened. GPU atomics execute at the partition, so
-// contended CAS traffic serializes here.
-func (p *Partition) AtomicCAS(addr, compare, swap uint64, done func(old uint64, ok bool)) {
-	p.Eng.Schedule(p.atomicSlot(addr), func() {
-		old := p.Image.Read(addr)
-		ok := old == compare
-		if ok {
-			p.Image.Write(addr, swap)
-		}
-		done(old, ok)
-	})
-}
-
-// AtomicExch performs a timed atomic exchange; done receives the old value.
-func (p *Partition) AtomicExch(addr, val uint64, done func(old uint64)) {
-	p.Eng.Schedule(p.atomicSlot(addr), func() {
-		old := p.Image.Read(addr)
-		p.Image.Write(addr, val)
-		done(old)
-	})
+// CompareAndSwap is a compare-and-swap's effect: it returns the old value
+// and whether the swap happened. A timed CAS applies it AtomicSlot cycles
+// after it arrives (the memory system's pooled CAS requests do), so
+// contended CAS traffic serializes at the partition, where GPU atomics
+// execute.
+func (p *Partition) CompareAndSwap(addr, compare, swap uint64) (old uint64, ok bool) {
+	old = p.Image.Read(addr)
+	ok = old == compare
+	if ok {
+		p.Image.Write(addr, swap)
+	}
+	return old, ok
 }
 
 // AtomicAdd performs a timed atomic add; done receives the old value.
 func (p *Partition) AtomicAdd(addr, delta uint64, done func(old uint64)) {
-	p.Eng.Schedule(p.atomicSlot(addr), func() {
+	p.Eng.Schedule(p.AtomicSlot(addr), func() {
 		old := p.Image.Read(addr)
 		p.Image.Write(addr, old+delta)
 		done(old)

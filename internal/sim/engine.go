@@ -84,6 +84,22 @@ type Engine struct {
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
 
+// Reset empties the engine and rewinds it to cycle 0, dropping every pending
+// event, and keeps the node slab and overflow heap's capacity: a reset
+// engine runs exactly as a new one would, without growing them again. Every
+// queued callback is released, so a reset engine keeps nothing of its last
+// run alive.
+func (e *Engine) Reset() {
+	clear(e.nodes)
+	e.nodes = e.nodes[:0]
+	clear(e.pq)
+	e.pq = e.pq[:0]
+	e.buckets = [wheelSize]bucket{}
+	e.occ = [wheelWords]uint64{}
+	e.free, e.inWheel = 0, 0
+	e.now, e.seq, e.stopped, e.Executed = 0, 0, false, 0
+}
+
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 

@@ -459,3 +459,75 @@ func TestRNGFloat64Range(t *testing.T) {
 		}
 	}
 }
+
+// A reset engine is a new engine: after a run left events pending in both
+// the wheel and the overflow heap, Reset drops them (none runs later), and a
+// scenario then runs event for event as on a fresh engine, at the same
+// cycles, without growing the slab or the heap again.
+func TestEngineResetMatchesNew(t *testing.T) {
+	type rec struct {
+		id   int
+		when Cycle
+	}
+	var trace []rec
+	scenario := func(e *Engine) {
+		for i := 0; i < 256; i++ {
+			id := i
+			fn := func() { trace = append(trace, rec{id, e.Now()}) }
+			switch i % 3 {
+			case 0:
+				e.Schedule(Cycle(i%8), fn)
+			case 1:
+				e.Schedule(Cycle(i)*19, fn) // up to past four wheel turns
+			default:
+				e.At(e.Now()+Cycle(i%3)*wheelSize, fn)
+			}
+		}
+		e.Run(0)
+	}
+	fresh := NewEngine()
+	scenario(fresh)
+	want := append([]rec(nil), trace...)
+
+	e := NewEngine()
+	stale := false
+	for i := 0; i < 64; i++ {
+		e.Schedule(Cycle(i)*37, func() { stale = true })
+	}
+	e.Run(3 * wheelSize / 2)
+	if e.Pending() == 0 || len(e.pq) == 0 {
+		t.Fatalf("dirty run left %d events (%d in the heap), want some in each part", e.Pending(), len(e.pq))
+	}
+	stale = false
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.Executed != 0 {
+		t.Fatalf("after Reset: now %d, %d pending, %d executed; want 0, 0, 0", e.Now(), e.Pending(), e.Executed)
+	}
+	for i := range e.nodes[:cap(e.nodes)] {
+		if e.nodes[:cap(e.nodes)][i].fn != nil {
+			t.Fatalf("node %d still holds a callback after Reset", i)
+		}
+	}
+	trace = trace[:0]
+	scenario(e)
+	if stale {
+		t.Fatal("an event scheduled before Reset ran after it")
+	}
+	if len(trace) != len(want) {
+		t.Fatalf("reset engine ran %d events, fresh %d", len(trace), len(want))
+	}
+	for i := range want {
+		if trace[i] != want[i] {
+			t.Fatalf("event %d: reset engine ran %+v, fresh %+v", i, trace[i], want[i])
+		}
+	}
+	trace = make([]rec, 0, 2*len(want))
+	if allocs := testing.AllocsPerRun(10, func() {
+		trace = trace[:0]
+		e.Reset()
+		scenario(e)
+	}); allocs > 256 {
+		// The scenario's own closures are the 256 allowed; the queue adds none.
+		t.Fatalf("Reset and rerun allocated %.0f objects, want at most the scenario's 256 closures", allocs)
+	}
+}

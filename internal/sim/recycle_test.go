@@ -83,3 +83,129 @@ func TestRecyclerConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// stockNode is a free-list node with an owner field, as the machine
+// components' pooled objects have.
+type stockNode struct {
+	owner *int
+	next  *stockNode
+}
+
+func newNodeStock() *Stock[stockNode] {
+	return NewStock(func(n *stockNode) **stockNode { return &n.next })
+}
+
+func chainOf(n int) *stockNode {
+	var head *stockNode
+	for i := 0; i < n; i++ {
+		head = &stockNode{next: head}
+	}
+	return head
+}
+
+func chainLen(head *stockNode) int {
+	n := 0
+	for x := head; x != nil; x = x.next {
+		n++
+	}
+	return n
+}
+
+// A stocked chain no longer than stockBatch comes back whole, by its head,
+// and an empty stock gives nil. GC is off so the pool keeps
+// what it is given; several chains go in because sync.Pool may drop any one
+// of them.
+func TestStockKeepsChains(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := newNodeStock()
+	if s.Get() != nil {
+		t.Fatal("an empty stock returned a chain")
+	}
+	s.Put(nil) // ignored
+	if s.Get() != nil {
+		t.Fatal("a stocked nil came back")
+	}
+	heads := map[*stockNode]int{}
+	for i := 1; i <= 4; i++ {
+		h := chainOf(i)
+		heads[h] = i
+		s.Put(h)
+	}
+	got := 0
+	for h := s.Get(); h != nil; h = s.Get() {
+		if want, ok := heads[h]; !ok || chainLen(h) != want {
+			t.Fatalf("took a chain of %d nodes (stocked: %v, want %d)", chainLen(h), ok, want)
+		}
+		delete(heads, h)
+		got++
+	}
+	if got == 0 {
+		t.Fatal("no stocked chain came back")
+	}
+}
+
+// Put cuts a long list into chains of stockBatch nodes (the last one
+// shorter), so a getter that needs a few nodes leaves the rest to others,
+// and no node comes back twice. (sync.Pool may drop any chain, and under
+// the race detector it does so at random, so not every chain need return.)
+func TestStockCutsLongLists(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s := newNodeStock()
+	const n = 3*stockBatch + 5
+	head := chainOf(n)
+	all := map[*stockNode]bool{}
+	for x := head; x != nil; x = x.next {
+		all[x] = true
+	}
+	s.Put(head)
+	chains := 0
+	for h := s.Get(); h != nil; h = s.Get() {
+		if l := chainLen(h); l != stockBatch && l != n%stockBatch {
+			t.Fatalf("Get took a chain of %d nodes, want %d or %d", l, stockBatch, n%stockBatch)
+		}
+		for x := h; x != nil; x = x.next {
+			if !all[x] {
+				t.Fatal("Get returned a node twice or one never stocked")
+			}
+			delete(all, x)
+		}
+		chains++
+	}
+	if chains == 0 {
+		t.Fatal("no stocked chain came back")
+	}
+}
+
+// Goroutines that take chains, bind them to an owner of their own, use and
+// clear them, and stock them again (run under -race) never see a node
+// another goroutine holds.
+func TestStockConcurrent(t *testing.T) {
+	s := newNodeStock()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			owner := new(int)
+			for i := 0; i < 200; i++ {
+				head := s.Get()
+				if head == nil {
+					head = chainOf(1 + i%(2*stockBatch))
+				}
+				for x := head; x != nil; x = x.next {
+					if x.owner != nil {
+						t.Error("a stocked node kept its owner")
+						return
+					}
+					x.owner = owner
+					*x.owner++
+				}
+				for x := head; x != nil; x = x.next {
+					x.owner = nil
+				}
+				s.Put(head)
+			}
+		}()
+	}
+	wg.Wait()
+}

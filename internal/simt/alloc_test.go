@@ -168,3 +168,135 @@ func TestTxLogsPerSlot(t *testing.T) {
 		}
 	}
 }
+
+// quietMem is a memory that itself allocates nothing in steady state, so the
+// lock-step gate measures the core alone: each access and CAS completes one
+// cycle after it is issued, in issue order, through one prebuilt flush event.
+type quietMem struct {
+	eng         *sim.Engine
+	words       map[uint64]uint64
+	pending     []quietOp
+	spare       []quietOp
+	loadVals    []uint64
+	flushFn     func()
+	flushQueued bool
+}
+
+type quietOp struct {
+	isCAS       bool
+	isWrite     bool
+	addr, swap  uint64
+	addrs, vals []uint64
+	done        func([]uint64)
+	casDone     func(old uint64, ok bool)
+}
+
+func newQuietMem(eng *sim.Engine) *quietMem {
+	q := &quietMem{eng: eng, words: map[uint64]uint64{}}
+	q.flushFn = func() {
+		ops := q.pending
+		q.pending, q.flushQueued = q.spare[:0], false
+		for i := range ops {
+			op := &ops[i]
+			switch {
+			case op.isCAS:
+				old := q.words[op.addr]
+				if old == 0 {
+					q.words[op.addr] = op.swap
+				}
+				op.casDone(old, old == 0)
+			case op.isWrite:
+				for j, a := range op.addrs {
+					q.words[a] = op.vals[j]
+				}
+				op.done(nil)
+			default:
+				q.loadVals = q.loadVals[:0]
+				for _, a := range op.addrs {
+					q.loadVals = append(q.loadVals, q.words[a])
+				}
+				op.done(q.loadVals)
+			}
+			*op = quietOp{}
+		}
+		q.spare = ops[:0]
+	}
+	return q
+}
+
+func (q *quietMem) queue(op quietOp) {
+	q.pending = append(q.pending, op)
+	if !q.flushQueued {
+		q.flushQueued = true
+		q.eng.Schedule(1, q.flushFn)
+	}
+}
+
+func (q *quietMem) Access(core int, isWrite bool, addrs, vals []uint64, done func([]uint64)) {
+	q.queue(quietOp{isWrite: isWrite, addrs: addrs, vals: vals, done: done})
+}
+
+func (q *quietMem) AtomicCAS(core int, addr, compare, swap uint64, done func(old uint64, ok bool)) {
+	if compare != 0 {
+		panic("quietMem: lock CASes compare against 0")
+	}
+	q.queue(quietOp{isCAS: true, addr: addr, swap: swap, casDone: done})
+}
+
+func (q *quietMem) AtomicAdd(core int, addr, delta uint64, done func(old uint64)) {
+	panic("quietMem: no atomic adds in the lock-step gate")
+}
+
+// Gate: a steady-state fine-grained-lock critical section on the SIMT core —
+// two-level CAS acquisition, a lost race (two lanes share a lock), the
+// losers' release, the body's load and store under the lane mask, the fence,
+// the release stores and the retry round — runs without touching the
+// allocator. The loop's state lives in the warp's csState and every
+// continuation is bound once per warp.
+func TestCoreLockStepAllocs(t *testing.T) {
+	locks := make([][]uint64, isa.WarpWidth)
+	data := make([]uint64, isa.WarpWidth)
+	for l := range locks {
+		// Lanes 0 and 1 share their second lock, so one of them loses the
+		// first round and retries.
+		second := uint64(0x9000 + 8*l)
+		if l == 1 {
+			second = 0x9000
+		}
+		locks[l] = []uint64{uint64(0x8000 + 8*l), second}
+		data[l] = uint64(0x10000 + 8*l)
+	}
+	body := isa.NewBuilder().
+		Load(1, data).
+		AddImmScalar(1, 1, 1).
+		Store(1, data).
+		Ops()
+	prog := isa.NewBuilder().CritSection(locks, body).MustBuild()
+
+	h := newCoreHarness(nil, func(c *Config) { c.WarpsPerCore = 1 })
+	q := newQuietMem(h.eng)
+	h.core.memsys = q
+	w := h.core.newWarpFor(0)
+
+	step := func() {
+		w.assign(prog)
+		h.core.scheduleIssue()
+		h.eng.Run(0)
+	}
+	step() // warm the callbacks, scratch slices, maps and engine slab
+	if w.state != wDone || w.cs.op != nil {
+		t.Fatalf("warm-up: warp state %d, in a critical section %v; want done, not", w.state, w.cs.op != nil)
+	}
+	for l := range data {
+		if q.words[data[l]] != 1 || q.words[locks[l][0]] != 0 || q.words[locks[l][1]] != 0 {
+			t.Fatalf("warm-up lane %d: data %d, locks %d/%d; want 1, 0/0",
+				l, q.words[data[l]], q.words[locks[l][0]], q.words[locks[l][1]])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("critical section (acquire, lost race, body, fence, release, retry) allocates %.1f per section, want 0", allocs)
+	}
+	if got := q.words[data[0]]; got != 102 {
+		t.Fatalf("lane 0 ran its body %d times over 102 sections, want 102", got)
+	}
+}

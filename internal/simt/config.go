@@ -55,8 +55,6 @@ type MemSystem interface {
 	Access(core int, isWrite bool, addrs, vals []uint64, done func(loadVals []uint64))
 	// AtomicCAS executes compare-and-swap at addr's home partition.
 	AtomicCAS(core int, addr, compare, swap uint64, done func(old uint64, ok bool))
-	// AtomicExch executes an atomic exchange at addr's home partition.
-	AtomicExch(core int, addr, val uint64, done func(old uint64))
 	// AtomicAdd executes an atomic add at addr's home partition.
 	AtomicAdd(core int, addr, delta uint64, done func(old uint64))
 }

@@ -53,8 +53,10 @@ type Core struct {
 	issueFn      func() // c.issue, bound once (a method value allocates)
 
 	// storePool is a freelist of fire-and-forget store buffers (single
-	// goroutine per machine, so no locking).
-	storePool *storeBuf
+	// goroutine per machine, so no locking), and spareWarps the rest of a
+	// stocked chain of warps the core took (newWarpFor). Recycle stocks both.
+	storePool  *storeBuf
+	spareWarps *Warp
 	// logPool is the free list of transaction logs. Logs belong to
 	// transaction slots: a warp takes one in startTx and returns it in endTx,
 	// so a core never holds more logs than its peak number of concurrent
@@ -120,21 +122,25 @@ func (c *Core) admitQueued() {
 	}
 }
 
-// newWarpFor constructs the warp context for a slot with its prebound
-// completion and commit closures (allocated once per warp, here).
+// Stocks of finished machines' warps and store buffers (DESIGN §6).
+var (
+	warpStock  = sim.NewStock(func(w *Warp) **Warp { return &w.next })
+	storeStock = sim.NewStock(func(sb *storeBuf) **storeBuf { return &sb.next })
+)
+
+// newWarpFor gives a slot its warp context: a spare or stocked warp when
+// there is one (with its prebound callbacks), a new one otherwise.
 func (c *Core) newWarpFor(slot int) *Warp {
-	w := newWarp(slot, c.ID*c.cfg.WarpsPerCore+slot)
-	w.accDone = func(results []tm.AccessResult) { c.txAccessDone(w, results) }
-	w.loadDone = func(loadVals []uint64) {
-		for i, lane := range w.loadLanes {
-			w.regs[lane][w.loadDst] = loadVals[i]
-		}
-		c.wake(w)
+	w := c.spareWarps
+	if w == nil {
+		w = warpStock.Get()
 	}
-	w.wakeFn = func() { c.wake(w) }
-	w.commitFn = func() { c.txCommit(w) }
-	w.resumeFn = func(out tm.CommitOutcome) { c.txCommitDone(w, out) }
-	w.retryFn = func() { c.txRetry(w) }
+	if w == nil {
+		w = newWarp()
+	} else {
+		c.spareWarps, w.next = w.next, nil
+	}
+	w.c, w.slot, w.gwid = c, slot, c.ID*c.cfg.WarpsPerCore+slot
 	c.warps[slot] = w
 	return w
 }
@@ -152,21 +158,25 @@ func (c *Core) Start() {
 	c.scheduleIssue()
 }
 
-// Recycle hands the warps' register files and the core's transaction logs
-// to the next cores built in this process. The core must not run
-// afterwards.
+// Recycle hands the core's warps, store buffers and transaction logs to the
+// next cores built in this process. The core must not run afterwards.
 func (c *Core) Recycle() {
-	for _, w := range c.warps {
+	chain := c.spareWarps
+	for i, w := range c.warps {
 		if w == nil {
 			continue
 		}
-		regFiles.Put(w.regs)
-		w.regs = nil
 		if w.txLog != nil {
 			txLogs.Put(w.txLog)
 			w.txLog = nil
 		}
+		w.drop()
+		w.next, chain = chain, w
+		c.warps[i] = nil
 	}
+	warpStock.Put(chain)
+	storeStock.Put(c.storePool)
+	c.spareWarps, c.storePool = nil, nil
 	for _, l := range c.logPool {
 		txLogs.Put(l)
 	}
@@ -359,10 +369,9 @@ func (c *Core) execAtomicAdd(w *Warp, op *isa.Op) {
 // redispatches the warp at main-program end.
 func (c *Core) frameDone(w *Warp) {
 	if len(w.frames) > 1 {
-		f := w.top()
 		w.frames = w.frames[:len(w.frames)-1]
 		w.state = wBlocked
-		f.onDone(w)
+		c.csBodyDone(w)
 		return
 	}
 	if w.pendingStores > 0 {
@@ -406,7 +415,6 @@ func (c *Core) execMemAccess(w *Warp, op *isa.Op, isWrite bool) {
 		}
 		w.pendingStores++
 		w.top().pc++
-		sb.scoreboard = w.storeWords // capture: assign() swaps in a fresh map
 		c.memsys.Access(c.ID, true, sb.addrs, sb.vals, sb.done)
 		return // warp stays ready
 	}
@@ -435,23 +443,26 @@ func (c *Core) execMemAccess(w *Warp, op *isa.Op, isWrite bool) {
 }
 
 // storeBuf carries one fire-and-forget store's operands until the memory
-// system completes it; done is prebound once per pooled buffer.
+// system completes it; done is prebound once per pooled buffer, and reaches
+// the core through c, which only a buffer in use has.
 type storeBuf struct {
-	c          *Core
-	w          *Warp
-	addrs      []uint64
-	vals       []uint64
-	scoreboard map[uint64]int
-	done       func([]uint64)
-	next       *storeBuf
+	c     *Core
+	w     *Warp
+	addrs []uint64
+	vals  []uint64
+	done  func([]uint64)
+	next  *storeBuf
 }
 
-// getStoreBuf pops a pooled store buffer (or builds one, amortized away).
+// getStoreBuf pops a pooled store buffer (or a stocked chain's, or builds
+// one, amortized away).
 func (c *Core) getStoreBuf(w *Warp) *storeBuf {
 	sb := c.storePool
 	if sb == nil {
+		sb = storeStock.Get()
+	}
+	if sb == nil {
 		sb = &storeBuf{
-			c:     c,
 			addrs: make([]uint64, 0, isa.WarpWidth),
 			vals:  make([]uint64, 0, isa.WarpWidth),
 		}
@@ -459,23 +470,24 @@ func (c *Core) getStoreBuf(w *Warp) *storeBuf {
 	} else {
 		c.storePool = sb.next
 	}
-	sb.w = w
+	sb.c, sb.w = c, w
 	return sb
 }
 
 // storeDone retires one store: scoreboard decrements, fence draining, and
 // buffer recycling.
 func (sb *storeBuf) storeDone() {
+	w, c := sb.w, sb.c
 	for _, a := range sb.addrs {
-		if sb.scoreboard[a] > 0 {
-			sb.scoreboard[a]--
+		if n := w.storeWords[a]; n > 1 {
+			w.storeWords[a] = n - 1
+		} else {
+			delete(w.storeWords, a)
 		}
 	}
-	w, c := sb.w, sb.c
 	sb.addrs = sb.addrs[:0]
 	sb.vals = sb.vals[:0]
-	sb.scoreboard = nil
-	sb.w = nil
+	sb.c, sb.w = nil, nil
 	sb.next = c.storePool
 	c.storePool = sb
 	w.pendingStores--
@@ -483,14 +495,20 @@ func (sb *storeBuf) storeDone() {
 }
 
 // drainFences fires fence callbacks once the warp's store queue is empty.
+// A callback that fences again starts a new list; otherwise the drained
+// list's backing serves the next fences.
 func (c *Core) drainFences(w *Warp) {
 	if w.pendingStores != 0 || len(w.fenceFns) == 0 {
 		return
 	}
 	fns := w.fenceFns
 	w.fenceFns = nil
-	for _, f := range fns {
+	for i, f := range fns {
+		fns[i] = nil
 		f()
+	}
+	if w.fenceFns == nil {
+		w.fenceFns = fns[:0]
 	}
 }
 

@@ -1,7 +1,7 @@
 package simt
 
 import (
-	"sort"
+	"slices"
 
 	"getm/internal/isa"
 )
@@ -13,7 +13,8 @@ import (
 // lockstep SIMT code): every not-yet-done lane attempts to CAS-acquire its
 // locks in ascending address order; lanes that acquire everything execute
 // the body together under a lane mask; locks are then released with plain
-// stores, and the remaining lanes retry.
+// stores, and the remaining lanes retry. The loop's state is the warp's
+// csState and every continuation is one of its prebound callbacks.
 
 // execCritSection starts the state machine.
 func (c *Core) execCritSection(w *Warp, op *isa.Op) {
@@ -22,7 +23,10 @@ func (c *Core) execCritSection(w *Warp, op *isa.Op) {
 	if mask == 0 {
 		return
 	}
-	w.cs = &csState{op: op, remaining: mask}
+	if w.cs.roundFn == nil {
+		w.bindCS()
+	}
+	w.cs.op, w.cs.remaining = op, mask
 	w.state = wBlocked
 	c.csRound(w)
 }
@@ -30,11 +34,11 @@ func (c *Core) execCritSection(w *Warp, op *isa.Op) {
 // sortedLocks returns the lane's lock list in ascending order (deadlock-free
 // acquisition order).
 func sortedLocks(locks []uint64) []uint64 {
-	if sort.SliceIsSorted(locks, func(i, j int) bool { return locks[i] < locks[j] }) {
+	if slices.IsSorted(locks) {
 		return locks
 	}
-	s := append([]uint64(nil), locks...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(locks)
+	slices.Sort(s)
 	return s
 }
 
@@ -45,10 +49,10 @@ func (c *Core) csRound(w *Warp) {
 
 // csAcquireLevel CASes the level-th lock of every contender; winners advance
 // to the next level, losers release what they hold and wait for the next
-// round. Lanes whose lock lists are exhausted become holders.
+// round (csCASDone). Lanes whose lock lists are exhausted become holders.
 func (c *Core) csAcquireLevel(w *Warp, contenders isa.LaneMask, level int, holders isa.LaneMask) {
-	cs := w.cs
-	var needs []int
+	cs := &w.cs
+	var needs isa.LaneMask
 	for lane := 0; lane < isa.WarpWidth; lane++ {
 		if !contenders.Bit(lane) {
 			continue
@@ -56,87 +60,96 @@ func (c *Core) csAcquireLevel(w *Warp, contenders isa.LaneMask, level int, holde
 		if len(cs.op.Locks[lane]) <= level {
 			holders = holders.Set(lane)
 		} else {
-			needs = append(needs, lane)
+			needs = needs.Set(lane)
 		}
 	}
-	if len(needs) == 0 {
+	if needs == 0 {
 		c.csBody(w, holders)
 		return
 	}
 
-	outstanding := len(needs)
-	var winners, losers isa.LaneMask
-	for _, lane := range needs {
-		lane := lane
-		addr := sortedLocks(cs.op.Locks[lane])[level]
-		c.memsys.AtomicCAS(c.ID, addr, 0, uint64(w.gwid)+1, func(_ uint64, ok bool) {
-			if ok {
-				cs.held[lane]++
-				winners = winners.Set(lane)
-			} else {
-				losers = losers.Set(lane)
-			}
-			outstanding--
-			if outstanding == 0 {
-				c.csReleaseLocks(w, losers, func() {
-					c.csAcquireLevel(w, winners, level+1, holders)
-				})
-			}
-		})
+	cs.level, cs.holders = level, holders
+	cs.winners, cs.losers = 0, 0
+	cs.outstanding = needs.Count()
+	for lane := 0; lane < isa.WarpWidth; lane++ {
+		if needs.Bit(lane) {
+			addr := sortedLocks(cs.op.Locks[lane])[level]
+			c.memsys.AtomicCAS(c.ID, addr, 0, uint64(w.gwid)+1, cs.casDone[lane])
+		}
+	}
+}
+
+// csCASDone takes one lane's CAS outcome; the level's last releases the
+// losers' locks and then moves the winners to the next level.
+func (c *Core) csCASDone(w *Warp, lane int, ok bool) {
+	cs := &w.cs
+	if ok {
+		cs.held[lane]++
+		cs.winners = cs.winners.Set(lane)
+	} else {
+		cs.losers = cs.losers.Set(lane)
+	}
+	cs.outstanding--
+	if cs.outstanding == 0 {
+		c.csReleaseLocks(w, cs.losers, cs.nextLevelFn)
 	}
 }
 
 // csReleaseLocks releases every lock held by the given lanes (plain stores,
-// as in the Fig 1 code) and resets their counts.
+// as in the Fig 1 code), resets their counts and runs done once the stores
+// complete.
 func (c *Core) csReleaseLocks(w *Warp, lanes isa.LaneMask, done func()) {
-	cs := w.cs
-	var addrs, vals []uint64
+	cs := &w.cs
+	cs.addrs, cs.vals = cs.addrs[:0], cs.vals[:0]
 	for lane := 0; lane < isa.WarpWidth; lane++ {
 		if !lanes.Bit(lane) {
 			continue
 		}
 		locks := sortedLocks(cs.op.Locks[lane])
 		for i := 0; i < cs.held[lane]; i++ {
-			addrs = append(addrs, locks[i])
-			vals = append(vals, 0)
+			cs.addrs = append(cs.addrs, locks[i])
+			cs.vals = append(cs.vals, 0)
 		}
 		cs.held[lane] = 0
 	}
-	if len(addrs) == 0 {
+	if len(cs.addrs) == 0 {
 		done()
 		return
 	}
-	c.memsys.Access(c.ID, true, addrs, vals, func([]uint64) { done() })
+	cs.released = done
+	c.memsys.Access(c.ID, true, cs.addrs, cs.vals, cs.storesFn)
 }
 
 // csBody runs the critical-section body for the lanes holding their locks.
 func (c *Core) csBody(w *Warp, holders isa.LaneMask) {
-	cs := w.cs
+	cs := &w.cs
 	if holders == 0 {
 		// Everyone lost an acquisition race; spin and retry.
-		c.eng.Schedule(csRetryDelay, func() { c.csRound(w) })
+		c.eng.Schedule(csRetryDelay, cs.roundFn)
 		return
 	}
-	w.frames = append(w.frames, frame{
-		ops:  cs.op.Body,
-		mask: holders,
-		onDone: func(w *Warp) {
-			// Memory fence: the body's fire-and-forget stores must be
-			// globally visible before the locks are released (the
-			// __threadfence a real GPU lock implementation issues here).
-			w.fence(func() {
-				c.csReleaseLocks(w, holders, func() {
-					cs.remaining &^= holders
-					if cs.remaining != 0 {
-						c.eng.Schedule(csRetryDelay, func() { c.csRound(w) })
-						return
-					}
-					w.cs = nil
-					c.wake(w)
-				})
-			})
-		},
-	})
+	cs.body = holders
+	w.frames = append(w.frames, frame{ops: cs.op.Body, mask: holders})
 	w.state = wReady
 	c.scheduleIssue()
+}
+
+// csBodyDone follows the body's frame: a memory fence, so the body's
+// fire-and-forget stores are globally visible before the locks are released
+// (the __threadfence a real GPU lock implementation issues here).
+func (c *Core) csBodyDone(w *Warp) {
+	w.fence(w.cs.bodyDoneFn)
+}
+
+// csFinish retires the body's lanes once their locks are free: another round
+// for the lanes still waiting, or the end of the critical section.
+func (c *Core) csFinish(w *Warp) {
+	cs := &w.cs
+	cs.remaining &^= cs.body
+	if cs.remaining != 0 {
+		c.eng.Schedule(csRetryDelay, cs.roundFn)
+		return
+	}
+	cs.op = nil
+	c.wake(w)
 }

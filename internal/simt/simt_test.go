@@ -12,7 +12,7 @@ import (
 type fakeMem struct {
 	eng   *sim.Engine
 	words map[uint64]uint64
-	// atomicsServed counts CAS/Exch operations.
+	// atomicsServed counts CAS and add operations.
 	atomicsServed int
 }
 
@@ -43,15 +43,6 @@ func (f *fakeMem) AtomicCAS(core int, addr, cmp, swap uint64, done func(uint64, 
 			f.words[addr] = swap
 		}
 		done(old, ok)
-	})
-}
-
-func (f *fakeMem) AtomicExch(core int, addr, val uint64, done func(uint64)) {
-	f.atomicsServed++
-	f.eng.Schedule(1, func() {
-		old := f.words[addr]
-		f.words[addr] = val
-		done(old)
 	})
 }
 

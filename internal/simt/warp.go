@@ -1,8 +1,6 @@
 package simt
 
 import (
-	"sync"
-
 	"getm/internal/isa"
 	"getm/internal/sim"
 	"getm/internal/tm"
@@ -25,24 +23,31 @@ const (
 // frame is one level of the execution stack: the main program, or a
 // critical-section body with a holder mask.
 type frame struct {
-	ops    []isa.Op
-	pc     int
-	mask   isa.LaneMask
-	onDone func(w *Warp)
+	ops  []isa.Op
+	pc   int
+	mask isa.LaneMask
 }
 
 // Warp is one hardware warp's execution state, including the transactional
 // SIMT-stack extension: txMask tracks the lanes of the current attempt and
 // deadMask the lanes that aborted and wait (as the Retry stack entry) to be
 // re-executed when the warp reaches the commit point.
+//
+// A warp outlives its machine (DESIGN §6): Core.Recycle stocks it whole, with
+// its register file, scoreboard map, scratch slices and prebound callbacks,
+// and the next core to need a warp takes it. Every callback reaches the core
+// through c, which is set when the warp is taken and cleared when it is
+// stocked, together with everything else that points into the finished
+// machine or its kernel.
 type Warp struct {
+	c    *Core
 	slot int // core-local index
 	gwid int
 
 	frames []frame
 	state  warpState
 
-	regs *regFile
+	regs regFile
 
 	// Transaction state. txLog belongs to the transaction slot, not the
 	// warp: it is taken from the core's free list in startTx and returned in
@@ -65,12 +70,14 @@ type Warp struct {
 	attemptStart sim.Cycle
 	waitStart    sim.Cycle
 
-	// cs is the in-progress critical-section state machine, if any.
-	cs *csState
+	// cs is the critical-section state machine (fine-grained-lock kernels).
+	cs csState
 
 	// Non-blocking store tracking: GPUs fire-and-forget global stores, so
-	// the warp continues after issuing one. storeWords scoreboards the
-	// written words (a later load of one must wait), and fence callbacks run
+	// the warp continues after issuing one. storeWords scoreboards the words
+	// with stores in flight (a later load of one must wait; a word leaves
+	// the map when its last store lands, so the map stays as small as the
+	// store queue, and it travels with the warp), and fence callbacks run
 	// once every outstanding store has reached memory (used before releasing
 	// locks and at program end).
 	pendingStores int
@@ -89,7 +96,7 @@ type Warp struct {
 
 	// In-flight access state consumed by the prebound completion callbacks
 	// (accDone for transactional accesses, loadDone for blocking loads); the
-	// closures themselves are allocated once per warp in newWarpFor.
+	// closures themselves are allocated once per warp in newWarp.
 	accIsWrite bool
 	accDst     isa.Reg
 	accAttempt uint64
@@ -109,33 +116,48 @@ type Warp struct {
 	retryFn     func()
 	// wakeFn is the prebound c.wake(w) (compute latency, store fences).
 	wakeFn func()
+
+	next *Warp // the stocked chain (warpStock)
 }
 
 // regFile is one warp's registers, 2 KB of its context.
 type regFile [isa.WarpWidth][isa.NumRegs]uint64
 
-// regFiles holds the register files of recycled cores (Core.Recycle) for
-// the next warps built in this process, on any goroutine.
-var regFiles sync.Pool
-
-// newRegFile returns a register file, recycled when one is pooled; assign
-// zeroes it before the warp runs a program.
-func newRegFile() *regFile {
-	if r, ok := regFiles.Get().(*regFile); ok {
-		return r
-	}
-	return new(regFile)
-}
-
-func newWarp(slot, gwid int) *Warp {
-	return &Warp{
-		slot: slot, gwid: gwid,
-		regs:       newRegFile(),
+// newWarp builds a warp context with its prebound completion and commit
+// callbacks (allocated once per warp, here).
+func newWarp() *Warp {
+	w := &Warp{
 		storeWords: make(map[uint64]int),
 		sendBuf:    make([]tm.LaneAccess, 0, isa.WarpWidth),
 		loadLanes:  make([]int, 0, isa.WarpWidth),
 		loadAddrs:  make([]uint64, 0, isa.WarpWidth),
 	}
+	w.accDone = func(results []tm.AccessResult) { w.c.txAccessDone(w, results) }
+	w.loadDone = func(loadVals []uint64) {
+		for i, lane := range w.loadLanes {
+			w.regs[lane][w.loadDst] = loadVals[i]
+		}
+		w.c.wake(w)
+	}
+	w.wakeFn = func() { w.c.wake(w) }
+	w.commitFn = func() { w.c.txCommit(w) }
+	w.resumeFn = func(out tm.CommitOutcome) { w.c.txCommitDone(w, out) }
+	w.retryFn = func() { w.c.txRetry(w) }
+	return w
+}
+
+// drop prepares the warp to be stocked: it lets go of its core, its kernel's
+// programs and whatever a cut-short run left in flight. assign resets the
+// rest before the warp runs again.
+func (w *Warp) drop() {
+	w.c = nil
+	clear(w.frames[:cap(w.frames)])
+	w.frames = w.frames[:0]
+	w.cs.op, w.cs.released, w.cs.held = nil, nil, [isa.WarpWidth]int{}
+	w.warpTx = tm.WarpTx{}
+	clear(w.fenceFns[:cap(w.fenceFns)])
+	w.fenceFns = w.fenceFns[:0]
+	w.pendingStores = 0
 }
 
 // fence runs f once all outstanding stores have completed.
@@ -193,9 +215,9 @@ func (w *Warp) assign(p *isa.Program) {
 	w.inTx = false
 	w.deadMask = 0
 	w.txMask = 0
-	w.cs = nil
+	w.cs.op = nil
 	clear(w.storeWords) // safe: frameDone drains stores before redispatch
-	*w.regs = regFile{}
+	w.regs = regFile{}
 }
 
 // storeValue resolves the data a lane's store writes.
@@ -209,10 +231,46 @@ func (w *Warp) storeValue(op *isa.Op, lane int) uint64 {
 // csState drives the warp-level critical-section loop: acquire the per-lane
 // lock lists in ascending order via CAS, run the body for the lanes that
 // hold all their locks, release, and repeat for the remainder (the Fig 1
-// loop-on-flag idiom).
+// loop-on-flag idiom). The loop's state lives here and its callbacks are
+// bound once per warp (bindCS), so a critical section allocates nothing.
 type csState struct {
-	op        *isa.Op
+	op        *isa.Op // nil outside a critical section
 	remaining isa.LaneMask
 	// held[lane] counts locks currently held during an acquire round.
 	held [isa.WarpWidth]int
+
+	// The acquire level in flight: the lanes already holding every lock,
+	// the CAS outcomes so far and the CASes still outstanding.
+	level       int
+	holders     isa.LaneMask
+	winners     isa.LaneMask
+	losers      isa.LaneMask
+	outstanding int
+	// body is the holder set running the body, whose locks it releases.
+	body isa.LaneMask
+	// released continues the loop once a release's stores complete; addrs
+	// and vals are their operands, valid until then.
+	released    func()
+	addrs, vals []uint64
+
+	casDone     [isa.WarpWidth]func(old uint64, ok bool) // lane's CAS outcome
+	nextLevelFn func()                                   // the winners acquire the next level
+	roundFn     func()                                   // a new round for the remaining lanes
+	bodyDoneFn  func()                                   // the body's stores are visible: release
+	finishFn    func()                                   // the body's locks are free
+	storesFn    func([]uint64)                           // a release's stores completed
+}
+
+// bindCS builds the warp's critical-section callbacks, on its first
+// critical section.
+func (w *Warp) bindCS() {
+	cs := &w.cs
+	for lane := range cs.casDone {
+		cs.casDone[lane] = func(_ uint64, ok bool) { w.c.csCASDone(w, lane, ok) }
+	}
+	cs.nextLevelFn = func() { w.c.csAcquireLevel(w, cs.winners, cs.level+1, cs.holders) }
+	cs.roundFn = func() { w.c.csRound(w) }
+	cs.bodyDoneFn = func() { w.c.csReleaseLocks(w, cs.body, cs.finishFn) }
+	cs.finishFn = func() { w.c.csFinish(w) }
+	cs.storesFn = func([]uint64) { cs.released() }
 }

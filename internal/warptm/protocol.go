@@ -39,13 +39,14 @@ type Protocol struct {
 	startHorizon []uint64
 
 	// Hot-path freelists (single goroutine per machine — no locking): access
-	// states, per-word load requests, commit objects, and commit-log entry
-	// backings. Pooled objects carry prebuilt closures so steady-state
-	// accesses and commits allocate nothing.
+	// states, per-word load requests and commit objects. Pooled objects carry
+	// prebuilt closures so steady-state accesses and commits allocate
+	// nothing. A pooled object reaches the protocol through its p field,
+	// which only an object in use has, so the lists outlive the machine
+	// (Recycle).
 	accPool    *wtmAccess
 	wordPool   *wordReq
 	commitPool *commitReq
-	entryPool  [][]tm.LogEntry
 	// Per-commit counting-sort scratch (len = #partitions), consumed
 	// synchronously inside Commit.
 	readCount  []int
@@ -65,11 +66,28 @@ type Protocol struct {
 // SetTrace attaches the machine-wide event recorder (nil disables).
 func (p *Protocol) SetTrace(rec *trace.Recorder) { p.rec = rec }
 
-// Recycle hands every partition's TCD arrays to the next machine built in
-// this process (TCD.Recycle). The protocol must not run afterwards.
+// Stocks of finished machines' WarpTM free lists (DESIGN §6).
+var (
+	accStock    = sim.NewStock(func(st *wtmAccess) **wtmAccess { return &st.next })
+	wordStock   = sim.NewStock(func(wr *wordReq) **wordReq { return &wr.next })
+	commitStock = sim.NewStock(func(c *commitReq) **commitReq { return &c.next })
+	stateStock  = sim.NewStock(func(st *txState) **txState { return &st.next })
+	retireStock = sim.NewStock(func(r *retireEv) **retireEv { return &r.next })
+)
+
+// Recycle hands the protocol's free lists, and every partition's TCD arrays
+// and VU free lists, to the next machine built in this process. The
+// protocol must not run afterwards.
 func (p *Protocol) Recycle() {
+	accStock.Put(p.accPool)
+	wordStock.Put(p.wordPool)
+	commitStock.Put(p.commitPool)
+	p.accPool, p.wordPool, p.commitPool = nil, nil, nil
 	for _, vu := range p.vus {
 		vu.tcd.Recycle()
+		stateStock.Put(vu.statePool)
+		retireStock.Put(vu.retirePool)
+		vu.statePool, vu.retirePool = nil, nil
 	}
 }
 
@@ -157,7 +175,10 @@ type wordReq struct {
 func (p *Protocol) getAccess() *wtmAccess {
 	st := p.accPool
 	if st == nil {
-		st = &wtmAccess{p: p, results: make([]tm.AccessResult, 0, isa.WarpWidth)}
+		st = accStock.Get()
+	}
+	if st == nil {
+		st = &wtmAccess{results: make([]tm.AccessResult, 0, isa.WarpWidth)}
 		st.finishFn = func() {
 			st.done(st.results)
 			st.release()
@@ -165,38 +186,24 @@ func (p *Protocol) getAccess() *wtmAccess {
 	} else {
 		p.accPool = st.next
 	}
+	st.p = p
 	return st
 }
 
 func (st *wtmAccess) release() {
-	st.w = nil
-	st.lanes = nil
-	st.done = nil
-	st.next = st.p.accPool
-	st.p.accPool = st
-}
-
-// getEntryBuf pops a pooled commit-log backing of length n.
-func (p *Protocol) getEntryBuf(n int) []tm.LogEntry {
-	var b []tm.LogEntry
-	if k := len(p.entryPool); k > 0 {
-		b = p.entryPool[k-1]
-		p.entryPool = p.entryPool[:k-1]
-	}
-	if cap(b) < n {
-		return make([]tm.LogEntry, n)
-	}
-	return b[:n]
-}
-
-func (p *Protocol) putEntryBuf(b []tm.LogEntry) {
-	p.entryPool = append(p.entryPool, b)
+	p := st.p
+	st.p, st.w, st.lanes, st.done = nil, nil, nil, nil
+	st.next = p.accPool
+	p.accPool = st
 }
 
 func (p *Protocol) getWordReq() *wordReq {
 	wr := p.wordPool
 	if wr == nil {
-		wr = &wordReq{p: p}
+		wr = wordStock.Get()
+	}
+	if wr == nil {
+		wr = &wordReq{}
 		wr.submitFn = func() {
 			// Data read through the partition pipeline + TCD lookup.
 			part := wr.p.vus[wr.part].part
@@ -212,6 +219,7 @@ func (p *Protocol) getWordReq() *wordReq {
 	} else {
 		p.wordPool = wr.next
 	}
+	wr.p = p
 	return wr
 }
 
@@ -239,7 +247,7 @@ func (wr *wordReq) deliver() {
 			}
 		}
 	}
-	wr.st = nil
+	wr.st, wr.p = nil, nil
 	wr.next = p.wordPool
 	p.wordPool = wr
 	st.remaining--
@@ -309,8 +317,11 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 // lane masks, reply and ack counters, involved partitions and entry backing
 // through both round trips; a silent read-only commit uses it only for its
 // one-cycle resume. Pooled per machine; every callback, including one
-// partCommit per partition, is built once with the object and rebound
-// through fields. The object is recycled before resume runs.
+// partCommit per partition, is built once with the object and reaches the
+// protocol through c.p. A stocked object from a machine with fewer
+// partitions gets its partCommits rebuilt (growParts). The object is
+// recycled before resume runs, and keeps its entry backing for the next
+// commit.
 type commitReq struct {
 	p           *Protocol
 	w           *tm.WarpTx
@@ -343,51 +354,62 @@ type partCommit struct {
 
 func (p *Protocol) getCommit() *commitReq {
 	c := p.commitPool
-	if c != nil {
+	if c == nil {
+		c = commitStock.Get()
+	}
+	if c == nil {
+		c = &commitReq{}
+		c.resumeFn = func() {
+			resume := c.resume
+			c.release()
+			resume(tm.CommitOutcome{})
+		}
+	} else {
 		p.commitPool = c.next
-		return c
 	}
-	c = &commitReq{p: p, parts: make([]partCommit, len(p.vus))}
-	c.resumeFn = func() {
-		resume := c.resume
-		c.release()
-		resume(tm.CommitOutcome{})
+	if len(c.parts) < len(p.vus) {
+		c.growParts(len(p.vus))
 	}
+	c.p = p
+	return c
+}
+
+// growParts builds n partCommits with their callbacks.
+func (c *commitReq) growParts(n int) {
+	c.parts = make([]partCommit, n)
 	for part := range c.parts {
 		pc := &c.parts[part]
-		vu := p.vus[part]
-		pc.submitFn = func() { vu.Submit(&pc.msg) }
+		pc.submitFn = func() { c.p.vus[part].Submit(&pc.msg) }
 		pc.msg.Reply = func(f isa.LaneMask) {
 			pc.failed = f
-			p.trans.ToCore(part, c.w.Core, tm.HeaderBytes+4, pc.replyFn)
+			c.p.trans.ToCore(part, c.w.Core, tm.HeaderBytes+4, pc.replyFn)
 		}
 		pc.replyFn = func() {
 			c.failed |= pc.failed
 			c.repliesLeft--
 			if c.repliesLeft == 0 {
-				p.finishCommit(c)
+				c.p.finishCommit(c)
 			}
 		}
-		pc.confirmFn = func() { vu.Confirm(c.cid, c.committing, pc.ackFn) }
-		pc.ackFn = func() { p.trans.ToCore(part, c.w.Core, tm.HeaderBytes, pc.ackDeliverFn) }
+		pc.confirmFn = func() { c.p.vus[part].Confirm(c.cid, c.committing, pc.ackFn) }
+		pc.ackFn = func() { c.p.trans.ToCore(part, c.w.Core, tm.HeaderBytes, pc.ackDeliverFn) }
 		pc.ackDeliverFn = func() {
 			c.acksLeft--
 			if c.acksLeft > 0 {
 				return
 			}
 			resume, out := c.resume, tm.CommitOutcome{FailedLanes: c.failed, Cause: tm.CauseValidation}
-			p.putEntryBuf(c.backing)
 			c.release()
 			resume(out)
 		}
 	}
-	return c
 }
 
 func (c *commitReq) release() {
-	c.w, c.resume, c.backing = nil, nil, nil
-	c.next = c.p.commitPool
-	c.p.commitPool = c
+	p := c.p
+	c.p, c.w, c.resume = nil, nil, nil
+	c.next = p.commitPool
+	p.commitPool = c
 }
 
 // Commit implements tm.Protocol: the two-round-trip value-based validation
@@ -447,9 +469,9 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 	// Build per-partition entry lists for the validating lanes: a stable
 	// counting sort into one pooled flat backing (entry order within each
 	// partition matches log order, as the old per-partition appends did).
-	// The backing is shared by every partition's ValidationMsg and released
-	// when the commit resumes — by then each VU has either retired the empty
-	// message or applied and dropped its txState.
+	// The backing is shared by every partition's ValidationMsg and reused by
+	// the object's next commit, after this one resumes — by then each VU has
+	// either retired the empty message or applied and dropped its txState.
 	nParts := len(p.vus)
 	need := 0
 	for part := 0; part < nParts; part++ {
@@ -468,7 +490,11 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 			need++
 		}
 	}
-	c.backing = p.getEntryBuf(need)
+	if cap(c.backing) < need {
+		c.backing = make([]tm.LogEntry, need)
+	} else {
+		c.backing = c.backing[:need]
+	}
 	// Carve zero-length exact-capacity sub-slices out of the backing, then
 	// append into them: no reallocation, stable order.
 	pos := 0

@@ -23,11 +23,13 @@ type ValidationMsg struct {
 }
 
 // txState is one transaction's validation and commit at a VU, from its start
-// to its ack. Pooled per VU: the validate and apply events are built once,
-// and the write-set map keeps its capacity across commits. msg is the
-// commit's pooled message, which outlives the txState (the protocol recycles
-// it only after this VU's ack).
+// to its ack. Pooled per VU: the validate and apply events are built once
+// and reach the VU through v, which only a state in use has, and the
+// write-set map keeps its capacity across commits. msg is the commit's
+// pooled message, which outlives the txState (the protocol recycles it only
+// after this VU's ack).
 type txState struct {
+	v         *VU
 	msg       *ValidationMsg
 	validated bool
 	// The core's decision (Confirm): lanes that commit, and the ack.
@@ -44,6 +46,7 @@ type txState struct {
 
 // retireEv is an empty subcommit's one-cycle reply, pooled per VU.
 type retireEv struct {
+	v     *VU
 	reply func(failed isa.LaneMask)
 	fn    func()
 	next  *retireEv
@@ -93,18 +96,21 @@ func NewVU(cfg Config, eng *sim.Engine, part *mem.Partition, rng *sim.RNG) *VU {
 func (v *VU) getTxState(msg *ValidationMsg) *txState {
 	st := v.statePool
 	if st == nil {
+		st = stateStock.Get()
+	}
+	if st == nil {
 		st = &txState{writeSet: make(map[uint64]bool)}
-		st.validateFn = func() { v.finishValidate(st) }
-		st.applyFn = func() { v.finishApply(st) }
+		st.validateFn = func() { st.v.finishValidate(st) }
+		st.applyFn = func() { st.v.finishApply(st) }
 	} else {
 		v.statePool = st.next
 	}
-	st.msg = msg
+	st.v, st.msg = v, msg
 	return st
 }
 
 func (v *VU) putTxState(st *txState) {
-	st.msg, st.done = nil, nil
+	st.v, st.msg, st.done = nil, nil, nil
 	st.validated, st.confirmed, st.wrote = false, false, false
 	clear(st.writeSet)
 	st.next = v.statePool
@@ -115,10 +121,13 @@ func (v *VU) putTxState(st *txState) {
 func (v *VU) retire(reply func(failed isa.LaneMask)) {
 	r := v.retirePool
 	if r == nil {
+		r = retireStock.Get()
+	}
+	if r == nil {
 		r = &retireEv{}
 		r.fn = func() {
-			reply := r.reply
-			r.reply = nil
+			reply, v := r.reply, r.v
+			r.v, r.reply = nil, nil
 			r.next = v.retirePool
 			v.retirePool = r
 			reply(0)
@@ -126,7 +135,7 @@ func (v *VU) retire(reply func(failed isa.LaneMask)) {
 	} else {
 		v.retirePool = r.next
 	}
-	r.reply = reply
+	r.v, r.reply = v, reply
 	v.eng.Schedule(1, r.fn)
 }
 

@@ -46,6 +46,53 @@ type Crossbar struct {
 
 	rec       *trace.Recorder
 	traceKind trace.Kind
+
+	// deliveries is the free list of broadcast copies (single goroutine per
+	// machine, no locking); Recycle stocks it.
+	deliveries *delivery
+}
+
+// delivery is one broadcast copy on its way to one destination. Pooled with
+// its event prebuilt; it reaches the crossbar through x, which only a copy
+// in flight has.
+type delivery struct {
+	x       *Crossbar
+	deliver func(dst int)
+	dst     int
+	fn      func()
+	next    *delivery
+}
+
+// deliveryStock keeps finished machines' broadcast copies (DESIGN §6).
+var deliveryStock = sim.NewStock(func(d *delivery) **delivery { return &d.next })
+
+func (x *Crossbar) getDelivery() *delivery {
+	d := x.deliveries
+	if d == nil {
+		d = deliveryStock.Get()
+	}
+	if d == nil {
+		d = &delivery{}
+		d.fn = func() {
+			// Recycle before deliver: it may broadcast again.
+			x, deliver, dst := d.x, d.deliver, d.dst
+			d.x, d.deliver = nil, nil
+			d.next = x.deliveries
+			x.deliveries = d
+			deliver(dst)
+		}
+	} else {
+		x.deliveries = d.next
+	}
+	d.x = x
+	return d
+}
+
+// Recycle stocks the crossbar's free list for the next machine built in
+// this process. The crossbar must not run afterwards.
+func (x *Crossbar) Recycle() {
+	deliveryStock.Put(x.deliveries)
+	x.deliveries = nil
 }
 
 // SetTrace attaches the machine-wide event recorder (nil disables; the check
@@ -115,11 +162,13 @@ func (x *Crossbar) Send(src, dst, size int, deliver func()) sim.Cycle {
 
 // Broadcast sends the same payload from src to every destination port (used
 // by the idealized EAPG signature broadcasts); deliver is invoked once per
-// destination with its port id. Traffic is accounted per copy.
+// destination with its port id. Traffic is accounted per copy, and each copy
+// travels as a pooled delivery, so a broadcast allocates nothing.
 func (x *Crossbar) Broadcast(src, size int, deliver func(dst int)) {
-	for d := 0; d < x.cfg.DstPorts; d++ {
-		dst := d
-		x.Send(src, dst, size, func() { deliver(dst) })
+	for dst := 0; dst < x.cfg.DstPorts; dst++ {
+		d := x.getDelivery()
+		d.deliver, d.dst = deliver, dst
+		x.Send(src, dst, size, d.fn)
 	}
 }
 
@@ -137,6 +186,12 @@ func NewPair(eng *sim.Engine, cores, partitions int, cfg Config) *Pair {
 	down := cfg
 	down.SrcPorts, down.DstPorts = partitions, cores
 	return &Pair{Up: New(eng, up), Down: New(eng, down)}
+}
+
+// Recycle stocks both directions' free lists (Crossbar.Recycle).
+func (p *Pair) Recycle() {
+	p.Up.Recycle()
+	p.Down.Recycle()
 }
 
 // TrafficBytes returns (up, down) payload totals.
