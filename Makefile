@@ -29,13 +29,14 @@ short:
 
 # Trace overhead and turnover gate: tracing disabled must stay
 # allocation-free on the per-access hot path (a nil Recorder is one pointer
-# compare); the GETM, WarpTM and EAPG access and commit paths, the SIMT
-# core's transaction and critical-section steps and the event queue must
-# stay allocation-free in steady state; a reset engine must run as a new
-# one; stocked free lists must come back whole; a second run must reuse the
-# first run's machine arrays, a warm run must allocate fewer than 1,000
-# objects, and a finished machine must be garbage (DESIGN §6); and a traced
-# end-to-end run must keep producing valid output from every machine layer.
+# compare); the GETM, WarpTM (pipelined commits included) and EAPG access
+# and commit paths, the SIMT core's transaction and critical-section steps
+# and the event queue must stay allocation-free in steady state; a reset
+# engine must run as a new one; stocked free lists must come back whole; a
+# second run must reuse the first run's machine arrays, a warm run must
+# allocate fewer than 1,000 objects, and a finished machine must be garbage,
+# also while its Result.Trace is kept (DESIGN §6); and a traced end-to-end
+# run must keep producing valid output from every machine layer.
 trace-gate:
 	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestEAPGStepAllocs|TestCoreTxStepAllocs|TestCoreLockStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestEngineResetMatchesNew|TestStock|TestSecondRunReusesMachineArrays|TestWarmRunAllocs|TestFinishedMachineIsGarbage' ./internal/core/ ./internal/warptm/ ./internal/eapg/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
@@ -113,8 +114,12 @@ obs-gate:
 # rejected on all three surfaces (API errors.Is, CLI exit 2, serve 400),
 # never with a panic; every paper machine must validate, and GETM must
 # complete its coarse-granule regression cells; benchdiff -policy must find
-# a point's cells in both store description forms; and the assembled
-# lifecycle engine must stay race-clean.
+# a point's cells in both store description forms; the assembled
+# lifecycle engine must stay race-clean; and the linear-time bookkeeping
+# must match what it replaced: one-pass intra-warp resolution against the
+# lane-by-lane oracle on random logs, coalesced loads' per-lane results on
+# GETM, WarpTM and WarpTM-EL, and the LLC's shift-and-mask indexing against
+# division (DESIGN §6).
 policy-gate:
 	$(GO) test -short ./internal/policy/
 	$(GO) test -race -run 'TestPresetFingerprints|TestNonPresetPointsRun' ./internal/policy/
@@ -129,6 +134,9 @@ policy-gate:
 	$(GO) test -run 'TestInvalidScale|TestUnknownExperiment' ./cmd/getm-bench/
 	$(GO) test -run 'TestSubmitPolicy|TestPolicyMetricsLabel|TestAdmissionParity' ./internal/serve/
 	$(GO) test -run 'TestMatchesPolicy|TestParseStoreDirPolicy' ./cmd/benchdiff/
+	$(GO) test -run 'TestResolveIntraWarpMatchesOracle' ./internal/simt/
+	$(GO) test -run 'TestSharedWordLoadResults' ./internal/core/ ./internal/warptm/
+	$(GO) test -run 'TestLLCIndexMatchesDivision' ./internal/mem/
 
 # Cluster gate: the distributed sweep fabric under the race detector — an
 # in-process 3-node cluster (coordinator + workers) must shard a full paper

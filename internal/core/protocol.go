@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"getm/internal/isa"
 	"getm/internal/mem"
 	"getm/internal/sim"
@@ -150,7 +152,6 @@ func (p *Protocol) WarptsOf(gwid int) uint64 {
 type accessState struct {
 	p         *Protocol
 	w         *tm.WarpTx
-	isWrite   bool
 	lanes     []tm.LaneAccess
 	results   []tm.AccessResult
 	remaining int
@@ -158,14 +159,14 @@ type accessState struct {
 	next      *accessState
 }
 
-// accessReq is one lane's VU request plus its reply plumbing. The three
+// accessReq is one VU request plus its reply plumbing: a store lane's, or
+// a coalesced load word's on behalf of every lane that reads it. The three
 // closures (submit, the VU Reply, and the down-crossbar delivery) are built
 // once per pooled object and rebound via fields.
 type accessReq struct {
 	p         *Protocol
 	st        *accessState
-	idx       int // index into st.lanes / st.results
-	lane      int
+	sharers   uint32 // bit i: the reply resolves st.lanes[i] / st.results[i]
 	part      int
 	req       Request
 	rep       Reply
@@ -221,13 +222,13 @@ func (p *Protocol) getAccessReq() *accessReq {
 }
 
 // deliver applies one VU reply at the core: record abort timestamps, resolve
-// the issuing lane (and, for loads, every lane sharing the word), recycle the
-// request, and complete the access when the last lane lands.
+// the request's sharers (the issuing store lane, or every lane reading the
+// word) in index order, recycle the request, and complete the access when
+// the last lane lands.
 func (ar *accessReq) deliver() {
 	st, p := ar.st, ar.p
 	rep := ar.rep
 	res := tm.AccessResult{
-		Lane:    ar.lane,
 		Value:   rep.Value,
 		Abort:   rep.Status == StatusAbort,
 		Cause:   rep.Cause,
@@ -236,20 +237,11 @@ func (ar *accessReq) deliver() {
 	if res.Abort && rep.AbortTS > p.pendAbortTS[st.w.GWID] {
 		p.pendAbortTS[st.w.GWID] = rep.AbortTS
 	}
-	if st.isWrite {
-		st.results[ar.idx] = res
+	for m := ar.sharers; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		res.Lane = st.lanes[i].Lane
+		st.results[i] = res
 		st.remaining--
-	} else {
-		// Resolve all lanes sharing this word.
-		addr := ar.req.Addr
-		for j, la := range st.lanes {
-			if la.Addr == addr {
-				r := res
-				r.Lane = la.Lane
-				st.results[j] = r
-				st.remaining--
-			}
-		}
 	}
 	ar.st, ar.p = nil, nil
 	ar.next = p.reqPool
@@ -268,7 +260,7 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 		return
 	}
 	st := p.getState()
-	st.w, st.isWrite, st.lanes, st.done = w, isWrite, lanes, done
+	st.w, st.lanes, st.done = w, lanes, done
 	st.remaining = len(lanes)
 	if cap(st.results) < len(lanes) {
 		st.results = make([]tm.AccessResult, len(lanes))
@@ -277,32 +269,39 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 	}
 	ts := p.warpts[w.GWID]
 
+	// Every store lane gets its own request. Loads coalesce: lanes reading
+	// the same word share the request of its first lane, whose reply
+	// resolves all of them (linear scan over at most WarpWidth words). All
+	// requests and sharer masks are complete before the first send, and
+	// crossbar delivery is never synchronous (tm.Transport).
+	var reqs [isa.WarpWidth]*accessReq
+	n := 0
 	for i, la := range lanes {
 		if !isWrite {
-			// Coalesce loads: lanes reading the same word share one request —
-			// the first occurrence issues it, and its reply resolves all of
-			// them (linear scan: at most WarpWidth lanes).
-			dup := false
-			for j := 0; j < i; j++ {
-				if lanes[j].Addr == la.Addr {
-					dup = true
+			shared := false
+			for _, ar := range reqs[:n] {
+				if ar.req.Addr == la.Addr {
+					ar.sharers |= 1 << uint(i)
+					shared = true
 					break
 				}
 			}
-			if dup {
-				st.results[i].Lane = la.Lane // fully overwritten by the shared reply
+			if shared {
 				continue
 			}
 		}
 		ar := p.getAccessReq()
 		ar.st = st
-		ar.idx = i
-		ar.lane = la.Lane
+		ar.sharers = 1 << uint(i)
 		ar.part = p.amap.Partition(la.Addr)
 		ar.req.GWID = w.GWID
 		ar.req.Warpts = ts
 		ar.req.Addr = la.Addr
 		ar.req.IsWrite = isWrite
+		reqs[n] = ar
+		n++
+	}
+	for _, ar := range reqs[:n] {
 		p.trans.ToPartition(w.Core, ar.part, tm.ReqBytes, ar.submit)
 	}
 }

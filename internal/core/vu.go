@@ -417,10 +417,9 @@ type CU struct {
 	EntriesWritten   uint64
 	BytesWritten     uint64
 
-	// regions is per-Submit coalescing scratch (only its size is read, so map
-	// iteration order cannot influence timing); jobPool recycles the deferred
-	// apply step with its prebuilt callback.
-	regions map[uint64]bool
+	// regions is per-Submit coalescing scratch (only its size is read);
+	// jobPool recycles the deferred apply step with its prebuilt callback.
+	regions tm.AddrSet
 	jobPool *cuJob
 
 	rec *trace.Recorder
@@ -431,7 +430,7 @@ func (c *CU) SetTrace(rec *trace.Recorder) { c.rec = rec }
 
 // NewCU builds the commit unit colocated with vu.
 func NewCU(cfg Config, eng *sim.Engine, part *mem.Partition, vu *VU) *CU {
-	return &CU{cfg: cfg, eng: eng, part: part, vu: vu, regions: make(map[uint64]bool)}
+	return &CU{cfg: cfg, eng: eng, part: part, vu: vu}
 }
 
 // cuJob is one commit/cleanup message's deferred apply step.
@@ -496,13 +495,13 @@ func (c *CU) Submit(entries []CommitEntry, done func()) {
 		start = c.vu.nextService
 	}
 	// Coalesce committed writes into 32-byte regions for bandwidth cost.
-	clear(c.regions)
+	c.regions.Reset()
 	for _, e := range entries {
 		if e.Commit {
-			c.regions[e.Addr/32] = true
+			c.regions.Add(e.Addr / 32)
 		}
 	}
-	bytes := uint64(len(c.regions) * 32)
+	bytes := uint64(c.regions.Len() * 32)
 	cycles := sim.Cycle((bytes + uint64(c.cfg.CommitBytesPerCycle) - 1) / uint64(c.cfg.CommitBytesPerCycle))
 	if cycles == 0 {
 		cycles = 1

@@ -294,16 +294,15 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 		initial = img.Snapshot()
 	}
 
-	// An untraced run takes a stocked engine, and hands it back reset once
-	// the run is over. A traced run's recorder keeps its engine (and rides
-	// back in Result.Trace), so a traced run's engine is never reused.
-	var eng *sim.Engine
+	// Every run takes a stocked engine, and hands it back reset once the run
+	// is over; a traced run's recorder lets go of it first (Finish).
+	eng, _ := engines.Get().(*sim.Engine)
+	if eng == nil {
+		eng = sim.NewEngine()
+	}
 	var rec *trace.Recorder
 	if cfg.Trace != nil {
-		eng = sim.NewEngine()
 		rec = trace.NewRecorder(eng, *cfg.Trace)
-	} else if eng, _ = engines.Get().(*sim.Engine); eng == nil {
-		eng = sim.NewEngine()
 	}
 	m, err := newMachine(eng, img, cfg, pol, rec)
 	if err != nil {
@@ -349,15 +348,16 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 		res.FinalImage = img
 	}
 	m.recycle(cores)
-	if rec == nil {
-		eng.Reset()
-		engines.Put(eng)
+	if rec != nil {
+		rec.Finish()
 	}
+	eng.Reset()
+	engines.Put(eng)
 	return res, err
 }
 
-// engines holds the reset event engines of finished untraced runs for the
-// next runs in this process (DESIGN §6).
+// engines holds the reset event engines of finished runs for the next runs
+// in this process (DESIGN §6).
 var engines sync.Pool
 
 // runMachine is the run loop: it starts the cores, steps the engine to the

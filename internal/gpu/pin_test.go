@@ -8,6 +8,7 @@ import (
 	. "getm/internal/gpu"
 	"getm/internal/mem"
 	"getm/internal/policy"
+	"getm/internal/trace"
 	"getm/internal/workloads"
 )
 
@@ -19,7 +20,10 @@ import (
 // through one collection, so a stocked object that still pointed at its
 // machine would keep the image alive through the first collection after the
 // run; the finalizer must run after that one. Every policy point and
-// fglock, so every component's stocks are exercised.
+// fglock, so every component's stocks are exercised. The traced arm keeps
+// the run's Result.Trace reachable across the collection, as getm-serve's
+// span capture and getm-bench -trace do: the recorder must keep its rings
+// and samples, not the engine or the probes over the machine.
 func TestFinishedMachineIsGarbage(t *testing.T) {
 	protos := []Protocol{ProtoFGLock}
 	for _, p := range policy.Valid() {
@@ -27,33 +31,45 @@ func TestFinishedMachineIsGarbage(t *testing.T) {
 	}
 	params := workloads.DefaultParams()
 	params.Scale = 0.1
-	for _, proto := range protos {
-		variant := workloads.TM
-		if proto == ProtoFGLock {
-			variant = workloads.FGLock
-		}
-		k, err := workloads.Build("ht-h", variant, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freed := make(chan struct{})
-		probe, init := *k, k.Init
-		probe.Init = func(img *mem.Image) {
-			if init != nil {
-				init(img)
+	for _, traced := range []bool{false, true} {
+		for _, proto := range protos {
+			variant := workloads.TM
+			if proto == ProtoFGLock {
+				variant = workloads.FGLock
 			}
-			runtime.SetFinalizer(img, func(*mem.Image) { close(freed) })
-		}
-		cfg := DefaultConfig(proto)
-		cfg.Core.MaxTxWarps = 8
-		if _, err := Run(cfg, &probe); err != nil {
-			t.Fatalf("%s: %v", proto, err)
-		}
-		runtime.GC()
-		select {
-		case <-freed:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: the finished machine's image is still reachable after a collection", proto)
+			k, err := workloads.Build("ht-h", variant, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			freed := make(chan struct{})
+			probe, init := *k, k.Init
+			probe.Init = func(img *mem.Image) {
+				if init != nil {
+					init(img)
+				}
+				runtime.SetFinalizer(img, func(*mem.Image) { close(freed) })
+			}
+			cfg := DefaultConfig(proto)
+			cfg.Core.MaxTxWarps = 8
+			if traced {
+				cfg.Trace = &trace.Options{RingSize: 1 << 10, SampleInterval: 1000}
+			}
+			res, err := Run(cfg, &probe)
+			if err != nil {
+				t.Fatalf("%s (traced %v): %v", proto, traced, err)
+			}
+			runtime.GC()
+			select {
+			case <-freed:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s (traced %v): the finished machine's image is still reachable after a collection", proto, traced)
+			}
+			if traced {
+				if _, rows := res.Trace.Samples(); len(rows) == 0 || len(res.Trace.SeriesNames()) == 0 {
+					t.Fatalf("%s: the kept trace lost its samples", proto)
+				}
+			}
+			runtime.KeepAlive(res)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package mem
 
-import "getm/internal/sim"
+import (
+	"math/bits"
+
+	"getm/internal/sim"
+)
 
 // llcArrays recycles the tag and LRU arrays of finished runs' caches.
 var llcArrays sim.Recycler[uint64]
@@ -9,9 +13,9 @@ var llcArrays sim.Recycler[uint64]
 // Data values live in the shared Image; the tag array only determines hit or
 // miss timing at the partition. One LLC instance models one partition's bank.
 type LLC struct {
-	sets      int
 	ways      int
-	lineBytes int
+	lineShift uint     // log2(line size): a lookup shifts and masks, never divides
+	setMask   uint64   // sets-1
 	tags      []uint64 // sets*ways entries; 0 means invalid (line 0 never cached: offset by +1)
 	lru       []uint64 // per entry, lower = older
 	clock     uint64   // monotone; 64-bit so it never wraps within a run
@@ -21,17 +25,22 @@ type LLC struct {
 }
 
 // NewLLC builds a cache of capacityBytes with the given associativity and
-// line size. Capacity must divide evenly into sets.
+// line size. Capacity must divide evenly into sets, and the line size and
+// set count must be powers of two (Table II's 128 B lines with 128 or 512
+// sets are).
 func NewLLC(capacityBytes, ways, lineBytes int) *LLC {
-	lines := capacityBytes / lineBytes
-	if lines == 0 || ways <= 0 || lines%ways != 0 {
+	if lineBytes <= 0 || ways <= 0 {
 		panic("mem: invalid LLC geometry")
 	}
+	lines := capacityBytes / lineBytes
 	sets := lines / ways
+	if lines == 0 || lines%ways != 0 || lineBytes&(lineBytes-1) != 0 || sets&(sets-1) != 0 {
+		panic("mem: invalid LLC geometry")
+	}
 	return &LLC{
-		sets:      sets,
 		ways:      ways,
-		lineBytes: lineBytes,
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		setMask:   uint64(sets - 1),
 		tags:      llcArrays.Get(sets * ways),
 		lru:       llcArrays.Get(sets * ways),
 	}
@@ -45,14 +54,16 @@ func (c *LLC) Recycle() {
 	c.tags, c.lru = nil, nil
 }
 
-func (c *LLC) setOf(line uint64) int {
-	return int((line ^ (line >> 11)) % uint64(c.sets))
-}
+// tagOf returns the tag of the line holding addr: its line number plus one,
+// so tag 0 means invalid.
+func (c *LLC) tagOf(addr uint64) uint64 { return addr>>c.lineShift + 1 }
+
+func (c *LLC) setOf(line uint64) int { return int((line ^ (line >> 11)) & c.setMask) }
 
 // Access looks up the line containing addr, filling on miss. It returns true
 // on hit.
 func (c *LLC) Access(addr uint64) bool {
-	line := addr/uint64(c.lineBytes) + 1 // +1 so tag 0 means invalid
+	line := c.tagOf(addr)
 	set := c.setOf(line)
 	base := set * c.ways
 	c.clock++
@@ -76,7 +87,7 @@ func (c *LLC) Access(addr uint64) bool {
 // Contains reports whether the line holding addr is currently cached, without
 // updating replacement state.
 func (c *LLC) Contains(addr uint64) bool {
-	line := addr/uint64(c.lineBytes) + 1
+	line := c.tagOf(addr)
 	base := c.setOf(line) * c.ways
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == line {

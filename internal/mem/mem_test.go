@@ -134,13 +134,49 @@ func TestLLCLRUClockWrap(t *testing.T) {
 	}
 }
 
-func TestLLCGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry accepted")
+// The shift and mask index exactly as the divisions they replace: Table
+// II's partition (128 B lines, 128 sets), the scaled machine's (512 sets),
+// a single set and a 64 B line.
+func TestLLCIndexMatchesDivision(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for _, g := range []struct{ capacity, ways, line int }{
+		{128 << 10, 8, 128}, // 128 sets
+		{512 << 10, 8, 128}, // 512 sets
+		{256, 2, 128},       // 1 set
+		{64 * 4 * 16, 4, 64},
+	} {
+		c := NewLLC(g.capacity, g.ways, g.line)
+		sets := uint64(g.capacity / g.line / g.ways)
+		for i := 0; i < 10000; i++ {
+			addr := rng.Uint64() >> uint(rng.Uint64n(64))
+			line := addr/uint64(g.line) + 1
+			set := int((line ^ (line >> 11)) % sets)
+			if got := c.tagOf(addr); got != line {
+				t.Fatalf("%+v: tagOf(%#x) = %d, want %d", g, addr, got, line)
+			}
+			if got := c.setOf(line); got != set {
+				t.Fatalf("%+v: setOf(%d) = %d, want %d", g, line, got, set)
+			}
 		}
-	}()
-	NewLLC(100, 3, 64)
+	}
+}
+
+func TestLLCGeometryPanics(t *testing.T) {
+	for _, g := range []struct{ capacity, ways, line int }{
+		{100, 3, 64},          // sets do not divide
+		{96 * 8 * 4, 8, 96},   // 96 B lines
+		{128 * 4 * 6, 4, 128}, // 6 sets
+		{1024, 2, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("geometry %+v accepted", g)
+				}
+			}()
+			NewLLC(g.capacity, g.ways, g.line)
+		}()
+	}
 }
 
 func TestDRAMBankOccupancy(t *testing.T) {

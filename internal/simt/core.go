@@ -732,30 +732,28 @@ func (c *Core) txAccessDone(w *Warp, results []tm.AccessResult) {
 
 // resolveIntraWarp finds, at commit time, a maximal prefix-greedy set of
 // non-conflicting lanes; the rest abort (WarpTM's two-phase resolution).
+// One pass over the log ORs each live lane's conflicts into its mask, and a
+// lane then loses iff its mask meets the lower survivors: some entry of the
+// lane conflicts with a survivor exactly when the union of its entries'
+// conflicts does (DESIGN §6).
 func resolveIntraWarp(log *tm.TxLog, live isa.LaneMask) (losers isa.LaneMask) {
+	var conflicts [isa.WarpWidth]isa.LaneMask
+	for _, e := range log.Writes {
+		if live.Bit(e.Lane) {
+			conflicts[e.Lane] |= log.Conflicts(e.Lane, e.Addr, true)
+		}
+	}
+	for _, e := range log.Reads {
+		if live.Bit(e.Lane) {
+			conflicts[e.Lane] |= log.Conflicts(e.Lane, e.Addr, false)
+		}
+	}
 	var survivors isa.LaneMask
 	for lane := 0; lane < isa.WarpWidth; lane++ {
 		if !live.Bit(lane) {
 			continue
 		}
-		// Scan the shared logs directly (allocation-free) instead of
-		// materializing LaneEntries; the entry order within a lane matches.
-		conflict := false
-		for _, e := range log.Writes {
-			if e.Lane == lane && log.Conflicts(lane, e.Addr, true)&survivors != 0 {
-				conflict = true
-				break
-			}
-		}
-		if !conflict {
-			for _, e := range log.Reads {
-				if e.Lane == lane && log.Conflicts(lane, e.Addr, false)&survivors != 0 {
-					conflict = true
-					break
-				}
-			}
-		}
-		if conflict {
+		if conflicts[lane]&survivors != 0 {
 			losers = losers.Set(lane)
 		} else {
 			survivors = survivors.Set(lane)

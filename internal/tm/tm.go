@@ -459,8 +459,10 @@ type Protocol interface {
 	Begin(w *WarpTx)
 
 	// Access performs a transactional load (isWrite false) or store for the
-	// given lanes. done is invoked once per call, after every lane has an
-	// outcome (including lanes that had to wait in a stall buffer).
+	// given lanes, at most one entry per lane. done is invoked once per
+	// call, after every lane has an outcome (including lanes that had to
+	// wait in a stall buffer), with one result per entry of lanes, in its
+	// order.
 	Access(w *WarpTx, isWrite bool, lanes []LaneAccess, done func([]AccessResult))
 
 	// Commit finishes the warp's transaction: commits lanes in commitMask

@@ -2,7 +2,13 @@ package tm
 
 // Transport carries protocol messages between SIMT cores and memory
 // partitions. The gpu package implements it over the two crossbars; unit
-// tests use zero-latency fakes.
+// tests use fixed-latency fakes.
+//
+// Every implementation, the fakes included, runs deliver from a later
+// engine event, never inside the send call. The protocols rely on it: an
+// access sends all of its requests before any reply can land, so a reply
+// always sees the access's final outstanding count (WarpTM's remaining)
+// and complete sharer masks.
 type Transport interface {
 	// ToPartition sends bytes of payload from a core to a partition,
 	// invoking deliver when the tail flit arrives.

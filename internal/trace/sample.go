@@ -89,6 +89,18 @@ func (r *Recorder) TakeSample(cycle uint64) {
 	r.sampleRows = append(r.sampleRows, row)
 }
 
+// Finish ends recording once the run is over: it drops the engine that
+// stamps events and every probe's closure, which reach the whole finished
+// machine, so a caller that keeps the recorder (Result.Trace) keeps only its
+// rings, probe names and samples. The recorder must not Emit or TakeSample
+// afterwards.
+func (r *Recorder) Finish() {
+	r.eng = nil
+	for i := range r.probes {
+		r.probes[i].gauge, r.probes[i].count = nil, nil
+	}
+}
+
 // SeriesNames returns the registered probe names in registration (= CSV
 // column) order.
 func (r *Recorder) SeriesNames() []string {

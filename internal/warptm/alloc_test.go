@@ -87,4 +87,88 @@ func TestWarpTMStepAllocs(t *testing.T) {
 			t.Fatalf("vu %d holds %d in-flight commits after the steps", i, vu.InFlight())
 		}
 	}
+	t.Run("pipelined", testPipelinedCommitAllocs)
+}
+
+// Gate: pipelined commits at a VU allocate nothing either. Two warps commit
+// at once and the later commit id's messages arrive first (its crossbar
+// leg is shorter), so both VUs hold it pending ahead of their next id. At
+// partition 0 the two write sets are disjoint and both commits validate
+// in flight together; at partition 1 both write one word, so the later
+// commit stalls in the hazard window until the earlier one is applied.
+func testPipelinedCommitAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.MaxInFlight < 2 {
+		t.Fatalf("MaxInFlight %d: the case needs two commits in flight", cfg.MaxInFlight)
+	}
+	h := newWTMHarness(cfg, 2)
+	h.proto.Record = false
+	addrOn := func(part int, from uint64) uint64 {
+		for h.proto.amap.Partition(from) != part {
+			from += 128
+		}
+		return from
+	}
+	a0, b0 := addrOn(0, 0x1000), addrOn(0, 0x8000)
+	shared := addrOn(1, 0x1000)
+	wa := &tm.WarpTx{GWID: 1, Core: 0, Log: tm.NewTxLog()}
+	wb := &tm.WarpTx{GWID: 2, Core: 0, Log: tm.NewTxLog()}
+	resumed := 0
+	resume := func(o tm.CommitOutcome) {
+		if o.FailedLanes != 0 {
+			t.Fatalf("pipelined commit failed: %+v", o)
+		}
+		resumed++
+	}
+	lane0 := isa.LaneMask(0).Set(0)
+	// Commit A takes the earlier id but reaches the VUs after commit B.
+	commitA := func() {
+		h.trans.latency = 20
+		h.proto.Commit(wa, lane0, 0, resume)
+		h.trans.latency = 5
+	}
+	commitB := func() { h.proto.Commit(wb, lane0, 0, resume) }
+	step := func() {
+		for _, w := range []*tm.WarpTx{wa, wb} {
+			w.Log.Reset()
+			w.StartCycle = h.eng.Now()
+			h.proto.Begin(w)
+		}
+		wa.Log.RecordWrite(0, a0, 1)
+		wa.Log.RecordWrite(0, shared, 1)
+		wb.Log.RecordWrite(0, b0, 2)
+		wb.Log.RecordWrite(0, shared, 2)
+		h.eng.Schedule(0, commitA)
+		h.eng.Schedule(0, commitB)
+		h.eng.Run(0)
+	}
+
+	// Warm up while sampling partition 0's in-flight depth every cycle.
+	peak := 0
+	var sample func()
+	sample = func() {
+		peak = max(peak, h.vus[0].InFlight())
+		if h.eng.Pending() > 0 {
+			h.eng.Schedule(1, sample)
+		}
+	}
+	h.eng.Schedule(0, sample)
+	step()
+	if resumed != 2 || peak < 2 || h.vus[1].HazardStalls == 0 {
+		t.Fatalf("warm-up: %d resumes, peak %d in flight at vu 0, %d hazard stalls at vu 1; want 2, 2, >0",
+			resumed, peak, h.vus[1].HazardStalls)
+	}
+	stalls := h.vus[1].HazardStalls
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("pipelined commits with a hazard stall allocate %.1f per step, want 0", allocs)
+	}
+	if resumed != 204 || h.vus[1].HazardStalls < stalls+101 || h.img.Read(shared) != 2 {
+		t.Fatalf("%d resumes over 102 steps (want 204), %d hazard stalls (want %d more), shared word %d (want 2)",
+			resumed, h.vus[1].HazardStalls, 101, h.img.Read(shared))
+	}
+	for i, vu := range h.vus {
+		if vu.InFlight() != 0 {
+			t.Fatalf("vu %d holds %d in-flight commits after the steps", i, vu.InFlight())
+		}
+	}
 }

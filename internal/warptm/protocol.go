@@ -1,6 +1,8 @@
 package warptm
 
 import (
+	"math/bits"
+
 	"getm/internal/isa"
 	"getm/internal/mem"
 	"getm/internal/sim"
@@ -27,8 +29,8 @@ type Protocol struct {
 	// checker and gives TCD's read-only commits a sound horizon.
 	decided uint64
 	// waiting holds finished-validation commits awaiting their in-order
-	// decision slot.
-	waiting map[uint64]*commitReq
+	// decision slot, by commit id from decided on.
+	waiting idRing[commitReq]
 	// tcdUnsafe marks lanes whose reads touched recently written lines and
 	// therefore cannot silently commit. Indexed by gwid (grown on Begin).
 	tcdUnsafe []isa.LaneMask
@@ -66,7 +68,8 @@ type Protocol struct {
 // SetTrace attaches the machine-wide event recorder (nil disables).
 func (p *Protocol) SetTrace(rec *trace.Recorder) { p.rec = rec }
 
-// Stocks of finished machines' WarpTM free lists (DESIGN §6).
+// Stocks of finished machines' WarpTM free lists and decision rings
+// (DESIGN §6).
 var (
 	accStock    = sim.NewStock(func(st *wtmAccess) **wtmAccess { return &st.next })
 	wordStock   = sim.NewStock(func(wr *wordReq) **wordReq { return &wr.next })
@@ -75,19 +78,16 @@ var (
 	retireStock = sim.NewStock(func(r *retireEv) **retireEv { return &r.next })
 )
 
-// Recycle hands the protocol's free lists, and every partition's TCD arrays
-// and VU free lists, to the next machine built in this process. The
-// protocol must not run afterwards.
+// Recycle hands the protocol's free lists, and every partition's TCD
+// arrays, VU free lists and VU bookkeeping, to the next machine built in
+// this process. The protocol must not run afterwards.
 func (p *Protocol) Recycle() {
 	accStock.Put(p.accPool)
 	wordStock.Put(p.wordPool)
 	commitStock.Put(p.commitPool)
 	p.accPool, p.wordPool, p.commitPool = nil, nil, nil
 	for _, vu := range p.vus {
-		vu.tcd.Recycle()
-		stateStock.Put(vu.statePool)
-		retireStock.Put(vu.retirePool)
-		vu.statePool, vu.retirePool = nil, nil
+		vu.recycle()
 	}
 }
 
@@ -102,7 +102,6 @@ func NewProtocol(cfg Config, eng *sim.Engine, amap mem.AddressMap, trans tm.Tran
 		trans:      trans,
 		vus:        vus,
 		img:        img,
-		waiting:    make(map[uint64]*commitReq),
 		readCount:  make([]int, len(vus)),
 		writeCount: make([]int, len(vus)),
 	}
@@ -130,17 +129,18 @@ func (p *Protocol) Begin(w *tm.WarpTx) {
 	p.startHorizon[w.GWID] = p.decided
 }
 
-// revalidate is the EL variant's idealized zero-latency eager check: the
-// lane's logged reads are compared against current memory; a mismatch means
-// the transaction is doomed and aborts immediately. Scans the shared read
-// log directly (allocation-free) rather than materializing LaneEntries.
-func (p *Protocol) revalidate(w *tm.WarpTx, lane int) bool {
+// staleLanes is the EL variant's idealized zero-latency eager check for the
+// lanes in lanes: a lane whose logged reads no longer all match current
+// memory is doomed and aborts immediately. One pass over the shared read
+// log answers for every lane of an access, so the caller tests a bit per
+// lane (memory does not change while it does).
+func (p *Protocol) staleLanes(w *tm.WarpTx, lanes isa.LaneMask) (stale isa.LaneMask) {
 	for _, e := range w.Log.Reads {
-		if e.Lane == lane && p.img.Read(e.Addr) != e.Value {
-			return false
+		if lanes.Bit(e.Lane) && !stale.Bit(e.Lane) && p.img.Read(e.Addr) != e.Value {
+			stale = stale.Set(e.Lane)
 		}
 	}
-	return true
+	return stale
 }
 
 // wtmAccess tracks one in-flight warp access: the caller's lanes/done plus
@@ -163,6 +163,7 @@ type wordReq struct {
 	p         *Protocol
 	st        *wtmAccess
 	addr      uint64
+	sharers   uint32 // bit i: st.lanes[i] reads this word
 	part      int
 	val       uint64
 	lastWrite sim.Cycle
@@ -223,28 +224,33 @@ func (p *Protocol) getWordReq() *wordReq {
 	return wr
 }
 
-// deliver resolves every lane sharing this word, recycles the request, and
-// completes the access when the last word lands.
+// deliver resolves every lane sharing this word, in index order, recycles
+// the request, and completes the access when the last word lands.
 func (wr *wordReq) deliver() {
 	st, p := wr.st, wr.p
 	unsafe := wr.lastWrite >= st.w.StartCycle
-	for i, la := range st.lanes {
-		if la.Addr != wr.addr {
-			continue
+	var stale isa.LaneMask
+	if p.cfg.Eager {
+		// Idealized eager check of the sharers' logged reads (the value
+		// just read is current memory, and its log entry is recorded by the
+		// caller after this returns).
+		var lanes isa.LaneMask
+		for m := wr.sharers; m != 0; m &= m - 1 {
+			lanes = lanes.Set(st.lanes[bits.TrailingZeros32(m)].Lane)
 		}
+		stale = p.staleLanes(st.w, lanes)
+	}
+	for m := wr.sharers; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		lane := st.lanes[i].Lane
 		st.results[i].Value = wr.val
 		if unsafe {
-			p.tcdUnsafe[st.w.GWID] = p.tcdUnsafe[st.w.GWID].Set(la.Lane)
+			p.tcdUnsafe[st.w.GWID] = p.tcdUnsafe[st.w.GWID].Set(lane)
 		}
-		if p.cfg.Eager {
-			// Idealized eager check includes the value just read (the log
-			// entry is recorded by the caller after this returns, so check
-			// it directly).
-			if !p.revalidate(st.w, la.Lane) {
-				p.EarlyAborts++
-				st.results[i].Abort = true
-				st.results[i].Cause = tm.CauseValidation
-			}
+		if stale.Bit(lane) {
+			p.EarlyAborts++
+			st.results[i].Abort = true
+			st.results[i].Cause = tm.CauseValidation
 		}
 	}
 	wr.st, wr.p = nil, nil
@@ -275,9 +281,17 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 
 	if isWrite {
 		// Local log write: one cycle, no interconnect traffic.
+		var stale isa.LaneMask
+		if p.cfg.Eager {
+			var all isa.LaneMask
+			for _, la := range lanes {
+				all = all.Set(la.Lane)
+			}
+			stale = p.staleLanes(w, all)
+		}
 		for i, la := range lanes {
 			st.results[i] = tm.AccessResult{Lane: la.Lane}
-			if p.cfg.Eager && !p.revalidate(w, la.Lane) {
+			if stale.Bit(la.Lane) {
 				p.EarlyAborts++
 				st.results[i].Abort = true
 				st.results[i].Cause = tm.CauseValidation
@@ -288,27 +302,36 @@ func (p *Protocol) Access(w *tm.WarpTx, isWrite bool, lanes []tm.LaneAccess, don
 	}
 
 	// Coalesce loads: lanes reading the same word share one request, issued
-	// at the word's first touch (deterministic order; linear dup scan over at
-	// most WarpWidth lanes). Crossbar delivery is never synchronous, so
-	// remaining reaches its final value before any reply lands.
-	st.remaining = 0
+	// at the word's first touch (deterministic order; linear scan over at
+	// most WarpWidth words), whose sharer mask names every lane it resolves.
+	// All requests and masks are complete before the first send, and
+	// crossbar delivery is never synchronous (tm.Transport), so no reply
+	// sees a partial mask or remaining count.
+	var words [isa.WarpWidth]*wordReq
+	n := 0
 	for i, la := range lanes {
 		st.results[i] = tm.AccessResult{Lane: la.Lane}
-		dup := false
-		for j := 0; j < i; j++ {
-			if lanes[j].Addr == la.Addr {
-				dup = true
+		shared := false
+		for _, wr := range words[:n] {
+			if wr.addr == la.Addr {
+				wr.sharers |= 1 << uint(i)
+				shared = true
 				break
 			}
 		}
-		if dup {
+		if shared {
 			continue
 		}
-		st.remaining++
 		wr := p.getWordReq()
 		wr.st = st
 		wr.addr = la.Addr
+		wr.sharers = 1 << uint(i)
 		wr.part = p.amap.Partition(la.Addr)
+		words[n] = wr
+		n++
+	}
+	st.remaining = n
+	for _, wr := range words[:n] {
 		p.trans.ToPartition(w.Core, wr.part, tm.ReqBytes, wr.submitFn)
 	}
 }
@@ -559,13 +582,13 @@ func (p *Protocol) finishCommit(c *commitReq) {
 		p.decide(c)
 		return
 	}
-	p.waiting[c.cid] = c
+	p.waiting.put(p.decided, c.cid, c)
 	for {
-		next, ok := p.waiting[p.decided]
-		if !ok {
+		next := p.waiting.get(p.decided)
+		if next == nil {
 			return
 		}
-		delete(p.waiting, p.decided)
+		p.waiting.del(p.decided)
 		p.decided++
 		p.decide(next)
 	}

@@ -2,6 +2,8 @@ package warptm
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"getm/internal/isa"
 	"getm/internal/mem"
@@ -24,10 +26,10 @@ type ValidationMsg struct {
 
 // txState is one transaction's validation and commit at a VU, from its start
 // to its ack. Pooled per VU: the validate and apply events are built once
-// and reach the VU through v, which only a state in use has, and the
-// write-set map keeps its capacity across commits. msg is the commit's
-// pooled message, which outlives the txState (the protocol recycles it only
-// after this VU's ack).
+// and reach the VU through v, which only a state in use has, and the write
+// set keeps its capacity across commits. msg is the commit's pooled message,
+// which outlives the txState (the protocol recycles it only after this VU's
+// ack).
 type txState struct {
 	v         *VU
 	msg       *ValidationMsg
@@ -36,8 +38,8 @@ type txState struct {
 	confirmed   bool
 	commitLanes isa.LaneMask
 	done        func()
-	wrote       bool // some committed write reached this commit unit
-	writeSet    map[uint64]bool
+	wrote       bool       // some committed write reached this commit unit
+	writeSet    tm.AddrSet // the hazard window: msg's write addresses
 
 	validateFn func() // validation pipeline completion
 	applyFn    func() // commit unit write completion
@@ -62,17 +64,17 @@ type VU struct {
 	part *mem.Partition
 	tcd  *TCD
 
-	nextID   uint64
-	pending  map[uint64]*ValidationMsg
-	inFlight map[uint64]*txState
+	// nextID is the next commit id to start; pending holds the messages
+	// that arrived ahead of it, and inFlight the started, unacknowledged
+	// transactions in start order (at most MaxInFlight). Both live in
+	// vuBooks, which outlive the VU.
+	nextID uint64
+	*vuBooks
 	busyTill sim.Cycle
 
-	// Freelists and scratch (single goroutine per machine — no locking).
+	// Freelists (single goroutine per machine — no locking).
 	statePool  *txState
 	retirePool *retireEv
-	// regions is maybeApply's 32-byte coalescing scratch (only its size is
-	// read, so map order never matters).
-	regions map[uint64]bool
 
 	Validations    uint64
 	FailedEntries  uint64
@@ -80,17 +82,49 @@ type VU struct {
 	HazardStalls   uint64
 }
 
+// vuBooks is a VU's growable bookkeeping: the pending ring keyed by commit
+// id, the in-flight list and maybeApply's 32-byte region set. It outlives
+// its VU (DESIGN §6): Protocol.Recycle clears its pointers and stocks it.
+type vuBooks struct {
+	pending  idRing[ValidationMsg]
+	inFlight []*txState
+	regions  tm.AddrSet
+}
+
+// books holds finished VUs' bookkeeping for the next VUs built in this
+// process, on any goroutine.
+var books sync.Pool
+
 // NewVU builds a validation unit over one partition.
 func NewVU(cfg Config, eng *sim.Engine, part *mem.Partition, rng *sim.RNG) *VU {
-	return &VU{
-		cfg:      cfg,
-		eng:      eng,
-		part:     part,
-		tcd:      NewTCD(cfg.TCDWays, cfg.TCDEntries, rng),
-		pending:  make(map[uint64]*ValidationMsg),
-		inFlight: make(map[uint64]*txState),
-		regions:  make(map[uint64]bool),
+	b, _ := books.Get().(*vuBooks)
+	if b == nil {
+		b = &vuBooks{}
 	}
+	return &VU{
+		cfg:     cfg,
+		eng:     eng,
+		part:    part,
+		tcd:     NewTCD(cfg.TCDWays, cfg.TCDEntries, rng),
+		vuBooks: b,
+	}
+}
+
+// recycle hands the VU's filter arrays, free lists and bookkeeping to the
+// next VU built in this process. The VU must not run afterwards.
+func (v *VU) recycle() {
+	v.tcd.Recycle()
+	stateStock.Put(v.statePool)
+	retireStock.Put(v.retirePool)
+	v.statePool, v.retirePool = nil, nil
+	// A run cut short leaves messages and states in the books; neither may
+	// keep the machine alive.
+	b := v.vuBooks
+	clear(b.pending.slots)
+	clear(b.inFlight)
+	b.inFlight = b.inFlight[:0]
+	v.vuBooks = nil
+	books.Put(b)
 }
 
 func (v *VU) getTxState(msg *ValidationMsg) *txState {
@@ -99,7 +133,7 @@ func (v *VU) getTxState(msg *ValidationMsg) *txState {
 		st = stateStock.Get()
 	}
 	if st == nil {
-		st = &txState{writeSet: make(map[uint64]bool)}
+		st = &txState{}
 		st.validateFn = func() { st.v.finishValidate(st) }
 		st.applyFn = func() { st.v.finishApply(st) }
 	} else {
@@ -112,7 +146,7 @@ func (v *VU) getTxState(msg *ValidationMsg) *txState {
 func (v *VU) putTxState(st *txState) {
 	st.v, st.msg, st.done = nil, nil, nil
 	st.validated, st.confirmed, st.wrote = false, false, false
-	clear(st.writeSet)
+	st.writeSet.Reset()
 	st.next = v.statePool
 	v.statePool = st
 }
@@ -147,20 +181,23 @@ func (v *VU) Submit(msg *ValidationMsg) {
 	if msg.CID < v.nextID {
 		panic(fmt.Sprintf("warptm: commit id %d arrived after id advanced to %d", msg.CID, v.nextID))
 	}
-	v.pending[msg.CID] = msg
+	v.pending.put(v.nextID, msg.CID, msg)
 	v.tryStart()
 }
 
 // hazard reports whether msg's footprint overlaps any unconfirmed write set.
 func (v *VU) hazard(msg *ValidationMsg) bool {
 	for _, st := range v.inFlight {
+		if st.writeSet.Len() == 0 {
+			continue
+		}
 		for _, e := range msg.Reads {
-			if st.writeSet[e.Addr] {
+			if st.writeSet.Has(e.Addr) {
 				return true
 			}
 		}
 		for _, e := range msg.Writes {
-			if st.writeSet[e.Addr] {
+			if st.writeSet.Has(e.Addr) {
 				return true
 			}
 		}
@@ -175,12 +212,12 @@ func (v *VU) hazard(msg *ValidationMsg) bool {
 // commit-unit slot.
 func (v *VU) tryStart() {
 	for {
-		msg, ok := v.pending[v.nextID]
-		if !ok {
+		msg := v.pending.get(v.nextID)
+		if msg == nil {
 			return
 		}
 		if len(msg.Reads) == 0 && len(msg.Writes) == 0 {
-			delete(v.pending, v.nextID)
+			v.pending.del(v.nextID)
 			v.nextID++
 			v.retire(msg.Reply)
 			continue
@@ -192,13 +229,13 @@ func (v *VU) tryStart() {
 			v.HazardStalls++
 			return
 		}
-		delete(v.pending, v.nextID)
+		v.pending.del(v.nextID)
 		v.nextID++
 		st := v.getTxState(msg)
 		for _, e := range msg.Writes {
-			st.writeSet[e.Addr] = true
+			st.writeSet.Add(e.Addr)
 		}
-		v.inFlight[msg.CID] = st
+		v.inFlight = append(v.inFlight, st)
 		v.validate(st)
 	}
 }
@@ -249,8 +286,14 @@ func (v *VU) finishValidate(st *txState) {
 // commitLanes commit their writes; everything else is dropped. done fires
 // after the data is written (the ack).
 func (v *VU) Confirm(cid uint64, commitLanes isa.LaneMask, done func()) {
-	st, ok := v.inFlight[cid]
-	if !ok {
+	var st *txState
+	for _, s := range v.inFlight {
+		if s.msg.CID == cid {
+			st = s
+			break
+		}
+	}
+	if st == nil {
 		panic(fmt.Sprintf("warptm: confirm for unknown commit id %d", cid))
 	}
 	st.confirmed, st.commitLanes, st.done = true, commitLanes, done
@@ -266,14 +309,14 @@ func (v *VU) maybeApply(st *txState) {
 		return
 	}
 	// Coalesce committed writes into 32-byte regions for bandwidth cost.
-	clear(v.regions)
+	v.regions.Reset()
 	for _, e := range st.msg.Writes {
 		if st.commitLanes.Bit(e.Lane) {
-			v.regions[e.Addr/32] = true
+			v.regions.Add(e.Addr / 32)
 			st.wrote = true
 		}
 	}
-	bytes := len(v.regions) * 32
+	bytes := v.regions.Len() * 32
 	cycles := sim.Cycle((bytes + v.cfg.CommitBytesPerCycle - 1) / v.cfg.CommitBytesPerCycle)
 	if cycles == 0 {
 		cycles = 1
@@ -298,7 +341,8 @@ func (v *VU) finishApply(st *txState) {
 		v.CommitsApplied++
 	}
 	done := st.done
-	delete(v.inFlight, st.msg.CID)
+	i := slices.Index(v.inFlight, st)
+	v.inFlight = slices.Delete(v.inFlight, i, i+1) // zeroes the vacated slot
 	v.putTxState(st)
 	done()
 	v.tryStart()
