@@ -30,15 +30,16 @@ short:
 # Trace overhead and turnover gate: tracing disabled must stay
 # allocation-free on the per-access hot path (a nil Recorder is one pointer
 # compare); the GETM, WarpTM (pipelined commits included) and EAPG access
-# and commit paths, the SIMT core's transaction and critical-section steps
-# and the event queue must stay allocation-free in steady state; a reset
+# and commit paths, the SIMT core's transaction, critical-section and
+# store-then-load steps and the event queue must stay allocation-free in
+# steady state; a reset
 # engine must run as a new one; stocked free lists must come back whole; a
 # second run must reuse the first run's machine arrays, a warm run must
 # allocate fewer than 1,000 objects, and a finished machine must be garbage,
 # also while its Result.Trace is kept (DESIGN §6); and a traced end-to-end
 # run must keep producing valid output from every machine layer.
 trace-gate:
-	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestEAPGStepAllocs|TestCoreTxStepAllocs|TestCoreLockStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestEngineResetMatchesNew|TestStock|TestSecondRunReusesMachineArrays|TestWarmRunAllocs|TestFinishedMachineIsGarbage' ./internal/core/ ./internal/warptm/ ./internal/eapg/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
+	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestEAPGStepAllocs|TestCoreTxStepAllocs|TestCoreLockStepAllocs|TestCoreStoreLoadStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestEngineResetMatchesNew|TestStock|TestSecondRunReusesMachineArrays|TestWarmRunAllocs|TestFinishedMachineIsGarbage' ./internal/core/ ./internal/warptm/ ./internal/eapg/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
 
 # Persistence & cancellation gate: stored metrics must round-trip exactly
@@ -116,16 +117,20 @@ obs-gate:
 # complete its coarse-granule regression cells; benchdiff -policy must find
 # a point's cells in both store description forms; the assembled
 # lifecycle engine must stay race-clean; and the linear-time bookkeeping
-# must match what it replaced: one-pass intra-warp resolution against the
-# lane-by-lane oracle on random logs, coalesced loads' per-lane results on
-# GETM, WarpTM and WarpTM-EL, and the LLC's shift-and-mask indexing against
-# division (DESIGN §6).
+# and the flat tables must match what they replaced: one-pass intra-warp
+# resolution against the lane-by-lane oracle on random logs, the ready-mask
+# warp choice against the slot rescan, coalesced loads' per-lane results on
+# GETM, WarpTM and WarpTM-EL, the shared sim.Table against a Go map, the
+# transaction log's one address table against a map model, the memory
+# image's page table against a map of pages, the stall buffer's occupied
+# lines against its map version, and the LLC's and the address map's shifts
+# against division (DESIGN §6).
 policy-gate:
 	$(GO) test -short ./internal/policy/
 	$(GO) test -race -run 'TestPresetFingerprints|TestNonPresetPointsRun' ./internal/policy/
 	$(GO) test -run 'TestKeyStabilityAcrossPolicyRedesign|TestKeyNonPresetPolicies' ./internal/store/
 	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip|TestFreshVsRecycledIdentical|TestCutShortRunLeavesNothingBehind|TestConfigValidate|TestRunRejectsInvalidConfig|TestShardsRejected|TestCoarseGranuleCellsComplete' ./internal/gpu/
-	$(GO) test -run 'TestVUOwnRequestsWokenOnHandoff' ./internal/core/
+	$(GO) test -run 'TestVUOwnRequestsWokenOnHandoff|TestStallBufferMatchesMapVersion' ./internal/core/
 	$(GO) test -run 'TestCellValidate' ./internal/harness/
 	$(GO) test -run 'TestUnknownBenchmark|TestBuildRejectsBadScale' ./internal/workloads/
 	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity|TestProtocolIdentityAcrossEdges|TestTypedErrors|TestRunRejectsBadScale|TestRunInvalidConfig|TestRunExperimentInvalidScale' .
@@ -134,9 +139,11 @@ policy-gate:
 	$(GO) test -run 'TestInvalidScale|TestUnknownExperiment' ./cmd/getm-bench/
 	$(GO) test -run 'TestSubmitPolicy|TestPolicyMetricsLabel|TestAdmissionParity' ./internal/serve/
 	$(GO) test -run 'TestMatchesPolicy|TestParseStoreDirPolicy' ./cmd/benchdiff/
-	$(GO) test -run 'TestResolveIntraWarpMatchesOracle' ./internal/simt/
+	$(GO) test -run 'TestResolveIntraWarpMatchesOracle|TestPickWarpMatchesRescan' ./internal/simt/
 	$(GO) test -run 'TestSharedWordLoadResults' ./internal/core/ ./internal/warptm/
-	$(GO) test -run 'TestLLCIndexMatchesDivision' ./internal/mem/
+	$(GO) test -run 'TestTableMatchesMap|TestTableGenerationWrap' ./internal/sim/
+	$(GO) test -run 'TestTxLogMatchesMapModel|TestTxLogForwardProperty' ./internal/tm/
+	$(GO) test -run 'TestLLCIndexMatchesDivision|TestImageMatchesPageMap|TestAddressMapPartitionMatchesDivision' ./internal/mem/
 
 # Cluster gate: the distributed sweep fabric under the race detector — an
 # in-process 3-node cluster (coordinator + workers) must shard a full paper

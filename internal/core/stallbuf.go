@@ -8,10 +8,17 @@ import "slices"
 // from different warps contending for the same granule. When a commit or
 // cleanup releases the granule (#writes reaches 0), the oldest queued
 // request (minimum warpts) re-enters the validation unit.
+//
+// The validation unit asks for a granule's waiters after every request that
+// leaves its granule unlocked, and the buffer is almost always empty, so the
+// occupied lines sit in a slice of at most lines entries: an empty buffer
+// answers without a lookup, and an occupied one is scanned.
 type StallBuffer struct {
 	lines          int
 	entriesPerLine int
-	byGranule      map[uint64][]*StalledReq
+	// occupied holds the lines in use; a freed line's queue keeps its
+	// backing past len(occupied) for the next line to take.
+	occupied []stallLine
 
 	// MaxOccupancy tracks the peak number of queued requests (Fig 15);
 	// OccupancySamples accumulates per-address queue depths (Fig 16).
@@ -22,6 +29,13 @@ type StallBuffer struct {
 	EnqueueCount uint64
 	RejectedFull uint64
 	tracker      *OccTracker
+}
+
+// stallLine is one address line: a granule and its waiters in arrival
+// order.
+type stallLine struct {
+	granule uint64
+	reqs    []*StalledReq
 }
 
 // StalledReq is an opaque queued request; the VU supplies the retry closure.
@@ -49,11 +63,18 @@ func (o *OccTracker) dec() { o.cur-- }
 
 // NewStallBuffer builds a buffer with the given geometry.
 func NewStallBuffer(lines, entriesPerLine int) *StallBuffer {
-	return &StallBuffer{
-		lines:          lines,
-		entriesPerLine: entriesPerLine,
-		byGranule:      make(map[uint64][]*StalledReq),
+	return &StallBuffer{lines: lines, entriesPerLine: entriesPerLine}
+}
+
+// line returns the index in occupied of granule's line, or -1 (at once when
+// the buffer is empty, as it almost always is).
+func (b *StallBuffer) line(granule uint64) int {
+	for i := range b.occupied {
+		if b.occupied[i].granule == granule {
+			return i
+		}
 	}
+	return -1
 }
 
 // SetTracker attaches a GPU-wide occupancy tracker.
@@ -62,23 +83,35 @@ func (b *StallBuffer) SetTracker(t *OccTracker) { b.tracker = t }
 // Enqueue queues a request, returning false if the buffer is full (the
 // transaction must abort instead, per §V-B2).
 func (b *StallBuffer) Enqueue(r *StalledReq) bool {
-	q, lineExists := b.byGranule[r.Granule]
-	if !lineExists && len(b.byGranule) >= b.lines {
+	i, queued := b.line(r.Granule), 0
+	if i >= 0 {
+		queued = len(b.occupied[i].reqs)
+	} else if len(b.occupied) >= b.lines {
 		b.RejectedFull++
 		return false
 	}
-	if len(q) >= b.entriesPerLine {
+	if queued >= b.entriesPerLine {
 		b.RejectedFull++
 		return false
 	}
-	b.byGranule[r.Granule] = append(q, r)
+	if i < 0 {
+		i = len(b.occupied)
+		if i < cap(b.occupied) {
+			b.occupied = b.occupied[:i+1]
+		} else {
+			b.occupied = append(b.occupied, stallLine{})
+		}
+		b.occupied[i].granule = r.Granule
+	}
+	l := &b.occupied[i]
+	l.reqs = append(l.reqs, r)
 	b.totalQueued++
 	if b.tracker != nil {
 		b.tracker.inc()
 	}
 	b.EnqueueCount++
 	b.PerAddrCount++
-	b.PerAddrTotal += uint64(len(b.byGranule[r.Granule]))
+	b.PerAddrTotal += uint64(len(l.reqs))
 	if b.totalQueued > b.MaxOccupancy {
 		b.MaxOccupancy = b.totalQueued
 	}
@@ -88,15 +121,20 @@ func (b *StallBuffer) Enqueue(r *StalledReq) bool {
 // Release pops the oldest (minimum warpts) request waiting on granule, if
 // any. The caller re-enters it into the validation unit.
 func (b *StallBuffer) Release(granule uint64) *StalledReq {
-	r := b.oldest(granule)
-	if r == nil {
+	i := b.line(granule)
+	if i < 0 {
 		return nil
 	}
-	q := slices.DeleteFunc(b.byGranule[granule], func(x *StalledReq) bool { return x == r })
-	if len(q) == 0 {
-		delete(b.byGranule, granule)
-	} else {
-		b.byGranule[granule] = q
+	l := &b.occupied[i]
+	o := oldestIn(l.reqs)
+	r := l.reqs[o]
+	l.reqs = slices.Delete(l.reqs, o, o+1)
+	if len(l.reqs) == 0 {
+		// Free the line: the last occupied line takes its place, and the
+		// freed queue's backing moves past the end for the next line.
+		last := len(b.occupied) - 1
+		b.occupied[i], b.occupied[last] = b.occupied[last], b.occupied[i]
+		b.occupied = b.occupied[:last]
 	}
 	b.totalQueued--
 	if b.tracker != nil {
@@ -107,36 +145,36 @@ func (b *StallBuffer) Release(granule uint64) *StalledReq {
 
 // oldest returns granule's first minimum-warpts waiter, or nil.
 func (b *StallBuffer) oldest(granule uint64) *StalledReq {
-	var o *StalledReq
-	for _, r := range b.byGranule[granule] {
-		if o == nil || r.Warpts < o.Warpts {
-			o = r
+	i := b.line(granule)
+	if i < 0 {
+		return nil
+	}
+	reqs := b.occupied[i].reqs
+	return reqs[oldestIn(reqs)]
+}
+
+// oldestIn returns the index of the first minimum-warpts request in reqs,
+// which is not empty.
+func oldestIn(reqs []*StalledReq) int {
+	o := 0
+	for i, r := range reqs {
+		if r.Warpts < reqs[o].Warpts {
+			o = i
 		}
 	}
 	return o
-}
-
-// DrainAll removes and returns every queued request (rollover flush).
-func (b *StallBuffer) DrainAll() []*StalledReq {
-	var all []*StalledReq
-	for g, q := range b.byGranule {
-		all = append(all, q...)
-		delete(b.byGranule, g)
-	}
-	if b.tracker != nil {
-		for i := 0; i < b.totalQueued; i++ {
-			b.tracker.dec()
-		}
-	}
-	b.totalQueued = 0
-	return all
 }
 
 // Occupancy returns the number of queued requests.
 func (b *StallBuffer) Occupancy() int { return b.totalQueued }
 
 // Waiting returns the number of requests queued on granule.
-func (b *StallBuffer) Waiting(granule uint64) int { return len(b.byGranule[granule]) }
+func (b *StallBuffer) Waiting(granule uint64) int {
+	if i := b.line(granule); i >= 0 {
+		return len(b.occupied[i].reqs)
+	}
+	return 0
+}
 
 // MeanPerAddr returns the average queue depth observed at enqueue time
 // (Fig 16's "stalled requests / addr").

@@ -78,16 +78,6 @@ func TestStallBufferStats(t *testing.T) {
 	}
 }
 
-func TestStallBufferDrainAll(t *testing.T) {
-	b := NewStallBuffer(4, 4)
-	b.Enqueue(&StalledReq{Granule: 1, Warpts: 1})
-	b.Enqueue(&StalledReq{Granule: 2, Warpts: 2})
-	all := b.DrainAll()
-	if len(all) != 2 || b.Occupancy() != 0 {
-		t.Fatalf("drain returned %d, occupancy %d", len(all), b.Occupancy())
-	}
-}
-
 // Property: Release always returns the queued request with minimum warpts,
 // and occupancy counts stay consistent under arbitrary operation sequences.
 func TestStallBufferMinOrderProperty(t *testing.T) {

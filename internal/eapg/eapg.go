@@ -44,7 +44,7 @@ type activeSig struct {
 	// words is the precise write set: the broadcast message is idealized to
 	// 64 bits (footnote 3), but the conflict checks use the cores'
 	// conflict-address tables, which track precise addresses.
-	words   map[uint64]bool
+	words   tm.AddrSet
 	waiters []func()
 	// refs counts the holders of this pooled object: the commit itself plus
 	// one per outstanding broadcast delivery (a congested crossbar can, in
@@ -170,17 +170,17 @@ func (p *Protocol) dropActive(w *tm.WarpTx) {
 	}
 }
 
-// getSig pops a pooled signature record (maps and slices keep capacity).
+// getSig pops a pooled signature record (sets and slices keep capacity).
 func (p *Protocol) getSig(owner int) *activeSig {
 	as := p.sigPool
 	if as == nil {
 		as = sigStock.Get()
 	}
 	if as == nil {
-		as = &activeSig{words: make(map[uint64]bool)}
+		as = &activeSig{}
 		as.deliverFn = func(core int) {
 			p := as.p
-			p.earlyAbortDoomed(core, as.owner, as.words)
+			p.earlyAbortDoomed(core, as.owner, &as.words)
 			p.dropSig(as)
 		}
 		as.resumeFn = func(out tm.CommitOutcome) { as.p.commitDone(as, out) }
@@ -197,7 +197,7 @@ func (p *Protocol) dropSig(as *activeSig) {
 	if as.refs > 0 {
 		return
 	}
-	clear(as.words)
+	as.words.Reset()
 	clear(as.waiters)
 	as.waiters = as.waiters[:0]
 	as.p, as.resume = nil, nil
@@ -236,7 +236,7 @@ func (p *Protocol) pauseTarget(gwid int, lanes []tm.LaneAccess) *activeSig {
 			continue
 		}
 		for _, la := range lanes {
-			if as.words[la.Addr] {
+			if as.words.Has(la.Addr) {
 				return as
 			}
 		}
@@ -269,12 +269,12 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 	for _, e := range w.Log.Writes {
 		if commitMask.Bit(e.Lane) {
 			as.sig = as.sig.AddWord(e.Addr)
-			as.words[e.Addr] = true
+			as.words.Add(e.Addr)
 		}
 	}
 
 	as.refs = 1 // the commit
-	if len(as.words) > 0 {
+	if as.words.Len() > 0 {
 		as.refs += p.cores // one per broadcast delivery
 		// Insert keeping commitOrder sorted by owner.
 		i := len(p.commitOrder)
@@ -287,7 +287,7 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 		p.Broadcasts++
 		if p.rec != nil {
 			p.rec.Emit(trace.SrcEAPG, trace.KEAPGBroadcast, int32(w.Core),
-				uint64(w.GWID), uint64(as.sig), uint64(len(as.words)), 0)
+				uint64(w.GWID), uint64(as.sig), uint64(as.words.Len()), 0)
 		}
 		// The LLC-side broadcast to every core (64-bit flits).
 		p.trans.BroadcastToCores(0, tm.SignatureBytes, as.deliverFn)
@@ -301,7 +301,7 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 // broadcast leaves commitOrder and wakes the accesses it paused first.
 func (p *Protocol) commitDone(as *activeSig, out tm.CommitOutcome) {
 	resume := as.resume
-	if len(as.words) > 0 {
+	if as.words.Len() > 0 {
 		for i, x := range p.commitOrder {
 			if x == as {
 				p.commitOrder = append(p.commitOrder[:i], p.commitOrder[i+1:]...)
@@ -320,7 +320,7 @@ func (p *Protocol) commitDone(as *activeSig, out tm.CommitOutcome) {
 // intersect the committing write set: their commit-time validation would
 // fail anyway, so aborting now saves the round trips. Notices go out in
 // ascending gwid order.
-func (p *Protocol) earlyAbortDoomed(core, committer int, words map[uint64]bool) {
+func (p *Protocol) earlyAbortDoomed(core, committer int, words *tm.AddrSet) {
 	if p.abortSink == nil {
 		return
 	}
@@ -331,7 +331,7 @@ func (p *Protocol) earlyAbortDoomed(core, committer int, words map[uint64]bool) 
 		}
 		var doomed isa.LaneMask
 		for _, e := range w.Log.Reads {
-			if words[e.Addr] {
+			if words.Has(e.Addr) {
 				doomed = doomed.Set(e.Lane)
 			}
 		}

@@ -207,7 +207,11 @@ func (m *machine) collect(cores []*simt.Core, end sim.Cycle) *stats.Metrics {
 		out.TxWaitCycles += c.Stats.TxWaitCycles
 		out.Commits += c.Stats.Commits
 		out.Aborts += c.Stats.Aborts
-		out.AbortsByCause.Merge(c.Stats.AbortsByCause)
+		for cause, n := range c.Stats.AbortsByCause {
+			if n > 0 { // a cause that never occurred stays out of the metrics
+				out.AbortsByCause.Inc(tm.AbortCause(cause).String(), n)
+			}
+		}
 		out.Extra.Inc("instructions", c.Stats.Instructions)
 		out.Extra.Inc("tx-attempts", c.Stats.TxAttempts)
 		out.Extra.Inc("tx-lane-attempts", c.Stats.TxLaneAttempts)

@@ -4,14 +4,19 @@
 // array, and a DRAM timing model with per-bank occupancy.
 package mem
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+
+	"getm/internal/sim"
+)
 
 // WordBytes is the data word size; all workload values are 64-bit words.
 const WordBytes = 8
 
-// Image page geometry: 4 KB pages (512 words) in a page-table map, flat
-// word arrays inside — steady-state reads and writes are one map probe (or a
-// hit in the one-entry page cache) plus array indexing.
+// Image page geometry: 4 KB pages (512 words) in a page table, flat word
+// arrays inside — steady-state reads and writes are a hit in the one-entry
+// page cache or one page-table probe, plus array indexing.
 const (
 	pageWords = 512
 	pageShift = 9 // log2(pageWords)
@@ -41,8 +46,11 @@ func newPage() *page {
 // It is shared by all partitions (each partition owns a disjoint address
 // slice, so no two partitions touch the same word). An image belongs to one
 // goroutine.
+//
+// Pages are found by page number in a sim.Table, one code path for every
+// address of the 64-bit space, behind a one-entry cache.
 type Image struct {
-	pages map[uint64]*page
+	pages sim.Table[*page]
 	count int // words ever written
 	// One-entry page cache: consecutive accesses cluster heavily by page.
 	lastNo   uint64
@@ -50,18 +58,27 @@ type Image struct {
 }
 
 // NewImage returns an empty (all-zero) memory image.
-func NewImage() *Image { return &Image{pages: make(map[uint64]*page), lastNo: ^uint64(0)} }
+func NewImage() *Image { return &Image{lastNo: ^uint64(0)} }
 
+// pageFor returns the page holding wordNo, or nil. The cache check stays
+// small enough to inline into Read and Write; a miss probes the table. The
+// cache is either empty (lastNo ^0, which no word's page number reaches) or
+// holds a page the table holds, so a hit needs no nil check.
 func (im *Image) pageFor(wordNo uint64) *page {
-	no := wordNo >> pageShift
-	if no == im.lastNo && im.lastPage != nil {
-		return im.lastPage
+	if no := wordNo >> pageShift; no != im.lastNo {
+		return im.findPage(no)
 	}
-	p := im.pages[no]
-	if p != nil {
-		im.lastNo, im.lastPage = no, p
+	return im.lastPage
+}
+
+// findPage looks page number no up in the page table and caches a hit.
+func (im *Image) findPage(no uint64) *page {
+	pp := im.pages.Find(no)
+	if pp == nil {
+		return nil
 	}
-	return p
+	im.lastNo, im.lastPage = no, *pp
+	return *pp
 }
 
 // Read returns the word at the (word-aligned) byte address.
@@ -81,7 +98,7 @@ func (im *Image) Write(addr, val uint64) {
 	if p == nil {
 		p = newPage()
 		no := wordNo >> pageShift
-		im.pages[no] = p
+		*im.pages.Ensure(no) = p
 		im.lastNo, im.lastPage = no, p
 	}
 	off := wordNo & (pageWords - 1)
@@ -95,10 +112,11 @@ func (im *Image) Write(addr, val uint64) {
 // Recycle hands the image's pages to the next images written in this
 // process and leaves the image empty.
 func (im *Image) Recycle() {
-	for _, p := range im.pages {
-		pagePool.Put(p)
-	}
-	clear(im.pages)
+	im.pages.Range(func(_ uint64, p **page) bool {
+		pagePool.Put(*p)
+		return true
+	})
+	im.pages = sim.Table[*page]{}
 	im.count = 0
 	im.lastNo, im.lastPage = ^uint64(0), nil
 }
@@ -110,43 +128,47 @@ func (im *Image) Len() int { return im.count }
 func (im *Image) Snapshot() *Image {
 	c := NewImage()
 	c.count = im.count
-	for no, p := range im.pages {
-		cp := *p
-		c.pages[no] = &cp
-	}
+	im.pages.Range(func(no uint64, p **page) bool {
+		cp := **p
+		*c.pages.Ensure(no) = &cp
+		return true
+	})
 	return c
 }
 
 // Equal reports whether two images hold identical contents (treating absent
 // words as zero).
 func (im *Image) Equal(other *Image) bool {
-	for no, p := range im.pages {
-		q := other.pages[no]
-		for i := range p.words {
+	return im.covers(other) && other.covers(im)
+}
+
+// covers reports whether every word of im's pages reads the same in other,
+// where a page other lacks reads as zeros.
+func (im *Image) covers(other *Image) bool {
+	eq := true
+	im.pages.Range(func(no uint64, p **page) bool {
+		var q *page
+		if qp := other.pages.Find(no); qp != nil {
+			q = *qp
+		}
+		for i, v := range (*p).words {
 			var qv uint64
 			if q != nil {
 				qv = q.words[i]
 			}
-			if p.words[i] != qv {
+			if v != qv {
+				eq = false
 				return false
 			}
 		}
-	}
-	for no, q := range other.pages {
-		if _, ok := im.pages[no]; ok {
-			continue // compared above
-		}
-		for i := range q.words {
-			if q.words[i] != 0 {
-				return false
-			}
-		}
-	}
-	return true
+		return true
+	})
+	return eq
 }
 
 // AddressMap assigns addresses to memory partitions by interleaving LLC
-// lines across partitions, as GPUs do.
+// lines across partitions, as GPUs do. LineBytes must be a power of two, as
+// the LLC's (NewLLC) is: Partition shifts by it and Line masks with it.
 type AddressMap struct {
 	Partitions int
 	LineBytes  int
@@ -154,7 +176,7 @@ type AddressMap struct {
 
 // Partition returns the home partition of a byte address.
 func (am AddressMap) Partition(addr uint64) int {
-	line := addr / uint64(am.LineBytes)
+	line := addr >> bits.TrailingZeros64(uint64(am.LineBytes))
 	// Mix the line number so that power-of-two strides spread evenly.
 	return int((line ^ (line >> 7) ^ (line >> 15)) % uint64(am.Partitions))
 }

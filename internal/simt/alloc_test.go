@@ -96,7 +96,7 @@ func TestCoreTxStepAllocs(t *testing.T) {
 		h.core.scheduleIssue()
 		h.eng.Run(0)
 	}
-	step() // warm the pools, the log's tables and the abort-cause counter
+	step() // warm the pools and the log's table and slices
 	if w.state != wDone || h.core.Stats.Commits != isa.WarpWidth || h.core.Stats.Aborts != 1 || q.begins != 2 {
 		t.Fatalf("warm-up: state %d, %d commits, %d aborts, %d attempts; want done, %d, 1, 2",
 			w.state, h.core.Stats.Commits, h.core.Stats.Aborts, q.begins, isa.WarpWidth)
@@ -170,16 +170,20 @@ func TestTxLogsPerSlot(t *testing.T) {
 }
 
 // quietMem is a memory that itself allocates nothing in steady state, so the
-// lock-step gate measures the core alone: each access and CAS completes one
-// cycle after it is issued, in issue order, through one prebuilt flush event.
+// lock-step and store-load gates measure the core alone: each access and CAS
+// completes delay cycles (1 unless a test sets it) after the first one
+// queued since the last completion, in issue order, through one prebuilt
+// flush event. maxPending is the most operations ever in flight at once.
 type quietMem struct {
 	eng         *sim.Engine
+	delay       sim.Cycle
 	words       map[uint64]uint64
 	pending     []quietOp
 	spare       []quietOp
 	loadVals    []uint64
 	flushFn     func()
 	flushQueued bool
+	maxPending  int
 }
 
 type quietOp struct {
@@ -192,7 +196,7 @@ type quietOp struct {
 }
 
 func newQuietMem(eng *sim.Engine) *quietMem {
-	q := &quietMem{eng: eng, words: map[uint64]uint64{}}
+	q := &quietMem{eng: eng, delay: 1, words: map[uint64]uint64{}}
 	q.flushFn = func() {
 		ops := q.pending
 		q.pending, q.flushQueued = q.spare[:0], false
@@ -226,9 +230,10 @@ func newQuietMem(eng *sim.Engine) *quietMem {
 
 func (q *quietMem) queue(op quietOp) {
 	q.pending = append(q.pending, op)
+	q.maxPending = max(q.maxPending, len(q.pending))
 	if !q.flushQueued {
 		q.flushQueued = true
-		q.eng.Schedule(1, q.flushFn)
+		q.eng.Schedule(q.delay, q.flushFn)
 	}
 }
 
@@ -298,5 +303,45 @@ func TestCoreLockStepAllocs(t *testing.T) {
 	}
 	if got := q.words[data[0]]; got != 102 {
 		t.Fatalf("lane 0 ran its body %d times over 102 sections, want 102", got)
+	}
+}
+
+// Gate: a non-transactional store and a load of the same word on one warp —
+// the store leaves fire-and-forget, the load finds the word on the store
+// scoreboard and fences, the store lands (the scoreboard empties), and the
+// load re-issues and reads the stored value — runs without touching the
+// allocator once the warp's scoreboard and fence list have grown.
+func TestCoreStoreLoadStepAllocs(t *testing.T) {
+	addrs := make([]uint64, isa.WarpWidth)
+	for i := range addrs {
+		addrs[i] = uint64(0x4000 + 8*i)
+	}
+	prog := isa.NewBuilder().
+		AddImmScalar(1, 1, 1).
+		Store(1, addrs).
+		Load(2, addrs).
+		MustBuild()
+
+	h := newCoreHarness(nil, func(c *Config) { c.WarpsPerCore = 1 })
+	q := newQuietMem(h.eng)
+	q.delay = 4 // the load issues while the store is in flight
+	h.core.memsys = q
+	w := h.core.newWarpFor(0)
+
+	step := func() {
+		w.assign(prog)
+		h.core.scheduleIssue()
+		h.eng.Run(0)
+	}
+	step() // warm the scoreboard, the fence list and the store buffers
+	if w.state != wDone || w.regs[5][2] != 1 || q.words[addrs[5]] != 1 {
+		t.Fatalf("warm-up: state %d, lane 5 loaded %d, memory holds %d; want done, 1, 1",
+			w.state, w.regs[5][2], q.words[addrs[5]])
+	}
+	if q.maxPending != 1 {
+		t.Fatalf("%d accesses in flight at once: the load did not wait for the store", q.maxPending)
+	}
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Errorf("store, scoreboarded load, fence and re-issue allocate %.1f per step, want 0", allocs)
 	}
 }

@@ -33,8 +33,8 @@ func TestAsyncAbortMarksLanesForRetry(t *testing.T) {
 	if !h.core.AllDone() {
 		t.Fatalf("stuck: %v", h.core.StuckWarps())
 	}
-	if h.core.Stats.AbortsByCause["early-abort"] != 4 {
-		t.Fatalf("early aborts = %d, want 4", h.core.Stats.AbortsByCause["early-abort"])
+	if h.core.Stats.AbortsByCause[tm.CauseEarlyAbort] != 4 {
+		t.Fatalf("early aborts = %d, want 4", h.core.Stats.AbortsByCause[tm.CauseEarlyAbort])
 	}
 	// All 32 lanes must still commit (aborted ones after retry).
 	if h.core.Stats.Commits != 32 {
@@ -86,7 +86,7 @@ func TestAsyncAbortIgnoredDuringCommit(t *testing.T) {
 	// Run to completion, then deliver a stale notice: must be a no-op.
 	h.eng.Run(5_000_000)
 	h.core.AsyncAbort(tm.AbortNotice{GWID: 0, Lanes: isa.FullMask, Cause: tm.CauseEarlyAbort})
-	if h.core.Stats.AbortsByCause["early-abort"] != 0 {
+	if h.core.Stats.AbortsByCause[tm.CauseEarlyAbort] != 0 {
 		t.Fatal("stale notice aborted lanes")
 	}
 	// Out-of-range gwid must be ignored too.

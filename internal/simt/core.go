@@ -2,11 +2,11 @@ package simt
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"getm/internal/isa"
 	"getm/internal/sim"
-	"getm/internal/stats"
 	"getm/internal/tm"
 	"getm/internal/trace"
 )
@@ -17,9 +17,11 @@ const csRetryDelay sim.Cycle = 10
 
 // Stats aggregates one core's execution counters.
 type Stats struct {
-	Commits       uint64
-	Aborts        uint64
-	AbortsByCause stats.Counters
+	Commits uint64
+	Aborts  uint64
+	// AbortsByCause counts aborts per tm.AbortCause; the machine folds it
+	// by cause name into stats.Metrics.AbortsByCause.
+	AbortsByCause [tm.NumCauses]uint64
 	TxExecCycles  uint64
 	TxWaitCycles  uint64
 	Instructions  uint64
@@ -43,6 +45,10 @@ type Core struct {
 	dispatch func() *isa.Program
 
 	warps []*Warp
+	// ready has bit slot%64 of word slot/64 set while the slot's warp is
+	// wReady (Warp.setState keeps it), so the issue stage finds a ready
+	// warp without scanning the slots.
+	ready []uint64
 
 	txActive int
 	txQueue  []*Warp
@@ -90,13 +96,13 @@ func NewCore(id int, eng *sim.Engine, cfg Config, protocol tm.Protocol, memsys M
 		rng:      rng,
 		dispatch: dispatch,
 	}
-	c.Stats.AbortsByCause = stats.Counters{}
 	c.issueFn = c.issue
 	// Warp contexts are built lazily in Start: a warp's register file alone
 	// is WarpWidth×NumRegs words, and at small workload scales most of a
 	// core's slots never receive a program, so eager construction would
 	// dominate the whole suite's allocations.
 	c.warps = make([]*Warp, cfg.WarpsPerCore)
+	c.ready = make([]uint64, (cfg.WarpsPerCore+63)/64)
 	// If the protocol's CanBegin gate can reopen (GETM after a rollover
 	// drain), ask to be notified so warps queued behind it are re-admitted
 	// even when no endTx is left to retry the queue.
@@ -233,14 +239,14 @@ func (c *Core) AsyncAbort(n tm.AbortNotice) {
 
 func (c *Core) wake(w *Warp) {
 	if w.state == wBlocked {
-		w.state = wReady
+		w.setState(wReady)
 	}
 	c.scheduleIssue()
 }
 
 func (c *Core) anyReady() bool {
-	for _, w := range c.warps {
-		if w != nil && w.state == wReady {
+	for _, m := range c.ready {
+		if m != 0 {
 			return true
 		}
 	}
@@ -262,13 +268,13 @@ func (c *Core) scheduleIssue() {
 // pickWarp implements greedy-then-oldest: keep issuing from the same warp
 // until it stalls, then fall back to the oldest (lowest slot) ready warp.
 func (c *Core) pickWarp() *Warp {
-	if w := c.warps[c.lastWarp]; w != nil && w.state == wReady {
-		return w
+	if c.ready[c.lastWarp/64]&(1<<(c.lastWarp%64)) != 0 {
+		return c.warps[c.lastWarp]
 	}
-	for _, w := range c.warps {
-		if w != nil && w.state == wReady {
-			c.lastWarp = w.slot
-			return w
+	for i, m := range c.ready {
+		if m != 0 {
+			c.lastWarp = i*64 + bits.TrailingZeros64(m)
+			return c.warps[c.lastWarp]
 		}
 	}
 	return nil
@@ -303,7 +309,7 @@ func (c *Core) execStep(w *Warp) {
 	switch op.Kind {
 	case isa.Compute:
 		w.top().pc++
-		w.state = wBlocked
+		w.setState(wBlocked)
 		c.eng.Schedule(sim.Cycle(op.Latency), w.wakeFn)
 	case isa.MovImm:
 		for lane := 0; lane < isa.WarpWidth; lane++ {
@@ -347,7 +353,7 @@ func (c *Core) execAtomicAdd(w *Warp, op *isa.Op) {
 		return
 	}
 	outstanding := 0
-	w.state = wBlocked
+	w.setState(wBlocked)
 	dst := op.Dst
 	for lane := 0; lane < isa.WarpWidth; lane++ {
 		if !mask.Bit(lane) {
@@ -370,13 +376,13 @@ func (c *Core) execAtomicAdd(w *Warp, op *isa.Op) {
 func (c *Core) frameDone(w *Warp) {
 	if len(w.frames) > 1 {
 		w.frames = w.frames[:len(w.frames)-1]
-		w.state = wBlocked
+		w.setState(wBlocked)
 		c.csBodyDone(w)
 		return
 	}
 	if w.pendingStores > 0 {
 		// Drain fire-and-forget stores before retiring the program.
-		w.state = wBlocked
+		w.setState(wBlocked)
 		w.fence(w.wakeFn)
 		return
 	}
@@ -385,7 +391,7 @@ func (c *Core) frameDone(w *Warp) {
 		c.scheduleIssue()
 		return
 	}
-	w.state = wDone
+	w.setState(wDone)
 }
 
 // execMemAccess handles non-transactional coalesced loads/stores. Stores
@@ -411,7 +417,7 @@ func (c *Core) execMemAccess(w *Warp, op *isa.Op, isWrite bool) {
 			sb.vals = append(sb.vals, w.storeValue(op, lane))
 		}
 		for _, a := range sb.addrs {
-			w.storeWords[a]++
+			*w.storeWords.Ensure(a)++
 		}
 		w.pendingStores++
 		w.top().pc++
@@ -432,12 +438,12 @@ func (c *Core) execMemAccess(w *Warp, op *isa.Op, isWrite bool) {
 	if w.storeConflict(addrs) {
 		// Read-after-write through memory: drain outstanding stores, then
 		// re-issue this load (pc has not advanced).
-		w.state = wBlocked
+		w.setState(wBlocked)
 		w.fence(w.wakeFn)
 		return
 	}
 	w.top().pc++
-	w.state = wBlocked
+	w.setState(wBlocked)
 	w.loadDst = op.Dst
 	c.memsys.Access(c.ID, false, addrs, nil, w.loadDone)
 }
@@ -474,16 +480,12 @@ func (c *Core) getStoreBuf(w *Warp) *storeBuf {
 	return sb
 }
 
-// storeDone retires one store: scoreboard decrements, fence draining, and
-// buffer recycling.
+// storeDone retires one store: scoreboard decrements (the scoreboard
+// empties once the last store lands), fence draining, and buffer recycling.
 func (sb *storeBuf) storeDone() {
 	w, c := sb.w, sb.c
 	for _, a := range sb.addrs {
-		if n := w.storeWords[a]; n > 1 {
-			w.storeWords[a] = n - 1
-		} else {
-			delete(w.storeWords, a)
-		}
+		*w.storeWords.Find(a)--
 	}
 	sb.addrs = sb.addrs[:0]
 	sb.vals = sb.vals[:0]
@@ -491,6 +493,9 @@ func (sb *storeBuf) storeDone() {
 	sb.next = c.storePool
 	c.storePool = sb
 	w.pendingStores--
+	if w.pendingStores == 0 {
+		w.storeWords.Reset()
+	}
 	c.drainFences(w)
 }
 
@@ -522,7 +527,7 @@ func (c *Core) execTxBegin(w *Warp, op *isa.Op) {
 	}
 	w.pendingTxMask = mask
 	if !c.canBegin() {
-		w.state = wBlocked
+		w.setState(wBlocked)
 		w.waitStart = c.eng.Now()
 		c.txQueue = append(c.txQueue, w)
 		return
@@ -542,8 +547,8 @@ func (c *Core) canBegin() bool {
 
 // txLogs holds the transaction logs of recycled cores (Core.Recycle) for
 // the next cores built in this process, on any goroutine. A recycled log's
-// index tables may be larger than a new log's, but the Reset that opens
-// every attempt invalidates all of their slots, and nothing iterates them.
+// address table may be larger than a new log's, but the Reset that opens
+// every attempt invalidates all of its slots, and nothing iterates it.
 var txLogs sync.Pool
 
 func (c *Core) startTx(w *Warp) {
@@ -566,7 +571,7 @@ func (c *Core) startTx(w *Warp) {
 	w.attempts = 0
 	c.beginAttempt(w)
 	f.pc++
-	w.state = wReady
+	w.setState(wReady)
 }
 
 func findCommit(ops []isa.Op, from int) int {
@@ -598,7 +603,7 @@ func (c *Core) abortLane(w *Warp, lane int, cause tm.AbortCause) {
 	}
 	w.deadMask = w.deadMask.Set(lane)
 	c.Stats.Aborts++
-	c.Stats.AbortsByCause.Inc(cause.String(), 1)
+	c.Stats.AbortsByCause[cause]++
 	if c.rec != nil {
 		c.rec.Emit(trace.SrcTx, trace.KTxAbort, int32(c.ID),
 			uint64(w.gwid), uint64(lane), uint64(cause), 0)
@@ -626,8 +631,9 @@ func (c *Core) execTxAccess(w *Warp, op *isa.Op, isWrite bool) {
 
 	eager := c.protocol.EagerIntraWarp()
 	send := w.sendBuf[:0]
-	// Same-instruction writer tracking: at most WarpWidth distinct addresses,
-	// so a linear-scanned stack array beats a map.
+	// Same-instruction writer tracking for the eager intra-warp check: at
+	// most WarpWidth distinct addresses, so a linear-scanned stack array
+	// beats a map.
 	var opAddrs [isa.WarpWidth]uint64
 	var opMasks [isa.WarpWidth]isa.LaneMask
 	nOp := 0
@@ -651,23 +657,19 @@ func (c *Core) execTxAccess(w *Warp, op *isa.Op, isWrite bool) {
 		addr := op.Addr[lane]
 		if isWrite {
 			val := w.storeValue(op, lane)
-			wm := writersOf(addr)
 			if eager {
+				wm := writersOf(addr)
 				conf := (w.txLog.Conflicts(lane, addr, true) | *wm) & w.live()
 				if conf != 0 {
 					c.abortLane(w, lane, tm.CauseIntraWarp)
 					continue
 				}
+				*wm = wm.Set(lane)
 			}
-			*wm = wm.Set(lane)
 			w.sendIdx[lane] = int8(len(send))
 			send = append(send, tm.LaneAccess{Lane: lane, Addr: addr, Value: val})
 		} else {
-			if v, ok := w.txLog.Forward(lane, addr); ok {
-				w.regs[lane][dst] = v
-				continue
-			}
-			if v, ok := w.txLog.ForwardRead(lane, addr); ok {
+			if v, ok := w.txLog.ForwardLoad(lane, addr); ok {
 				w.regs[lane][dst] = v
 				continue
 			}
@@ -694,7 +696,7 @@ func (c *Core) execTxAccess(w *Warp, op *isa.Op, isWrite bool) {
 	}
 
 	f.pc++
-	w.state = wBlocked
+	w.setState(wBlocked)
 	w.accIsWrite = isWrite
 	w.accDst = dst
 	w.accAttempt = w.attemptID
@@ -783,7 +785,7 @@ func (c *Core) execTxCommit(w *Warp) {
 	}
 
 	w.commitMask, w.abortMask = live, w.deadMask
-	w.state = wBlocked
+	w.setState(wBlocked)
 	w.committing = true
 	c.eng.Schedule(extra, w.commitFn)
 }
@@ -807,7 +809,7 @@ func (c *Core) txCommitDone(w *Warp, out tm.CommitOutcome) {
 	for lane := 0; lane < isa.WarpWidth; lane++ {
 		if failed.Bit(lane) {
 			c.Stats.Aborts++
-			c.Stats.AbortsByCause.Inc(out.Cause.String(), 1)
+			c.Stats.AbortsByCause[out.Cause]++
 			if c.rec != nil {
 				c.rec.Emit(trace.SrcTx, trace.KTxAbort, int32(c.ID),
 					uint64(w.gwid), uint64(lane), uint64(out.Cause), 0)

@@ -27,7 +27,7 @@ func (c *Core) execCritSection(w *Warp, op *isa.Op) {
 		w.bindCS()
 	}
 	w.cs.op, w.cs.remaining = op, mask
-	w.state = wBlocked
+	w.setState(wBlocked)
 	c.csRound(w)
 }
 
@@ -130,7 +130,7 @@ func (c *Core) csBody(w *Warp, holders isa.LaneMask) {
 	}
 	cs.body = holders
 	w.frames = append(w.frames, frame{ops: cs.op.Body, mask: holders})
-	w.state = wReady
+	w.setState(wReady)
 	c.scheduleIssue()
 }
 

@@ -204,7 +204,7 @@ func TestTxCommitAppliesWrites(t *testing.T) {
 	if h.core.Stats.Commits != 32 {
 		t.Fatalf("commits = %d", h.core.Stats.Commits)
 	}
-	if h.core.Stats.AbortsByCause["intra-warp"] == 0 {
+	if h.core.Stats.AbortsByCause[tm.CauseIntraWarp] == 0 {
 		t.Fatal("expected intra-warp aborts")
 	}
 }
@@ -373,7 +373,7 @@ func TestLazyIntraWarpResolutionAtCommit(t *testing.T) {
 	if h.mem.words[0xC00] != 32 {
 		t.Fatalf("counter = %d, want 32", h.mem.words[0xC00])
 	}
-	if h.core.Stats.AbortsByCause["intra-warp"] == 0 {
+	if h.core.Stats.AbortsByCause[tm.CauseIntraWarp] == 0 {
 		t.Fatal("lazy resolution should record intra-warp aborts")
 	}
 }

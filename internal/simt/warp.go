@@ -34,7 +34,7 @@ type frame struct {
 // re-executed when the warp reaches the commit point.
 //
 // A warp outlives its machine (DESIGN §6): Core.Recycle stocks it whole, with
-// its register file, scoreboard map, scratch slices and prebound callbacks,
+// its register file, store scoreboard, scratch slices and prebound callbacks,
 // and the next core to need a warp takes it. Every callback reaches the core
 // through c, which is set when the warp is taken and cleared when it is
 // stocked, together with everything else that points into the finished
@@ -45,7 +45,7 @@ type Warp struct {
 	gwid int
 
 	frames []frame
-	state  warpState
+	state  warpState // set through setState only: the core's ready mask follows it
 
 	regs regFile
 
@@ -74,14 +74,15 @@ type Warp struct {
 	cs csState
 
 	// Non-blocking store tracking: GPUs fire-and-forget global stores, so
-	// the warp continues after issuing one. storeWords scoreboards the words
-	// with stores in flight (a later load of one must wait; a word leaves
-	// the map when its last store lands, so the map stays as small as the
-	// store queue, and it travels with the warp), and fence callbacks run
-	// once every outstanding store has reached memory (used before releasing
-	// locks and at program end).
+	// the warp continues after issuing one. storeWords counts the stores in
+	// flight per word (a later load of a word with a count above 0 must
+	// wait); it is emptied in O(1) whenever the store queue drains, so it
+	// holds at most the words of the stores since the last drain, and it
+	// travels with the warp. Fence callbacks run once every outstanding
+	// store has reached memory (used before releasing locks and at program
+	// end).
 	pendingStores int
-	storeWords    map[uint64]int
+	storeWords    sim.Table[int32]
 	fenceFns      []func()
 
 	// Per-warp access scratch, reused across instructions. Safe because a
@@ -127,10 +128,9 @@ type regFile [isa.WarpWidth][isa.NumRegs]uint64
 // callbacks (allocated once per warp, here).
 func newWarp() *Warp {
 	w := &Warp{
-		storeWords: make(map[uint64]int),
-		sendBuf:    make([]tm.LaneAccess, 0, isa.WarpWidth),
-		loadLanes:  make([]int, 0, isa.WarpWidth),
-		loadAddrs:  make([]uint64, 0, isa.WarpWidth),
+		sendBuf:   make([]tm.LaneAccess, 0, isa.WarpWidth),
+		loadLanes: make([]int, 0, isa.WarpWidth),
+		loadAddrs: make([]uint64, 0, isa.WarpWidth),
 	}
 	w.accDone = func(results []tm.AccessResult) { w.c.txAccessDone(w, results) }
 	w.loadDone = func(loadVals []uint64) {
@@ -158,6 +158,19 @@ func (w *Warp) drop() {
 	clear(w.fenceFns[:cap(w.fenceFns)])
 	w.fenceFns = w.fenceFns[:0]
 	w.pendingStores = 0
+	w.storeWords.Reset()
+}
+
+// setState moves the warp to state s and keeps its core's ready mask, the
+// issue stage's view of which slots can issue, in step with it.
+func (w *Warp) setState(s warpState) {
+	w.state = s
+	word, bit := &w.c.ready[w.slot/64], uint64(1)<<(w.slot%64)
+	if s == wReady {
+		*word |= bit
+	} else {
+		*word &^= bit
+	}
 }
 
 // fence runs f once all outstanding stores have completed.
@@ -171,11 +184,11 @@ func (w *Warp) fence(f func()) {
 
 // storeConflict reports whether any address has an outstanding store.
 func (w *Warp) storeConflict(addrs []uint64) bool {
-	if len(w.storeWords) == 0 {
+	if w.pendingStores == 0 {
 		return false
 	}
 	for _, a := range addrs {
-		if w.storeWords[a] > 0 {
+		if n := w.storeWords.Find(a); n != nil && *n > 0 {
 			return true
 		}
 	}
@@ -211,13 +224,12 @@ func (w *Warp) effMask(op *isa.Op) isa.LaneMask {
 func (w *Warp) assign(p *isa.Program) {
 	w.frames = w.frames[:0]
 	w.frames = append(w.frames, frame{ops: p.Ops, mask: isa.FullMask})
-	w.state = wReady
+	w.setState(wReady)
 	w.inTx = false
 	w.deadMask = 0
 	w.txMask = 0
 	w.cs.op = nil
-	clear(w.storeWords) // safe: frameDone drains stores before redispatch
-	w.regs = regFile{}
+	w.regs = regFile{} // storeWords is empty: frameDone drains stores before redispatch
 }
 
 // storeValue resolves the data a lane's store writes.

@@ -7,9 +7,9 @@ import (
 )
 
 // Gate: the TxLog record/forward path is allocation-free once the log's
-// tables have grown to the transaction footprint. Entries append into reused
-// slices and both index tables are invalidated by generation bump on Reset,
-// so steady-state attempts touch no allocator.
+// table has grown to the transaction footprint. Entries and their chain
+// links append into reused slices and the address table is invalidated by
+// a generation bump on Reset, so steady-state attempts touch no allocator.
 func TestTxLogHotPathAllocs(t *testing.T) {
 	l := NewTxLog()
 	var sink uint64
@@ -25,12 +25,15 @@ func TestTxLogHotPathAllocs(t *testing.T) {
 			if v, ok := l.Forward(lane, a+512); ok {
 				sink += v
 			}
+			if v, ok := l.ForwardLoad(lane, a); ok {
+				sink += v
+			}
 			sink += uint64(l.Conflicts(lane, a, true))
 			sink += uint64(l.LaneWriteCount(lane))
 		}
 		l.Reset()
 	}
-	round() // grow tables to the footprint
+	round() // grow the table and slices to the footprint
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("TxLog record/forward path allocates %.1f per attempt, want 0", allocs)
 	}

@@ -37,6 +37,10 @@ var causeNames = [...]string{
 	CauseStallFull: "stall-full", CauseEarlyAbort: "early-abort",
 }
 
+// NumCauses is the number of abort causes, CauseNone included: per-cause
+// counters are arrays of this length indexed by AbortCause.
+const NumCauses = len(causeNames)
+
 func (c AbortCause) String() string {
 	if int(c) < len(causeNames) {
 		return causeNames[c]
@@ -81,250 +85,133 @@ type LogEntry struct {
 // the observed value (for value-based validation and the replay checker);
 // writes record the new value.
 //
-// The lookup structures behind read-own-write forwarding and intra-warp
-// conflict detection are flat open-addressed tables rather than Go maps, so
-// a steady-state access allocates nothing: entries live in the append-only
-// Reads/Writes slices, a (lane, addr)-keyed index maps each access to its
-// entry, and an addr-keyed table holds the per-word reader/writer lane
-// masks. Reset invalidates both tables by bumping a generation counter and
-// reuses all capacity across transaction attempts.
+// Read-own-write forwarding and intra-warp conflict detection run on one
+// address table (a sim.Table, so a steady-state access allocates nothing):
+// each word's slot holds its reader and writer lane masks and the heads of
+// two chains, through Reads and through Writes, that link the word's
+// entries (at most one of each per lane). A lane's lookup is one probe, and
+// walks a chain only when the lane's bit says its entry is on it. The
+// chains' links live in readNext/writeNext, parallel to Reads/Writes, so
+// LogEntry keeps its size. Reset invalidates the table by bumping its
+// generation and reuses all capacity across transaction attempts.
 type TxLog struct {
 	Reads  []LogEntry
 	Writes []LogEntry
 
-	idx      []txIdxEntry  // (lane, addr) -> entry indices
-	addrTab  []txAddrEntry // addr -> reader/writer masks
-	gen      uint32
-	idxUsed  int
-	addrUsed int
+	// readNext[i] links Reads[i] to the next read of the same word: 1 + its
+	// index, or 0 at the chain's end. writeNext does the same for Writes.
+	readNext  []int32
+	writeNext []int32
+	words     sim.Table[txWord]
 
 	// laneWrites counts write entries per lane (silent-commit checks read it
 	// without walking the log).
 	laneWrites [isa.WarpWidth]int32
 }
 
-// laneAddr keys a single lane's access to one word (tests model the log's
-// forwarding contract with it).
-type laneAddr struct {
-	lane int
-	addr uint64
+// txWord is one word's slot: the lanes with a read and with a write entry
+// for it, and the chains of those entries (1 + the newest entry's index in
+// Reads or Writes; 0 for none).
+type txWord struct {
+	readers   isa.LaneMask
+	writers   isa.LaneMask
+	readHead  int32
+	writeHead int32
 }
 
-// txIdxEntry is one slot of the (lane, addr) index. A slot is live when its
-// gen matches the log's; readIdx/writeIdx of -1 mean the lane has no such
-// entry yet.
-type txIdxEntry struct {
-	gen      uint32
-	lane     int32
-	addr     uint64
-	readIdx  int32
-	writeIdx int32
-}
-
-// txAddrEntry is one slot of the per-address mask table.
-type txAddrEntry struct {
-	gen     uint32
-	addr    uint64
-	readers isa.LaneMask
-	writers isa.LaneMask
-}
-
-// Table sizing: start big enough for typical transaction footprints (a few
-// words per lane) and keep load factor below 3/4 on growth.
-const txLogInitialSlots = 64
-
-// NewTxLog returns an empty log. The index tables are allocated lazily on
-// first use, so warps that never run transactions (lock kernels) pay nothing.
-func NewTxLog() *TxLog {
-	return &TxLog{gen: 1}
-}
+// NewTxLog returns an empty log. Its address table is allocated on first
+// use.
+func NewTxLog() *TxLog { return &TxLog{} }
 
 // Reset clears the log for a new transaction attempt, retaining capacity.
 func (l *TxLog) Reset() {
 	l.Reads = l.Reads[:0]
 	l.Writes = l.Writes[:0]
-	l.bumpGen()
+	l.readNext = l.readNext[:0]
+	l.writeNext = l.writeNext[:0]
+	l.words.Reset()
 	l.laneWrites = [isa.WarpWidth]int32{}
 }
 
-// bumpGen invalidates every table slot in O(1); on the (astronomically rare)
-// uint32 wrap it falls back to clearing the slots so stale generations can
-// never read as live.
-func (l *TxLog) bumpGen() {
-	l.gen++
-	l.idxUsed, l.addrUsed = 0, 0
-	if l.gen == 0 {
-		clear(l.idx)
-		clear(l.addrTab)
-		l.gen = 1
+// laneEntry returns the index of lane's entry on the chain that starts at
+// head. The caller has seen the lane's bit in the word's mask, so the entry
+// is on the chain.
+func laneEntry(entries []LogEntry, next []int32, head int32, lane int) int {
+	i := head - 1
+	for entries[i].Lane != lane {
+		i = next[i] - 1
 	}
-}
-
-func txHash(lane int, addr uint64) uint64 {
-	return sim.Mix64(addr ^ uint64(lane)*0x9E3779B97F4A7C15)
-}
-
-// idxFind returns the live (lane, addr) slot, or nil.
-func (l *TxLog) idxFind(lane int, addr uint64) *txIdxEntry {
-	if len(l.idx) == 0 {
-		return nil
-	}
-	mask := uint64(len(l.idx) - 1)
-	for h := txHash(lane, addr) & mask; ; h = (h + 1) & mask {
-		e := &l.idx[h]
-		if e.gen != l.gen {
-			return nil
-		}
-		if e.addr == addr && e.lane == int32(lane) {
-			return e
-		}
-	}
-}
-
-// idxEnsure returns the live slot for (lane, addr), inserting a fresh one
-// (readIdx/writeIdx -1) if absent, growing the table as needed.
-func (l *TxLog) idxEnsure(lane int, addr uint64) *txIdxEntry {
-	if len(l.idx) == 0 {
-		l.idx = make([]txIdxEntry, txLogInitialSlots)
-	} else if (l.idxUsed+1)*4 > len(l.idx)*3 {
-		l.growIdx()
-	}
-	mask := uint64(len(l.idx) - 1)
-	for h := txHash(lane, addr) & mask; ; h = (h + 1) & mask {
-		e := &l.idx[h]
-		if e.gen != l.gen {
-			*e = txIdxEntry{gen: l.gen, lane: int32(lane), addr: addr, readIdx: -1, writeIdx: -1}
-			l.idxUsed++
-			return e
-		}
-		if e.addr == addr && e.lane == int32(lane) {
-			return e
-		}
-	}
-}
-
-func (l *TxLog) growIdx() {
-	old := l.idx
-	l.idx = make([]txIdxEntry, 2*len(old))
-	mask := uint64(len(l.idx) - 1)
-	for i := range old {
-		e := &old[i]
-		if e.gen != l.gen {
-			continue
-		}
-		h := txHash(int(e.lane), e.addr) & mask
-		for l.idx[h].gen == l.gen {
-			h = (h + 1) & mask
-		}
-		l.idx[h] = *e
-	}
-}
-
-// addrFind returns the live mask slot for addr, or nil.
-func (l *TxLog) addrFind(addr uint64) *txAddrEntry {
-	if len(l.addrTab) == 0 {
-		return nil
-	}
-	mask := uint64(len(l.addrTab) - 1)
-	for h := sim.Mix64(addr) & mask; ; h = (h + 1) & mask {
-		e := &l.addrTab[h]
-		if e.gen != l.gen {
-			return nil
-		}
-		if e.addr == addr {
-			return e
-		}
-	}
-}
-
-// addrEnsure returns the live mask slot for addr, inserting if absent.
-func (l *TxLog) addrEnsure(addr uint64) *txAddrEntry {
-	if len(l.addrTab) == 0 {
-		l.addrTab = make([]txAddrEntry, txLogInitialSlots)
-	} else if (l.addrUsed+1)*4 > len(l.addrTab)*3 {
-		l.growAddrTab()
-	}
-	mask := uint64(len(l.addrTab) - 1)
-	for h := sim.Mix64(addr) & mask; ; h = (h + 1) & mask {
-		e := &l.addrTab[h]
-		if e.gen != l.gen {
-			*e = txAddrEntry{gen: l.gen, addr: addr}
-			l.addrUsed++
-			return e
-		}
-		if e.addr == addr {
-			return e
-		}
-	}
-}
-
-func (l *TxLog) growAddrTab() {
-	old := l.addrTab
-	l.addrTab = make([]txAddrEntry, 2*len(old))
-	mask := uint64(len(l.addrTab) - 1)
-	for i := range old {
-		e := &old[i]
-		if e.gen != l.gen {
-			continue
-		}
-		h := sim.Mix64(e.addr) & mask
-		for l.addrTab[h].gen == l.gen {
-			h = (h + 1) & mask
-		}
-		l.addrTab[h] = *e
-	}
+	return int(i)
 }
 
 // RecordRead logs a globally observed read (not a forwarded own-write read).
+// A lane's repeated read of a word is recorded once.
 func (l *TxLog) RecordRead(lane int, addr, value uint64) {
-	e := l.idxEnsure(lane, addr)
-	if e.readIdx < 0 {
-		e.readIdx = int32(len(l.Reads))
-		l.Reads = append(l.Reads, LogEntry{Lane: lane, Addr: addr, Value: value})
+	w := l.words.Ensure(addr)
+	if w.readers.Bit(lane) {
+		return
 	}
-	a := l.addrEnsure(addr)
-	a.readers = a.readers.Set(lane)
-}
-
-// ForwardRead returns the value a lane's earlier read of addr observed, so
-// repeated reads hit the redo log instead of the interconnect.
-func (l *TxLog) ForwardRead(lane int, addr uint64) (uint64, bool) {
-	if e := l.idxFind(lane, addr); e != nil && e.readIdx >= 0 {
-		return l.Reads[e.readIdx].Value, true
-	}
-	return 0, false
+	w.readers = w.readers.Set(lane)
+	l.Reads = append(l.Reads, LogEntry{Lane: lane, Addr: addr, Value: value})
+	l.readNext = append(l.readNext, w.readHead)
+	w.readHead = int32(len(l.Reads))
 }
 
 // RecordWrite logs a write; repeated writes by the same lane to the same
 // address update the value and bump the coalesced write count.
 func (l *TxLog) RecordWrite(lane int, addr, value uint64) {
-	e := l.idxEnsure(lane, addr)
-	if e.writeIdx >= 0 {
-		w := &l.Writes[e.writeIdx]
-		w.Value = value
-		w.Writes++
-	} else {
-		e.writeIdx = int32(len(l.Writes))
-		l.Writes = append(l.Writes, LogEntry{Lane: lane, Addr: addr, Value: value, Writes: 1})
-		l.laneWrites[lane]++
+	w := l.words.Ensure(addr)
+	if w.writers.Bit(lane) {
+		e := &l.Writes[laneEntry(l.Writes, l.writeNext, w.writeHead, lane)]
+		e.Value = value
+		e.Writes++
+		return
 	}
-	a := l.addrEnsure(addr)
-	a.writers = a.writers.Set(lane)
+	w.writers = w.writers.Set(lane)
+	l.Writes = append(l.Writes, LogEntry{Lane: lane, Addr: addr, Value: value, Writes: 1})
+	l.writeNext = append(l.writeNext, w.writeHead)
+	w.writeHead = int32(len(l.Writes))
+	l.laneWrites[lane]++
 }
 
 // Forward returns the lane's own buffered write to addr, if any
 // (read-own-write forwarding from the redo log).
 func (l *TxLog) Forward(lane int, addr uint64) (uint64, bool) {
-	if e := l.idxFind(lane, addr); e != nil && e.writeIdx >= 0 {
-		return l.Writes[e.writeIdx].Value, true
+	if w := l.words.Find(addr); w != nil && w.writers.Bit(lane) {
+		return l.Writes[laneEntry(l.Writes, l.writeNext, w.writeHead, lane)].Value, true
+	}
+	return 0, false
+}
+
+// ForwardRead returns the value a lane's earlier read of addr observed, so
+// repeated reads hit the redo log instead of the interconnect.
+func (l *TxLog) ForwardRead(lane int, addr uint64) (uint64, bool) {
+	if w := l.words.Find(addr); w != nil && w.readers.Bit(lane) {
+		return l.Reads[laneEntry(l.Reads, l.readNext, w.readHead, lane)].Value, true
+	}
+	return 0, false
+}
+
+// ForwardLoad answers a lane's load of addr from the redo log, in one
+// probe: the lane's own buffered write if it has one (Forward), else the
+// value its earlier read observed (ForwardRead).
+func (l *TxLog) ForwardLoad(lane int, addr uint64) (uint64, bool) {
+	w := l.words.Find(addr)
+	switch {
+	case w == nil:
+		return 0, false
+	case w.writers.Bit(lane):
+		return l.Writes[laneEntry(l.Writes, l.writeNext, w.writeHead, lane)].Value, true
+	case w.readers.Bit(lane):
+		return l.Reads[laneEntry(l.Reads, l.readNext, w.readHead, lane)].Value, true
 	}
 	return 0, false
 }
 
 // HasRead reports whether the lane already has a logged read of addr.
 func (l *TxLog) HasRead(lane int, addr uint64) bool {
-	e := l.idxFind(lane, addr)
-	return e != nil && e.readIdx >= 0
+	w := l.words.Find(addr)
+	return w != nil && w.readers.Bit(lane)
 }
 
 // LaneWriteCount returns the number of distinct words the lane has written
@@ -334,21 +221,21 @@ func (l *TxLog) LaneWriteCount(lane int) int { return int(l.laneWrites[lane]) }
 // Conflicts returns the other lanes whose logged accesses conflict with the
 // given access (same word, at least one side writing).
 func (l *TxLog) Conflicts(lane int, addr uint64, isWrite bool) isa.LaneMask {
-	a := l.addrFind(addr)
-	if a == nil {
+	w := l.words.Find(addr)
+	if w == nil {
 		return 0
 	}
-	m := a.writers
+	m := w.writers
 	if isWrite {
-		m |= a.readers
+		m |= w.readers
 	}
 	return m.Clear(lane)
 }
 
 // DropLane removes a lane's entries (after an intra-warp or eager abort the
 // lane's accesses are replayed from scratch on retry). Write entries are
-// retained in the cleanup set by the caller before dropping. The index
-// tables are rebuilt from the surviving entries.
+// retained in the cleanup set by the caller before dropping. The address
+// table and its chains are rebuilt from the surviving entries.
 func (l *TxLog) DropLane(lane int) {
 	filter := func(entries []LogEntry) []LogEntry {
 		out := entries[:0]
@@ -359,29 +246,21 @@ func (l *TxLog) DropLane(lane int) {
 		}
 		return out
 	}
-	l.Reads = filter(l.Reads)
-	l.Writes = filter(l.Writes)
-	l.rebuildIndex()
-}
-
-// rebuildIndex reconstructs both tables and the per-lane write counts from
-// the Reads/Writes slices (abort path only; never on the access hot path).
-func (l *TxLog) rebuildIndex() {
-	l.bumpGen()
+	l.Reads, l.Writes = filter(l.Reads), filter(l.Writes)
+	l.readNext, l.writeNext = l.readNext[:0], l.writeNext[:0]
+	l.words.Reset()
 	l.laneWrites = [isa.WarpWidth]int32{}
-	for i := range l.Reads {
-		e := &l.Reads[i]
-		ie := l.idxEnsure(e.Lane, e.Addr)
-		ie.readIdx = int32(i)
-		a := l.addrEnsure(e.Addr)
-		a.readers = a.readers.Set(e.Lane)
+	for i, e := range l.Reads {
+		w := l.words.Ensure(e.Addr)
+		w.readers = w.readers.Set(e.Lane)
+		l.readNext = append(l.readNext, w.readHead)
+		w.readHead = int32(i + 1)
 	}
-	for i := range l.Writes {
-		e := &l.Writes[i]
-		ie := l.idxEnsure(e.Lane, e.Addr)
-		ie.writeIdx = int32(i)
-		a := l.addrEnsure(e.Addr)
-		a.writers = a.writers.Set(e.Lane)
+	for i, e := range l.Writes {
+		w := l.words.Ensure(e.Addr)
+		w.writers = w.writers.Set(e.Lane)
+		l.writeNext = append(l.writeNext, w.writeHead)
+		w.writeHead = int32(i + 1)
 		l.laneWrites[e.Lane]++
 	}
 }

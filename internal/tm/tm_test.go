@@ -113,30 +113,62 @@ func TestTxLogLaneEntries(t *testing.T) {
 	}
 }
 
-// Property: Forward returns exactly the last value written by that lane.
+// laneAddr keys a single lane's access to one word (the tests model the
+// log's forwarding contract with it).
+type laneAddr struct {
+	lane int
+	addr uint64
+}
+
+// Property: Forward returns exactly the last value written by that lane,
+// ForwardRead the value its first read observed, and ForwardLoad the former
+// if the lane wrote the word, else the latter. The addresses come from a
+// pool of 8 words, so every word's chains hold many lanes.
 func TestTxLogForwardProperty(t *testing.T) {
-	prop := func(writes []struct {
+	prop := func(accesses []struct {
 		Lane uint8
-		Addr uint16
+		Addr uint8
 		Val  uint32
+		Read bool
 	}) bool {
 		l := NewTxLog()
-		last := map[laneAddr]uint64{}
-		for _, w := range writes {
-			lane := int(w.Lane % 32)
-			addr := uint64(w.Addr) &^ 7
-			l.RecordWrite(lane, addr, uint64(w.Val))
-			last[laneAddr{lane, addr}] = uint64(w.Val)
+		lastWrite := map[laneAddr]uint64{}
+		firstRead := map[laneAddr]uint64{}
+		for _, a := range accesses {
+			k := laneAddr{int(a.Lane % 32), uint64(a.Addr%8) * 8}
+			if a.Read {
+				l.RecordRead(k.lane, k.addr, uint64(a.Val))
+				if _, ok := firstRead[k]; !ok {
+					firstRead[k] = uint64(a.Val)
+				}
+			} else {
+				l.RecordWrite(k.lane, k.addr, uint64(a.Val))
+				lastWrite[k] = uint64(a.Val)
+			}
 		}
-		for k, v := range last {
-			got, ok := l.Forward(k.lane, k.addr)
-			if !ok || got != v {
-				return false
+		for lane := 0; lane < isa.WarpWidth; lane++ {
+			for addr := uint64(0); addr < 64; addr += 8 {
+				k := laneAddr{lane, addr}
+				w, wok := lastWrite[k]
+				r, rok := firstRead[k]
+				if v, ok := l.Forward(lane, addr); ok != wok || v != w {
+					return false
+				}
+				if v, ok := l.ForwardRead(lane, addr); ok != rok || v != r {
+					return false
+				}
+				want, wantOK := r, rok
+				if wok {
+					want, wantOK = w, true
+				}
+				if v, ok := l.ForwardLoad(lane, addr); ok != wantOK || v != want {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -356,6 +356,7 @@ type commitReq struct {
 	acksLeft    int
 	involved    []int
 	backing     []tm.LogEntry
+	partOf      []int32 // each validating entry's partition, reads then writes
 	resume      func(tm.CommitOutcome)
 	parts       []partCommit
 	resumeFn    func() // silent commit: the one-cycle resume
@@ -495,24 +496,30 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 	// The backing is shared by every partition's ValidationMsg and reused by
 	// the object's next commit, after this one resumes — by then each VU has
 	// either retired the empty message or applied and dropped its txState.
+	// The counting pass maps each entry to its partition once (partOf), and
+	// the placing pass reads the map.
 	nParts := len(p.vus)
-	need := 0
 	for part := 0; part < nParts; part++ {
 		p.readCount[part] = 0
 		p.writeCount[part] = 0
 	}
+	partOf := c.partOf[:0]
 	for _, e := range w.Log.Reads {
 		if validating.Bit(e.Lane) {
-			p.readCount[p.amap.Partition(e.Addr)]++
-			need++
+			part := p.amap.Partition(e.Addr)
+			p.readCount[part]++
+			partOf = append(partOf, int32(part))
 		}
 	}
 	for _, e := range w.Log.Writes {
 		if validating.Bit(e.Lane) {
-			p.writeCount[p.amap.Partition(e.Addr)]++
-			need++
+			part := p.amap.Partition(e.Addr)
+			p.writeCount[part]++
+			partOf = append(partOf, int32(part))
 		}
 	}
+	c.partOf = partOf
+	need := len(partOf)
 	if cap(c.backing) < need {
 		c.backing = make([]tm.LogEntry, need)
 	} else {
@@ -528,16 +535,19 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 		m.Writes = c.backing[pos : pos : pos+p.writeCount[part]]
 		pos += p.writeCount[part]
 	}
+	k := 0
 	for _, e := range w.Log.Reads {
 		if validating.Bit(e.Lane) {
-			m := &c.parts[p.amap.Partition(e.Addr)].msg
+			m := &c.parts[partOf[k]].msg
 			m.Reads = append(m.Reads, e)
+			k++
 		}
 	}
 	for _, e := range w.Log.Writes {
 		if validating.Bit(e.Lane) {
-			m := &c.parts[p.amap.Partition(e.Addr)].msg
+			m := &c.parts[partOf[k]].msg
 			m.Writes = append(m.Writes, e)
+			k++
 		}
 	}
 	if p.rec != nil {
@@ -604,15 +614,19 @@ func (p *Protocol) decide(c *commitReq) {
 			c.cid, uint64(c.failed), uint64(c.committing), 0)
 	}
 
-	// Atomic apply: data and TCD last-write times for all partitions.
+	// Atomic apply: data and TCD last-write times for all partitions. Each
+	// partition's message holds its share of the writes in log order, and
+	// no word is in two partitions, so walking the messages writes what a
+	// walk of the log would, in the same order at each partition.
 	now := p.eng.Now()
-	for _, e := range w.Log.Writes {
-		if !c.committing.Bit(e.Lane) {
-			continue
+	for _, part := range c.involved {
+		vu := p.vus[part]
+		for _, e := range c.parts[part].msg.Writes {
+			if c.committing.Bit(e.Lane) {
+				vu.part.WriteNow(e.Addr, e.Value)
+				vu.tcd.RecordWrite(e.Addr/uint64(mem.WordBytes), now)
+			}
 		}
-		part := p.amap.Partition(e.Addr)
-		p.vus[part].part.WriteNow(e.Addr, e.Value)
-		p.vus[part].tcd.RecordWrite(e.Addr/uint64(mem.WordBytes), now)
 	}
 
 	if p.Record {

@@ -91,15 +91,21 @@ func buildHashTable(name string, v Variant, p Params, bucketFactor float64) *gpu
 		Name:     name,
 		Programs: progs,
 		Verify: func(img *mem.Image) error {
-			visited := map[uint64]bool{}
+			// Node i is at nodeBase+16i; visited is a bitmap over i.
+			visited := make([]uint64, (inserts+63)/64)
 			total := 0
 			for b := 0; b < buckets; b++ {
 				cur := img.Read(bucketBase + uint64(b)*mem.WordBytes)
 				for cur != 0 {
-					if visited[cur] {
+					off := cur - nodeBase
+					if cur < nodeBase || off%16 != 0 || off/16 >= uint64(inserts) {
+						return fmt.Errorf("link %#x is not a node", cur)
+					}
+					i := off / 16
+					if visited[i/64]&(1<<(i%64)) != 0 {
 						return fmt.Errorf("node %#x linked twice (lost/duplicated insert)", cur)
 					}
-					visited[cur] = true
+					visited[i/64] |= 1 << (i % 64)
 					total++
 					if total > inserts {
 						return fmt.Errorf("chain walk exceeded %d inserts (cycle?)", inserts)

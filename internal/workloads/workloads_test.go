@@ -191,6 +191,55 @@ func TestVerifiersCatchCorruption(t *testing.T) {
 	}
 }
 
+// The ht verifier rejects a bucket link that does not point at a node (a
+// node's payload word, an address below the nodes) and a node linked twice.
+func TestHTVerifierRejectsBadLinks(t *testing.T) {
+	k, err := Build("ht-h", TM, Params{Scale: 0.05, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Lane 0's insert: it loads its bucket's head, then stores it into its
+	// node's next word.
+	var bucket, node uint64
+	for i, op := range k.Programs[0].Ops {
+		if op.Kind == isa.Load {
+			bucket, node = op.Addr[0], k.Programs[0].Ops[i+1].Addr[0]
+			break
+		}
+	}
+	if bucket == 0 || node <= bucket {
+		t.Fatalf("no insert found: bucket %#x node %#x", bucket, node)
+	}
+	good := serialExecute(k)
+	if err := k.Verify(good); err != nil {
+		t.Fatalf("serial execution rejected: %v", err)
+	}
+	for _, bad := range []struct {
+		link uint64
+		want string
+	}{
+		{node + 8, "not a node"},     // the node's payload word
+		{bucket, "not a node"},       // below the nodes
+		{node + 1<<40, "not a node"}, // past the last node
+	} {
+		img := good.Snapshot()
+		img.Write(bucket, bad.link)
+		if err := k.Verify(img); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("link %#x: verifier said %v, want %q", bad.link, err, bad.want)
+		}
+	}
+	// Two buckets' chains meeting at one node.
+	img := good.Snapshot()
+	other := bucket + mem.WordBytes
+	if img.Read(bucket) == img.Read(other) {
+		other += mem.WordBytes
+	}
+	img.Write(other, img.Read(bucket))
+	if err := k.Verify(img); err == nil || !strings.Contains(err.Error(), "linked twice") {
+		t.Errorf("shared chain: verifier said %v, want a node linked twice", err)
+	}
+}
+
 func TestScaleAffectsSize(t *testing.T) {
 	small, _ := Build("ht-h", TM, Params{Scale: 0.1, Seed: 1})
 	large, _ := Build("ht-h", TM, Params{Scale: 1, Seed: 1})
