@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate load-gate obs-gate policy-gate cluster-gate perf-test suite-output
+.PHONY: check vet build test race short bench benchcmp trace-gate store-gate serve-gate load-gate obs-gate policy-gate cluster-gate perf-test suite-output loc
 
 check: vet build race short trace-gate store-gate serve-gate load-gate obs-gate policy-gate cluster-gate perf-test
 
@@ -42,17 +42,21 @@ trace-gate:
 	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestEAPGStepAllocs|TestCoreTxStepAllocs|TestCoreLockStepAllocs|TestCoreStoreLoadStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestEngineResetMatchesNew|TestStock|TestSecondRunReusesMachineArrays|TestWarmRunAllocs|TestFinishedMachineIsGarbage' ./internal/core/ ./internal/warptm/ ./internal/eapg/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
 
-# Persistence & cancellation gate: stored metrics must round-trip exactly
-# (bit-flips and truncation read as misses, never as data), a resumed sweep
-# must simulate only the missing cells with byte-identical reports (getm-bench
-# and getm-sweep resume through the runner), each cell must simulate once
-# however its jobs spell it, a context cancel must stop the engine within
-# one chunk of cycles and hand its partial metrics (and trace) back through
-# the runner, getm.RunContext and getm-sim without caching them, and a failed
-# store write must print one warning on every CLI.
+# Persistence & cancellation gate: every gpu.Config field must be either
+# keyed or on the key's non-result list (a reflective walk), the store keys
+# of every machine an edge builds must hold (a golden table), a key must
+# cost no more than 8 objects and 1,752 B, stored metrics must round-trip
+# exactly (bit-flips and truncation read as misses, never as data), a
+# resumed sweep must simulate only the missing cells with byte-identical
+# reports (getm-bench and getm-sweep resume through the runner), each cell
+# must simulate once however its jobs spell it, a context cancel must stop
+# the engine within one chunk of cycles and hand its partial metrics (and
+# trace) back through the runner, getm.RunContext and getm-sim without
+# caching them, and a failed store write must print one warning on every
+# CLI.
 store-gate:
 	$(GO) test -run 'TestStore|TestKey|TestLoadDir' ./internal/store/
-	$(GO) test -run 'TestRunnerStore|TestResume|TestRunnerCanceled|TestPrecomputeCellIdentity' ./internal/harness/
+	$(GO) test -run 'TestRunnerStore|TestResume|TestRunnerCanceled|TestPrecomputeCellIdentity|TestGoldenStoreAddresses' ./internal/harness/
 	$(GO) test -run 'TestCancelLatency|TestRunContext|TestCycleBudget|TestChunkedRun' ./internal/gpu/
 	$(GO) test -run 'TestRunContextCanceledMidRun|TestRunContextPreCanceled' .
 	$(GO) test -run 'TestStoreResume|TestTruncatedNoteOnStderr|TestTraceWrittenOnTimeout|TestStoreWriteFailureWarns' ./cmd/getm-sim/
@@ -108,30 +112,31 @@ obs-gate:
 # spelling of every point at every edge — API options, runner pin, serve
 # spec, CLI flag — must give one store key; the four paper protocols must
 # stay bit-identical as presets (golden fingerprints, golden store
-# addresses); every point, and fglock, must give the same metrics on
-# recycled machinery as on fresh, also after a run cut short; unknown protocols, invalid
-# combinations and machines outside gpu.Config.Validate's domain (and
-# unknown benchmarks and bad scales, through harness.Cell.Validate) must be
-# rejected on all three surfaces (API errors.Is, CLI exit 2, serve 400),
-# never with a panic; every paper machine must validate, and GETM must
-# complete its coarse-granule regression cells; benchdiff -policy must find
-# a point's cells in both store description forms; the assembled
-# lifecycle engine must stay race-clean; and the linear-time bookkeeping
-# and the flat tables must match what they replaced: one-pass intra-warp
-# resolution against the lane-by-lane oracle on random logs, the ready-mask
-# warp choice against the slot rescan, coalesced loads' per-lane results on
-# GETM, WarpTM and WarpTM-EL, the shared sim.Table against a Go map, the
-# transaction log's one address table against a map model, the memory
-# image's page table against a map of pages, the stall buffer's occupied
-# lines against its map version, and the LLC's and the address map's shifts
-# against division (DESIGN §6).
+# addresses, also for every machine an edge builds); every point, and
+# fglock, must give the same metrics on recycled machinery as on fresh, also
+# after a run cut short; unknown protocols, invalid combinations and
+# machines outside gpu.Config.Validate's domain (and unknown benchmarks and
+# bad scales, through harness.Cell.Validate) must be rejected on all three
+# surfaces (API errors.Is, CLI exit 2, serve 400), never with a panic; every
+# paper machine must validate, and GETM must complete its coarse-granule
+# regression cells; benchdiff -policy must find a point's cells in both
+# store description forms; the assembled lifecycle engine must stay
+# race-clean; and the linear-time bookkeeping and the flat tables must match
+# what they replaced: one-pass intra-warp resolution against the
+# lane-by-lane oracle on random logs, the ready-mask warp choice against the
+# slot rescan, coalesced loads' per-lane results on GETM, WarpTM and
+# WarpTM-EL, the shared sim.Table against a Go map, the transaction log's
+# one address table against a map model, the memory image's page table
+# against a map of pages, the stall buffer's occupied lines against its map
+# version, and the LLC's and the address map's shifts against division
+# (DESIGN §6).
 policy-gate:
 	$(GO) test -short ./internal/policy/
 	$(GO) test -race -run 'TestPresetFingerprints|TestNonPresetPointsRun' ./internal/policy/
 	$(GO) test -run 'TestKeyStabilityAcrossPolicyRedesign|TestKeyNonPresetPolicies' ./internal/store/
 	$(GO) test -run 'TestUnknownProtocol|TestProtocolOfRoundTrip|TestFreshVsRecycledIdentical|TestCutShortRunLeavesNothingBehind|TestConfigValidate|TestRunRejectsInvalidConfig|TestShardsRejected|TestCoarseGranuleCellsComplete' ./internal/gpu/
 	$(GO) test -run 'TestVUOwnRequestsWokenOnHandoff|TestStallBufferMatchesMapVersion' ./internal/core/
-	$(GO) test -run 'TestCellValidate' ./internal/harness/
+	$(GO) test -run 'TestCellValidate|TestGoldenStoreAddresses' ./internal/harness/
 	$(GO) test -run 'TestUnknownBenchmark|TestBuildRejectsBadScale' ./internal/workloads/
 	$(GO) test -run 'TestPoliciesEnumeration|TestParsePolicy|TestRunInvalidPolicy|TestRunExperimentInvalidPolicy|TestRunPolicyPresetIdentity|TestProtocolIdentityAcrossEdges|TestTypedErrors|TestRunRejectsBadScale|TestRunInvalidConfig|TestRunExperimentInvalidScale' .
 	$(GO) test -run 'TestPolicyFlag|TestPolicyPresetSharesStoreRecord|TestUnknownProtoFlag|TestInvalidCellFlags' ./cmd/getm-sim/
@@ -172,3 +177,9 @@ suite-output:
 benchcmp:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make benchcmp OLD=<old.txt> NEW=<new.txt>"; exit 2; }
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
+
+# Go lines outside perf/ (the benchmark's own module) and .bench_build/
+# (its build tree), non-test and test: the size ROADMAP.md tracks.
+loc:
+	@printf 'non-test %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './perf/*' -not -path './.bench_build/*' -exec cat {} + | wc -l)"
+	@printf 'test     %s\n' "$$(find . -name '*_test.go' -not -path './perf/*' -not -path './.bench_build/*' -exec cat {} + | wc -l)"

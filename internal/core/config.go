@@ -48,22 +48,18 @@ type Config struct {
 	// OverflowPenalty is the extra access latency (cycles) when the precise
 	// table spills to the in-memory overflow list.
 	OverflowPenalty sim.Cycle
-	// BackoffBase and BackoffCap are read by no code: GETM backs off by
-	// simt.Config's (64–8192 cycles). They stay because store.Key hashes them.
-	BackoffBase uint64
-	BackoffCap  uint64
 
 	// FirstWriterWins switches the resolution policy of the Fig 6 flowchart:
 	// instead of queueing a younger requester in the stall buffer while the
 	// granule is write-reserved (paper GETM, timestamp order), the holder of
 	// the reservation wins outright and the requester aborts. Policy-matrix
-	// knob; excluded from JSON so store content addresses are unchanged.
-	FirstWriterWins bool `json:"-"`
+	// knob, set by policy.Build.
+	FirstWriterWins bool
 	// RingArb makes commit a ring-arbitrated round trip: the warp resumes
 	// only after every partition's commit unit has acknowledged its slice of
 	// the write log, instead of GETM's off-critical-path fire-and-forget
-	// commit. Policy-matrix knob; excluded from JSON (see FirstWriterWins).
-	RingArb bool `json:"-"`
+	// commit. Policy-matrix knob, set by policy.Build.
+	RingArb bool
 }
 
 // DefaultConfig returns the paper's Table II settings.
@@ -81,8 +77,6 @@ func DefaultConfig() Config {
 		CommitBytesPerCycle: 32,
 		TSBits:              64,
 		OverflowPenalty:     20,
-		BackoffBase:         64,
-		BackoffCap:          4096,
 	}
 }
 

@@ -132,9 +132,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Approx exposes the backing approximate table (for tests and stats).
-func (t *MetaTable) Approx() *ApproxTable { return t.approx }
-
 // find returns the precise entry for granule, if present, and reports whether
 // it lives on the in-memory overflow list (so callers don't re-probe the map).
 func (t *MetaTable) find(granule uint64) (e *Entry, inOverflow bool) {

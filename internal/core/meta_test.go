@@ -15,7 +15,7 @@ func testTable(t *testing.T, entries int) *MetaTable {
 
 func TestMetaLookupCreatesFromApprox(t *testing.T) {
 	tab := testTable(t, 64)
-	tab.Approx().Insert(42, 100, 50)
+	tab.approx.Insert(42, 100, 50)
 	e, cycles, ov := tab.Lookup(42)
 	if e.WTS != 100 || e.RTS != 50 || e.Writes != 0 {
 		t.Fatalf("created entry = %+v", e)

@@ -139,14 +139,6 @@ func (p *Protocol) Begin(w *tm.WarpTx) {
 	}
 }
 
-// WarptsOf exposes a warp's current logical time (tests, stats).
-func (p *Protocol) WarptsOf(gwid int) uint64 {
-	if gwid >= len(p.warpts) {
-		return 0
-	}
-	return p.warpts[gwid]
-}
-
 // accessState tracks one in-flight warp access: the caller's lanes/done plus
 // the result buffer. Pooled; released when the last lane resolves.
 type accessState struct {
@@ -509,16 +501,6 @@ func (p *Protocol) Commit(w *tm.WarpTx, commitMask, abortMask isa.LaneMask, resu
 	// warp resumes right after serialization — commits are off the critical
 	// path (no validation, no acks).
 	p.eng.Schedule(sim.Cycle(total), p.getBatch(head, resume).runFn)
-}
-
-// LockedGranules sums live write reservations across all partitions; it must
-// be zero after a run (invariant check used by integration tests).
-func (p *Protocol) LockedGranules() int {
-	n := 0
-	for _, vu := range p.vus {
-		n += vu.Meta.LockedEntries()
-	}
-	return n
 }
 
 // StallOccupancy returns the current total stall-buffer occupancy.

@@ -132,7 +132,7 @@ func TestProtocolCommitWritesData(t *testing.T) {
 	if got := h.img.Read(0x100); got != 42 {
 		t.Fatalf("memory = %d, want 42", got)
 	}
-	if h.proto.LockedGranules() != 0 {
+	if lockedGranules(h.proto) != 0 {
 		t.Fatal("reservations leaked")
 	}
 	if len(h.proto.Committed) != 1 {
@@ -151,7 +151,7 @@ func TestProtocolAbortAdvancesWarpts(t *testing.T) {
 	if h.runTx(t, 2, []uint64{0x100}, nil) {
 		t.Fatal("conflicting read should abort")
 	}
-	if ts := h.proto.WarptsOf(2); ts != 2 {
+	if ts := h.proto.warpts[2]; ts != 2 {
 		t.Fatalf("warpts = %d, want 2 (observed wts 1, +1)", ts)
 	}
 	// Retry at the advanced timestamp succeeds.
@@ -186,7 +186,7 @@ func TestProtocolAbortCleanupReleasesLocks(t *testing.T) {
 	if !res[0].Abort {
 		t.Fatal("read of newer granule should abort")
 	}
-	if h.proto.LockedGranules() == 0 {
+	if lockedGranules(h.proto) == 0 {
 		t.Fatal("lock should still be held until the warp's cleanup")
 	}
 	// Cleanup at the commit point releases the reservation without writing.
@@ -194,7 +194,7 @@ func TestProtocolAbortCleanupReleasesLocks(t *testing.T) {
 		h.proto.Commit(w, 0, isa.LaneMask(0).Set(0), func(tm.CommitOutcome) {})
 	})
 	h.eng.Run(0)
-	if h.proto.LockedGranules() != 0 {
+	if lockedGranules(h.proto) != 0 {
 		t.Fatal("cleanup did not release the reservation")
 	}
 	if h.img.Read(0x200) != 0 {
@@ -272,7 +272,7 @@ func TestProtocolSerializability(t *testing.T) {
 		}
 	}
 	h.eng.Run(0)
-	if h.proto.LockedGranules() != 0 {
+	if lockedGranules(h.proto) != 0 {
 		t.Fatal("locks leaked")
 	}
 	// Conservation: total balance unchanged.
@@ -305,7 +305,7 @@ func TestProtocolRollover(t *testing.T) {
 	if h.proto.Rollovers == 0 {
 		t.Fatal("no rollover despite 8-bit timestamps")
 	}
-	if ts := h.proto.WarptsOf(1); ts >= cfg.RolloverThreshold() {
+	if ts := h.proto.warpts[1]; ts >= cfg.RolloverThreshold() {
 		t.Fatalf("warpts %d not reset by rollover", ts)
 	}
 	// The system still works after rollover.
@@ -349,4 +349,14 @@ func TestProtocolLoadCoalescing(t *testing.T) {
 		h.proto.Commit(w, isa.LaneMask(0b111), 0, func(tm.CommitOutcome) {})
 	})
 	h.eng.Run(0)
+}
+
+// lockedGranules sums live write reservations across all partitions; it
+// must be zero after a run.
+func lockedGranules(p *Protocol) int {
+	n := 0
+	for _, vu := range p.vus {
+		n += vu.Meta.LockedEntries()
+	}
+	return n
 }

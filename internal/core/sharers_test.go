@@ -66,7 +66,7 @@ func TestSharedWordLoadResults(t *testing.T) {
 		h.proto.Commit(w, isa.FullMask&^aborted, aborted, func(tm.CommitOutcome) {})
 	})
 	h.eng.Run(0)
-	if h.proto.LockedGranules() != 0 {
+	if lockedGranules(h.proto) != 0 {
 		t.Fatal("reservations leaked")
 	}
 }

@@ -167,20 +167,3 @@ func oldestIn(reqs []*StalledReq) int {
 
 // Occupancy returns the number of queued requests.
 func (b *StallBuffer) Occupancy() int { return b.totalQueued }
-
-// Waiting returns the number of requests queued on granule.
-func (b *StallBuffer) Waiting(granule uint64) int {
-	if i := b.line(granule); i >= 0 {
-		return len(b.occupied[i].reqs)
-	}
-	return 0
-}
-
-// MeanPerAddr returns the average queue depth observed at enqueue time
-// (Fig 16's "stalled requests / addr").
-func (b *StallBuffer) MeanPerAddr() float64 {
-	if b.PerAddrCount == 0 {
-		return 0
-	}
-	return float64(b.PerAddrTotal) / float64(b.PerAddrCount)
-}

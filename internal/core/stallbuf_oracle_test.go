@@ -97,9 +97,9 @@ func TestStallBufferMatchesMapVersion(t *testing.T) {
 					t.Fatalf("run %d op %d: Release(%#x) = %p, want %p", run, op, g, got, want)
 				}
 			}
-			if b.Occupancy() != m.totalQueued || b.Waiting(g) != len(m.byGranule[g]) {
+			if b.Occupancy() != m.totalQueued || waiting(b, g) != len(m.byGranule[g]) {
 				t.Fatalf("run %d op %d: occupancy %d waiting %d, want %d and %d",
-					run, op, b.Occupancy(), b.Waiting(g), m.totalQueued, len(m.byGranule[g]))
+					run, op, b.Occupancy(), waiting(b, g), m.totalQueued, len(m.byGranule[g]))
 			}
 		}
 		if b.MaxOccupancy != m.MaxOccupancy || b.RejectedFull != m.RejectedFull ||

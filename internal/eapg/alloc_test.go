@@ -38,7 +38,7 @@ func TestEAPGStepAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	img := mem.NewImage()
 	amap := mem.AddressMap{Partitions: nParts, LineBytes: 128}
-	trans := xbarTransport{xbar.NewPair(eng, cores, nParts, xbar.DefaultConfig(0, 0))}
+	trans := xbarTransport{xbar.NewPair(eng, cores, nParts, xbar.DefaultConfig())}
 	cfg := warptm.DefaultConfig()
 	rng := sim.NewRNG(31)
 	pcfg := mem.DefaultPartitionConfig()

@@ -27,12 +27,6 @@ func (s Signature) AddWord(addr uint64) Signature {
 	return s | 1<<(sim.Mix64(addr/uint64(mem.WordBytes))%64)
 }
 
-// MayContain reports whether addr may be in the signature (false positives
-// possible, false negatives not).
-func (s Signature) MayContain(addr uint64) bool {
-	return s&(1<<(sim.Mix64(addr/uint64(mem.WordBytes))%64)) != 0
-}
-
 // activeSig is one commit's signature record, from the commit to its resume
 // and its last broadcast delivery. Pooled with its delivery and resume
 // callbacks prebuilt; they reach the protocol through p, which only a record

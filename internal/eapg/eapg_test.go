@@ -87,7 +87,7 @@ func TestSignatureProperty(t *testing.T) {
 			s = s.AddWord(uint64(a) &^ 7)
 		}
 		for _, a := range addrs {
-			if !s.MayContain(uint64(a) &^ 7) {
+			if s.AddWord(uint64(a)&^7) != s {
 				return false // no false negatives allowed
 			}
 		}

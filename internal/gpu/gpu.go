@@ -92,8 +92,8 @@ type Config struct {
 	// Protocol is the run's one protocol identity: a preset name (getm,
 	// warptm, warptm-el, eapg), fglock, or "policy:" plus the canonical
 	// tuple of any other matrix point. ProtocolOf builds it from a
-	// policy.Policy and Resolve reads it back; store.Key hashes it as is,
-	// so every spelling of one point shares one content address.
+	// policy.Policy and Resolve reads it back, so every spelling of one
+	// point names one machine.
 	Protocol   Protocol
 	Cores      int
 	Partitions int
@@ -102,7 +102,6 @@ type Config struct {
 	Partition  mem.PartitionConfig
 	GETM       core.Config
 	WarpTM     warptm.Config
-	LineBytes  int
 	Seed       uint64
 	// Record enables committed-transaction recording for the
 	// serializability checker (integration tests).
@@ -127,8 +126,8 @@ type Config struct {
 	// Result.Trace. A nil Trace costs one pointer compare per would-be
 	// emission — nothing is allocated.
 	Trace *trace.Options
-	// Shards is kept only so existing callers compile and store keys keep
-	// their JSON: 0 is the only value Validate accepts.
+	// Shards is kept only so existing callers compile: 0 is the only value
+	// Validate accepts.
 	//
 	// Deprecated: the sharded engine was removed; every run is serial.
 	Shards int
@@ -147,11 +146,10 @@ func DefaultConfig(p Protocol) Config {
 		Cores:      15,
 		Partitions: 6,
 		Core:       simt.DefaultConfig(),
-		Xbar:       xbar.DefaultConfig(0, 0),
+		Xbar:       xbar.DefaultConfig(),
 		Partition:  mem.DefaultPartitionConfig(),
 		GETM:       core.DefaultConfig(),
 		WarpTM:     warptm.DefaultConfig(),
-		LineBytes:  128,
 		Seed:       1,
 		MaxCycles:  200_000_000,
 	}

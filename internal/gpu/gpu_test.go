@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"reflect"
 	"testing"
 
 	. "getm/internal/gpu"
@@ -132,5 +133,36 @@ func TestScaledConfigRuns(t *testing.T) {
 	}
 	if _, err := Run(cfg, k); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Partition.LineBytes is the machine's one line size. A 64-byte-line machine
+// keeps each protocol's history serializable and runs differently from the
+// 128-byte default.
+func TestPartitionLineBytes(t *testing.T) {
+	k, err := workloads.Build("ht-h", workloads.TM, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range []Protocol{ProtoGETM, ProtoWarpTM} {
+		cfg := smallConfig(proto)
+		base, err := Run(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Partition.LineBytes = 64
+		res, err := Run(cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Committed) == 0 {
+			t.Fatalf("%s: 64-byte lines: no committed transactions recorded", proto)
+		}
+		if err := tm.CheckSerializable(res.InitialImage, nil, res.Committed); err != nil {
+			t.Errorf("%s: 64-byte lines: serializability violated: %v", proto, err)
+		}
+		if reflect.DeepEqual(res.Metrics, base.Metrics) {
+			t.Errorf("%s: 64-byte lines ran the same as 128-byte lines", proto)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func newMachine(eng *sim.Engine, img *mem.Image, cfg Config, pol policy.Policy, 
 	m := &machine{
 		cfg:  cfg,
 		img:  img,
-		amap: mem.AddressMap{Partitions: cfg.Partitions, LineBytes: cfg.LineBytes},
+		amap: mem.AddressMap{Partitions: cfg.Partitions, LineBytes: cfg.Partition.LineBytes},
 		pair: xbar.NewPair(eng, cfg.Cores, cfg.Partitions, cfg.Xbar),
 	}
 	for i := 0; i < cfg.Partitions; i++ {

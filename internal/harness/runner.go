@@ -157,8 +157,9 @@ func (c Cell) Validate() error {
 	return c.Config.Validate()
 }
 
-// StoreKey is the cell's content address in the on-disk store. It zeroes
-// cost-bound fields (CycleBudget), so budgeted and unbudgeted runs of one
+// StoreKey is the cell's content address in the on-disk store (store.Key).
+// The key leaves out the fields that cannot change a completed result, the
+// cost bound CycleBudget among them, so budgeted and unbudgeted runs of one
 // cell share a record: only complete results are ever persisted, and a
 // complete result satisfies both.
 func (c Cell) StoreKey() string { return store.Key(c.Config, c.Bench, c.Scale, c.Seed) }

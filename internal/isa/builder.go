@@ -45,12 +45,6 @@ func (b *Builder) StoreImm(imm []int64, addr []uint64) *Builder {
 	return b
 }
 
-// StoreImmMasked is StoreImm restricted to mask.
-func (b *Builder) StoreImmMasked(imm []int64, addr []uint64, mask LaneMask) *Builder {
-	b.ops = append(b.ops, Op{Kind: Store, UseImm: true, Imm: imm, Addr: addr, Mask: mask})
-	return b
-}
-
 // AddImm appends "dst <- src + imm[lane]".
 func (b *Builder) AddImm(dst, src Reg, imm []int64) *Builder {
 	b.ops = append(b.ops, Op{Kind: AddImm, Dst: dst, Src: src, Imm: imm})
@@ -93,12 +87,6 @@ func (b *Builder) AtomicAdd(dst Reg, addr []uint64, imm []int64) *Builder {
 	return b
 }
 
-// AtomicAddMasked is AtomicAdd restricted to mask.
-func (b *Builder) AtomicAddMasked(dst Reg, addr []uint64, imm []int64, mask LaneMask) *Builder {
-	b.ops = append(b.ops, Op{Kind: AtomicAdd, Dst: dst, Addr: addr, Imm: imm, Mask: mask})
-	return b
-}
-
 // CritSection appends a lock-protected region. locks[lane] lists the lock
 // words lane must hold; body is built with a nested builder.
 func (b *Builder) CritSection(locks [][]uint64, body []Op) *Builder {
@@ -132,22 +120,4 @@ func (b *Builder) MustBuild() *Program {
 		panic(err)
 	}
 	return p
-}
-
-// UniformAddr replicates one address across all lanes.
-func UniformAddr(a uint64) []uint64 {
-	out := make([]uint64, WarpWidth)
-	for i := range out {
-		out[i] = a
-	}
-	return out
-}
-
-// UniformImm replicates one immediate across all lanes.
-func UniformImm(v int64) []int64 {
-	out := make([]int64, WarpWidth)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }

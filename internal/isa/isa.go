@@ -213,18 +213,3 @@ func validateOp(op *Op, inTx bool) error {
 	}
 	return nil
 }
-
-// TxBounds returns, for each TxBegin, the index pair [begin, commit].
-func (p *Program) TxBounds() [][2]int {
-	var out [][2]int
-	begin := -1
-	for i := range p.Ops {
-		switch p.Ops[i].Kind {
-		case TxBegin:
-			begin = i
-		case TxCommit:
-			out = append(out, [2]int{begin, i})
-		}
-	}
-	return out
-}

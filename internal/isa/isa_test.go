@@ -51,7 +51,7 @@ func TestEffMask(t *testing.T) {
 }
 
 func TestBuilderValidProgram(t *testing.T) {
-	addr := UniformAddr(0x100)
+	addr := uniformAddr(0x100)
 	p := NewBuilder().
 		Compute(10).
 		TxBegin().
@@ -63,9 +63,8 @@ func TestBuilderValidProgram(t *testing.T) {
 	if len(p.Ops) != 6 {
 		t.Fatalf("ops = %d", len(p.Ops))
 	}
-	bounds := p.TxBounds()
-	if len(bounds) != 1 || bounds[0] != [2]int{1, 5} {
-		t.Fatalf("tx bounds = %v", bounds)
+	if p.Ops[1].Kind != TxBegin || p.Ops[5].Kind != TxCommit {
+		t.Fatalf("tx bounds: ops %v", p.Ops)
 	}
 }
 
@@ -98,7 +97,7 @@ func TestValidateRejectsShortAddrVector(t *testing.T) {
 }
 
 func TestValidateRejectsMisalignedAddr(t *testing.T) {
-	addr := UniformAddr(0x100)
+	addr := uniformAddr(0x100)
 	addr[7] = 0x101
 	p := &Program{Ops: []Op{{Kind: Load, Addr: addr}}}
 	if err := p.Validate(); err == nil {
@@ -150,8 +149,8 @@ func TestLaneImm(t *testing.T) {
 }
 
 func TestUniformHelpers(t *testing.T) {
-	a := UniformAddr(0x40)
-	v := UniformImm(-3)
+	a := uniformAddr(0x40)
+	v := uniformImm(-3)
 	if len(a) != WarpWidth || len(v) != WarpWidth || a[31] != 0x40 || v[0] != -3 {
 		t.Fatal("uniform helpers broken")
 	}
@@ -168,7 +167,7 @@ func TestBuilderCritSection(t *testing.T) {
 	for i := range locks {
 		locks[i] = []uint64{uint64(8 * i)}
 	}
-	body := NewBuilder().Load(1, UniformAddr(0x800)).Store(1, UniformAddr(0x800)).Ops()
+	body := NewBuilder().Load(1, uniformAddr(0x800)).Store(1, uniformAddr(0x800)).Ops()
 	p := NewBuilder().CritSection(locks, body).MustBuild()
 	if p.Ops[0].Kind != CritSection || len(p.Ops[0].Body) != 2 {
 		t.Fatalf("crit section not built: %+v", p.Ops[0])
@@ -243,20 +242,18 @@ func TestBuilderReportsError(t *testing.T) {
 }
 
 func TestMaskedBuilderVariants(t *testing.T) {
-	addr := UniformAddr(0x100)
-	imm := UniformImm(1)
+	addr := uniformAddr(0x100)
+	imm := uniformImm(1)
 	mask := LaneMask(0b11)
 	locks := make([][]uint64, WarpWidth)
 	p := NewBuilder().
 		LoadMasked(1, addr, mask).
 		StoreMasked(1, addr, mask).
-		StoreImmMasked(imm, addr, mask).
 		AddImm(2, 1, imm).
 		MovImm(3, imm).
 		TxBeginMasked(mask).
 		TxCommit().
 		CritSectionMasked(locks, nil, mask).
-		AtomicAddMasked(1, addr, imm, mask).
 		MustBuild()
 	for _, op := range p.Ops {
 		switch op.Kind {
@@ -267,4 +264,22 @@ func TestMaskedBuilderVariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// uniformAddr replicates one address across all lanes.
+func uniformAddr(a uint64) []uint64 {
+	out := make([]uint64, WarpWidth)
+	for i := range out {
+		out[i] = a
+	}
+	return out
+}
+
+// uniformImm replicates one immediate across all lanes.
+func uniformImm(v int64) []int64 {
+	out := make([]int64, WarpWidth)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }

@@ -405,9 +405,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 	return err
 }
 
-// Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.pool.draining.Load() }
-
 func (s *Server) log(msg string) {
 	if s.cfg.Verbose != nil {
 		s.cfg.Verbose(msg)

@@ -245,7 +245,7 @@ func TestDrainGracefulThenForced(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(30 * time.Second) }()
-	for !s.Draining() {
+	for !s.pool.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -439,18 +439,6 @@ func TestRNGIntnRange(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(9)
 	for i := 0; i < 10000; i++ {

@@ -54,17 +54,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Mix64 is the SplitMix64 finalizer; it is also used by the H3-style hash
 // families in the metadata tables.
 func Mix64(x uint64) uint64 {

@@ -97,9 +97,9 @@ func TestNonBlockingStoreOverlapsCompute(t *testing.T) {
 	// A store followed by compute: with fire-and-forget stores the total
 	// time is max(store, compute)-ish, not the sum. We just verify the
 	// store landed and no fence was needed.
-	addr := isa.UniformAddr(0x6000)
+	addr := uniformAddr(0x6000)
 	p := isa.NewBuilder().
-		StoreImm(isa.UniformImm(5), addr).
+		StoreImm(uniformImm(5), addr).
 		Compute(100).
 		MustBuild()
 	h := newCoreHarness([]*isa.Program{p}, nil)
@@ -112,11 +112,11 @@ func TestNonBlockingStoreOverlapsCompute(t *testing.T) {
 func TestLoadAfterStoreScoreboard(t *testing.T) {
 	// RAW through memory: the load of a word with an outstanding store must
 	// return the stored value, never the stale one.
-	addr := isa.UniformAddr(0x7000)
+	addr := uniformAddr(0x7000)
 	p := isa.NewBuilder().
-		StoreImm(isa.UniformImm(7), addr).
+		StoreImm(uniformImm(7), addr).
 		Load(1, addr).
-		Store(1, isa.UniformAddr(0x7100)).
+		Store(1, uniformAddr(0x7100)).
 		MustBuild()
 	h := newCoreHarness([]*isa.Program{p}, nil)
 	h.run(t)
@@ -129,7 +129,7 @@ func TestCritSectionFencesBodyStores(t *testing.T) {
 	// Body: store to data; after release, another lane's CS body reads the
 	// data — the fence guarantees it sees the committed value. With all 32
 	// lanes using one lock and read-modify-write, the counter is exact.
-	shared := isa.UniformAddr(0x8000)
+	shared := uniformAddr(0x8000)
 	locks := make([][]uint64, isa.WarpWidth)
 	for i := range locks {
 		locks[i] = []uint64{0x8100}

@@ -21,15 +21,10 @@ type Config struct {
 	// IntraWarpCyclesPerEntry prices commit-time two-phase intra-warp
 	// conflict resolution (lazy protocols).
 	IntraWarpCyclesPerEntry int
-	// SerializeCyclesPerEntry is read by no code; it stays for store.Key.
-	SerializeCyclesPerEntry int
 	// BackoffBase and BackoffCap bound the probabilistically increasing
 	// retry backoff (cycles).
 	BackoffBase uint64
 	BackoffCap  uint64
-	// LocalOpCycles is read by no code either; store.Key hashes it, so it
-	// stays.
-	LocalOpCycles uint64
 }
 
 // DefaultConfig returns the paper's core setup.
@@ -38,10 +33,8 @@ func DefaultConfig() Config {
 		WarpsPerCore:            48,
 		MaxTxWarps:              0,
 		IntraWarpCyclesPerEntry: 2,
-		SerializeCyclesPerEntry: 1,
 		BackoffBase:             64,
 		BackoffCap:              8192,
-		LocalOpCycles:           1,
 	}
 }
 

@@ -43,8 +43,7 @@ func resolveIntraWarpOracle(log *tm.TxLog, live isa.LaneMask) (losers isa.LaneMa
 
 // The one-pass resolution picks exactly the oracle's losers on seeded random
 // logs: 1–32 live lanes, entries of dead lanes too, addresses drawn from a
-// small pool so that conflicts are common, coalesced repeat writes, and
-// dropped lanes (TxLog.DropLane rebuilds the tables).
+// small pool so that conflicts are common, and coalesced repeat writes.
 func TestResolveIntraWarpMatchesOracle(t *testing.T) {
 	const logs = 20000
 	rng := sim.NewRNG(11)
@@ -65,9 +64,6 @@ func TestResolveIntraWarpMatchesOracle(t *testing.T) {
 			} else {
 				log.RecordRead(lane, addr, rng.Uint64())
 			}
-		}
-		for d := rng.Uint64n(3); d > 0; d-- {
-			log.DropLane(int(rng.Uint64n(isa.WarpWidth)))
 		}
 		var live isa.LaneMask
 		for live == 0 {

@@ -8,6 +8,24 @@ import (
 	"getm/internal/tm"
 )
 
+// uniformAddr replicates one address across all lanes.
+func uniformAddr(a uint64) []uint64 {
+	out := make([]uint64, isa.WarpWidth)
+	for i := range out {
+		out[i] = a
+	}
+	return out
+}
+
+// uniformImm replicates one immediate across all lanes.
+func uniformImm(v int64) []int64 {
+	out := make([]int64, isa.WarpWidth)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 // fakeMem is an instant, engine-scheduled memory (1-cycle latency).
 type fakeMem struct {
 	eng   *sim.Engine
@@ -139,9 +157,9 @@ func (h *coreHarness) run(t *testing.T) {
 }
 
 func TestRegisterAndComputeOps(t *testing.T) {
-	addr := isa.UniformAddr(0x100)
+	addr := uniformAddr(0x100)
 	p := isa.NewBuilder().
-		MovImm(1, isa.UniformImm(5)).
+		MovImm(1, uniformImm(5)).
 		AddImmScalar(2, 1, 3).
 		Compute(10).
 		Store(2, addr).
@@ -154,7 +172,7 @@ func TestRegisterAndComputeOps(t *testing.T) {
 }
 
 func TestNonTxLoadStoreRoundTrip(t *testing.T) {
-	a1, a2 := isa.UniformAddr(0x200), isa.UniformAddr(0x300)
+	a1, a2 := uniformAddr(0x200), uniformAddr(0x300)
 	p := isa.NewBuilder().
 		Load(1, a1).
 		AddImmScalar(1, 1, 1).
@@ -186,7 +204,7 @@ func TestPerLaneOperands(t *testing.T) {
 }
 
 func TestTxCommitAppliesWrites(t *testing.T) {
-	addr := isa.UniformAddr(0x400)
+	addr := uniformAddr(0x400)
 	p := isa.NewBuilder().
 		TxBegin().
 		Load(1, addr).
@@ -272,7 +290,7 @@ func TestConcurrencyThrottleQueues(t *testing.T) {
 func TestCritSectionMutualExclusion(t *testing.T) {
 	// All 32 lanes increment one shared counter under the same lock: the
 	// result must be exactly 32.
-	shared := isa.UniformAddr(0x800)
+	shared := uniformAddr(0x800)
 	locks := make([][]uint64, isa.WarpWidth)
 	for i := range locks {
 		locks[i] = []uint64{0x900}
@@ -345,7 +363,7 @@ func TestDispatcherFeedsMultiplePrograms(t *testing.T) {
 		for l := range addrs {
 			addrs[l] = uint64(base + 8*l)
 		}
-		progs = append(progs, isa.NewBuilder().StoreImm(isa.UniformImm(int64(i+1)), addrs).MustBuild())
+		progs = append(progs, isa.NewBuilder().StoreImm(uniformImm(int64(i+1)), addrs).MustBuild())
 	}
 	h := newCoreHarness(progs, func(c *Config) { c.WarpsPerCore = 2 })
 	h.run(t)
@@ -359,7 +377,7 @@ func TestDispatcherFeedsMultiplePrograms(t *testing.T) {
 func TestLazyIntraWarpResolutionAtCommit(t *testing.T) {
 	// With a lazy protocol, same-address lanes conflict only at the commit
 	// point; winners commit, losers retry.
-	addr := isa.UniformAddr(0xC00)
+	addr := uniformAddr(0xC00)
 	p := isa.NewBuilder().
 		TxBegin().
 		Load(1, addr).
@@ -387,9 +405,9 @@ func TestMaskedOpsSkipInactiveLanes(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mask = mask.Set(i)
 	}
-	p := isa.NewBuilder().
-		StoreImmMasked(isa.UniformImm(9), addrs, mask).
-		MustBuild()
+	p := &isa.Program{Ops: []isa.Op{
+		{Kind: isa.Store, UseImm: true, Imm: uniformImm(9), Addr: addrs, Mask: mask},
+	}}
 	h := newCoreHarness([]*isa.Program{p}, nil)
 	h.run(t)
 	for i := 0; i < isa.WarpWidth; i++ {
@@ -419,7 +437,7 @@ func TestAtomicAddOp(t *testing.T) {
 	// All 32 lanes atomically add 1 to the same counter; each must observe a
 	// distinct old value and the final count must be 32.
 	p := isa.NewBuilder().
-		AtomicAdd(1, isa.UniformAddr(0xF00), isa.UniformImm(1)).
+		AtomicAdd(1, uniformAddr(0xF00), uniformImm(1)).
 		MustBuild()
 	h := newCoreHarness([]*isa.Program{p}, nil)
 	h.run(t)
@@ -436,9 +454,9 @@ func TestAtomicAddMasked(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		mask = mask.Set(i)
 	}
-	p := isa.NewBuilder().
-		AtomicAddMasked(1, isa.UniformAddr(0xF40), isa.UniformImm(2), mask).
-		MustBuild()
+	p := &isa.Program{Ops: []isa.Op{
+		{Kind: isa.AtomicAdd, Dst: 1, Addr: uniformAddr(0xF40), Imm: uniformImm(2), Mask: mask},
+	}}
 	h := newCoreHarness([]*isa.Program{p}, nil)
 	h.run(t)
 	if h.mem.words[0xF40] != 10 {

@@ -46,35 +46,3 @@ func TestAbortsPer1KCommitsNoCommits(t *testing.T) {
 		t.Fatalf("Commits=1000 Aborts=5: got %v, want 5", got)
 	}
 }
-
-func TestHistQuantile(t *testing.T) {
-	var h Hist
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty hist quantile = %v, want 0", got)
-	}
-	// 100 samples: values 0..99 clamp into 64 buckets (64..99 land in 63).
-	for v := 0; v < 100; v++ {
-		h.Add(v)
-	}
-	if got := h.Quantile(0.5); got != 49 {
-		t.Errorf("p50 = %v, want 49", got)
-	}
-	if got := h.Quantile(0.99); got != 63 {
-		t.Errorf("p99 = %v, want 63 (clamped)", got)
-	}
-	if got := h.Quantile(0.01); got != 0 {
-		t.Errorf("p1 = %v, want 0", got)
-	}
-
-	h2 := NewHist(16)
-	for i := 0; i < 9; i++ {
-		h2.Add(2)
-	}
-	h2.Add(10)
-	if got := h2.Quantile(0.5); got != 2 {
-		t.Errorf("p50 = %v, want 2", got)
-	}
-	if got := h2.Quantile(0.99); got != 10 {
-		t.Errorf("p99 = %v, want 10", got)
-	}
-}

@@ -68,9 +68,6 @@ type Hist struct {
 // first Add.
 const DefaultHistBuckets = 64
 
-// NewHist creates a histogram with n buckets for values 0..n-1.
-func NewHist(n int) *Hist { return &Hist{Buckets: make([]uint64, n)} }
-
 // Add records a value. A zero-value Hist allocates DefaultHistBuckets
 // buckets on first use (previously this indexed Buckets[-1] and panicked).
 func (h *Hist) Add(v int) {
@@ -111,37 +108,6 @@ func (h *Hist) Total() uint64 {
 		t += b
 	}
 	return t
-}
-
-// Quantile returns the smallest recorded value v such that at least q of
-// the samples are <= v (0 < q <= 1). With no samples it returns 0. Because
-// buckets are value-indexed, the answer is exact up to the clamp into the
-// last bucket — e.g. Quantile(0.5) is the median, Quantile(0.99) the p99.
-func (h *Hist) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	if q < 0 || math.IsNaN(q) {
-		// Converting a negative float to uint64 is implementation-defined in
-		// Go; clamp so q <= 0 degenerates to the smallest recorded value.
-		q = 0
-	}
-	need := uint64(math.Ceil(q * float64(total)))
-	if need == 0 {
-		need = 1
-	}
-	var seen uint64
-	for v, c := range h.Buckets {
-		seen += c
-		if seen >= need {
-			return float64(v)
-		}
-	}
-	return float64(len(h.Buckets) - 1)
 }
 
 // Mean returns the average recorded value.

@@ -8,8 +8,9 @@
 // Design:
 //
 //   - Content-addressed: a record is keyed by Key, a SHA-256 over the
-//     canonical JSON of the gpu.Config (non-semantic fields zeroed), the
-//     workload parameters (benchmark, scale, seed), and SchemaVersion.
+//     machine's frozen key schema (keyConfig; fields that cannot change a
+//     completed result written as constants), the workload parameters
+//     (benchmark, scale, seed), and SchemaVersion.
 //     Changing any input that could change the result — or the record schema
 //     itself — changes the key, so stale records are never returned; they are
 //     simply unreachable and the run recomputes.
@@ -40,7 +41,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"getm/internal/gpu"
 	"getm/internal/stats"
 )
 
@@ -107,35 +107,6 @@ func (s *Store) Dir() string { return s.dir }
 // Degraded returns the reason the store is operating as a no-op (unwritable
 // directory), or nil if it is fully functional.
 func (s *Store) Degraded() error { return s.err }
-
-// Key returns the canonical content address for one simulation: the hex
-// SHA-256 of SchemaVersion, the gpu.Config, and the workload parameters.
-// Fields that cannot change the (completed) result — Trace, Record,
-// CycleBudget — are zeroed first, so e.g. a traced run and an untraced run
-// share a record (they are cycle-identical by construction). The deprecated
-// Shards field stays in the hashed JSON at its only accepted value, 0, so
-// every address written before the sharded engine was removed still holds.
-//
-// cfg.Protocol is hashed as is: it is already the canonical identity
-// (gpu.ProtocolOf), so a preset point keys as its legacy protocol name and
-// stored sweeps stay warm, and any other matrix point as "policy:" plus its
-// canonical axis tuple.
-func Key(cfg gpu.Config, bench string, scale float64, seed uint64) string {
-	cfg.Trace = nil
-	cfg.Record = false
-	cfg.CycleBudget = 0
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		// All Config fields are plain data; this cannot happen. Degrade to a
-		// key that never collides with a real one rather than panicking.
-		return "unkeyable"
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s/v%d\n", magic, SchemaVersion)
-	h.Write(b)
-	fmt.Fprintf(h, "\n%s|%g|%d", bench, scale, seed)
-	return hex.EncodeToString(h.Sum(nil))
-}
 
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+".json")

@@ -1,16 +1,21 @@
 package store
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"getm/internal/gpu"
 	"getm/internal/stats"
-	"getm/internal/trace"
+	"getm/internal/workloads"
 )
 
 // sampleMetrics builds a metrics snapshot exercising every field shape:
@@ -211,8 +216,34 @@ func TestStoreDegradedUnwritable(t *testing.T) {
 	}
 }
 
-// The key must change with every semantic input and schema version, and must
-// ignore the observation-only fields (Trace, Record, CycleBudget).
+// nonResult lists the gpu.Config fields that cannot change a completed
+// result, each with its reason. keyConfig writes them as constants; every
+// other field is keyed.
+var nonResult = map[string]string{
+	"Trace":                "observes the run only",
+	"Record":               "records committed transactions for the checker; observes the run only",
+	"CycleBudget":          "only complete results are stored",
+	"CancelChunk":          "chunked stepping is cycle-identical to one run",
+	"Shards":               "Validate accepts only 0",
+	"GETM.FirstWriterWins": "policy.Build sets it from Protocol",
+	"GETM.RingArb":         "policy.Build sets it from Protocol",
+	"WarpTM.LocalArb":      "policy.Build sets it from Protocol",
+	"WarpTM.Eager":         "policy.Build sets it from Protocol",
+}
+
+// runSkipped names the non-result fields whose perturbed run is not a
+// complete run of the same machine.
+var runSkipped = map[string]string{
+	"CycleBudget": "truncates the run",
+	"Shards":      "Validate rejects it",
+}
+
+// TestKeySensitivity walks every settable leaf of gpu.Config, recursively.
+// Perturbing a field must change the key, unless the field is on the
+// nonResult list: then the key must hold, and a short GETM and WarpTM run
+// with the perturbed field must give byte-identical metrics. A new field
+// that is neither keyed nor listed fails the walk. The workload parameters
+// are keyed too.
 func TestKeySensitivity(t *testing.T) {
 	base := gpu.DefaultConfig(gpu.ProtoGETM)
 	k0 := Key(base, "ht-h", 1.0, 42)
@@ -228,38 +259,160 @@ func TestKeySensitivity(t *testing.T) {
 		distinct[key] = name
 	}
 
-	c := base
-	c.Cores = 56
-	add("cores", Key(c, "ht-h", 1.0, 42))
-	c = base
-	c.GETM.GranularityBytes = 64
-	add("granularity", Key(c, "ht-h", 1.0, 42))
-	c = base
-	c.Core.MaxTxWarps = 4
-	add("conc", Key(c, "ht-h", 1.0, 42))
-	c = base
-	c.Protocol = gpu.ProtoWarpTM
-	add("protocol", Key(c, "ht-h", 1.0, 42))
-	c = base
-	c.MaxCycles = 1
-	add("max-cycles", Key(c, "ht-h", 1.0, 42))
+	visited := map[string]bool{}
+	leaves := 0
+	walkLeaves(reflect.TypeOf(base), "", func(path string) {
+		leaves++
+		visited[path] = true
+		c := base
+		perturb(t, path, &c)
+		if _, listed := nonResult[path]; !listed {
+			add(path, Key(c, "ht-h", 1.0, 42))
+		} else if Key(c, "ht-h", 1.0, 42) != k0 {
+			t.Errorf("%s is on the non-result list but changes the key", path)
+		}
+	})
+	for path := range nonResult {
+		if !visited[path] {
+			t.Errorf("non-result field %s is not a gpu.Config field", path)
+		}
+	}
+	t.Logf("%d leaves, %d non-result", leaves, len(nonResult))
 	add("bench", Key(base, "atm", 1.0, 42))
 	add("scale", Key(base, "ht-h", 0.5, 42))
 	add("seed", Key(base, "ht-h", 1.0, 43))
-
-	// Observation-only fields share the completed run's record.
-	c = base
-	c.Record = true
-	c.CycleBudget = 999
-	c.Trace = &trace.Options{SampleInterval: 100}
-	if Key(c, "ht-h", 1.0, 42) != k0 {
-		t.Error("Trace/Record/CycleBudget changed the key; traced runs are cycle-identical and must share records")
-	}
 
 	// Stable across calls.
 	if Key(base, "ht-h", 1.0, 42) != k0 {
 		t.Error("key not deterministic")
 	}
+
+	// A non-result field must not change what a run computes.
+	for _, proto := range []gpu.Protocol{gpu.ProtoGETM, gpu.ProtoWarpTM} {
+		cfg := gpu.DefaultConfig(proto)
+		cfg.Core.MaxTxWarps = 8
+		want := runMetrics(t, cfg)
+		for path := range nonResult {
+			if _, skip := runSkipped[path]; skip {
+				continue
+			}
+			c := cfg
+			perturb(t, path, &c)
+			if got := runMetrics(t, c); !bytes.Equal(got, want) {
+				t.Errorf("%s: perturbing non-result field %s changed the metrics", proto, path)
+			}
+		}
+	}
+}
+
+// TestKeySchemaJSON pins the schema in readable form: the default GETM
+// machine's key JSON is the bytes the store hashed when it marshaled
+// gpu.Config itself. A failing golden address shows which field moved here.
+func TestKeySchemaJSON(t *testing.T) {
+	const want = `{"Protocol":"getm","Cores":15,"Partitions":6,` +
+		`"Core":{"WarpsPerCore":48,"MaxTxWarps":0,"IntraWarpCyclesPerEntry":2,"SerializeCyclesPerEntry":1,"BackoffBase":64,"BackoffCap":8192,"LocalOpCycles":1},` +
+		`"Xbar":{"SrcPorts":0,"DstPorts":0,"Latency":5,"FlitBytes":32},` +
+		`"Partition":{"LLCBytes":131072,"LLCWays":8,"LineBytes":128,"LLCLatency":60,"DRAMBanks":8,"DRAMLatency":200,"DRAMBankBusy":36,"ServiceRate":1},` +
+		`"GETM":{"GranularityBytes":32,"PreciseEntries":4096,"CuckooWays":4,"StashEntries":4,"MaxKicks":8,"ApproxEntries":1024,"ApproxWays":4,"StallLines":4,"StallEntriesPerLine":4,"CommitBytesPerCycle":32,"TSBits":64,"OverflowPenalty":20,"BackoffBase":64,"BackoffCap":4096},` +
+		`"WarpTM":{"TCDEntries":1024,"TCDWays":4,"ValidateEntriesPerCycle":1,"CommitBytesPerCycle":32,"MaxInFlight":2,"Eager":false},` +
+		`"LineBytes":128,"Seed":1,"Record":false,"MaxCycles":200000000,"CycleBudget":0,"CancelChunk":0,"Trace":null,"Shards":0}`
+	got, err := json.Marshal(keyOf(gpu.DefaultConfig(gpu.ProtoGETM)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("key JSON moved:\n got %s\nwant %s", got, want)
+	}
+}
+
+// raceEnabled is set when the race detector is on (race_test.go).
+var raceEnabled bool
+
+// TestKeyAllocs gates what a key costs: a paper-suite pass computes 1,155
+// of them. The bounds are what Key cost when it marshaled gpu.Config itself
+// (8 objects, 1,752 B).
+func TestKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops pooled JSON encoders, so every key allocates more")
+	}
+	cfg := gpu.DefaultConfig(gpu.ProtoGETM)
+	key := func() { Key(cfg, "ht-h", 0.1, 42) }
+	if n := testing.AllocsPerRun(200, key); n > 8 {
+		t.Errorf("Key allocates %v objects per call, want at most 8", n)
+	}
+	// Bytes over many calls, so the runtime's own allocations average out.
+	const runs = 5000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		key()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 1752 {
+		t.Errorf("Key allocates %d B per call, want at most 1752", b)
+	}
+}
+
+// walkLeaves calls visit with the dotted path of every non-struct field
+// under t.
+func walkLeaves(t reflect.Type, path string, visit func(string)) {
+	if t.Kind() != reflect.Struct {
+		visit(path)
+		return
+	}
+	for i := 0; i < t.NumField(); i++ {
+		name := t.Field(i).Name
+		if path != "" {
+			name = path + "." + name
+		}
+		walkLeaves(t.Field(i).Type, name, visit)
+	}
+}
+
+// perturb changes the field of c at path to another value of its type.
+func perturb(t *testing.T, path string, c *gpu.Config) {
+	t.Helper()
+	f := reflect.ValueOf(c).Elem()
+	for _, name := range strings.Split(path, ".") {
+		f = f.FieldByName(name)
+	}
+	switch f.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(f.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(f.Uint() + 1)
+	case reflect.Bool:
+		f.SetBool(!f.Bool())
+	case reflect.String:
+		f.SetString(f.String() + "x")
+	case reflect.Pointer:
+		f.Set(reflect.New(f.Type().Elem()))
+	default:
+		t.Fatalf("%s: no perturbation for a %s field", path, f.Kind())
+	}
+}
+
+// runMetrics runs ht-h at scale 0.05 on cfg and returns its metrics' JSON.
+// The context is cancellable, so the engine runs in CancelChunk chunks.
+func runMetrics(t *testing.T, cfg gpu.Config) []byte {
+	t.Helper()
+	k, err := workloads.Build("ht-h", workloads.TM, workloads.Params{Scale: 0.05, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := gpu.RunContext(ctx, cfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(res.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestLoadDir(t *testing.T) {

@@ -17,12 +17,9 @@ func TestTxLogHotPathAllocs(t *testing.T) {
 		for lane := 0; lane < isa.WarpWidth; lane++ {
 			a := uint64(0x1000 + lane*8)
 			l.RecordRead(lane, a, 1)
-			if v, ok := l.ForwardRead(lane, a); ok {
-				sink += v
-			}
 			l.RecordWrite(lane, a+512, 2)
 			l.RecordWrite(lane, a+512, 3) // coalesced rewrite
-			if v, ok := l.Forward(lane, a+512); ok {
+			if v, ok := l.ForwardLoad(lane, a+512); ok {
 				sink += v
 			}
 			if v, ok := l.ForwardLoad(lane, a); ok {

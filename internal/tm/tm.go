@@ -174,27 +174,10 @@ func (l *TxLog) RecordWrite(lane int, addr, value uint64) {
 	l.laneWrites[lane]++
 }
 
-// Forward returns the lane's own buffered write to addr, if any
-// (read-own-write forwarding from the redo log).
-func (l *TxLog) Forward(lane int, addr uint64) (uint64, bool) {
-	if w := l.words.Find(addr); w != nil && w.writers.Bit(lane) {
-		return l.Writes[laneEntry(l.Writes, l.writeNext, w.writeHead, lane)].Value, true
-	}
-	return 0, false
-}
-
-// ForwardRead returns the value a lane's earlier read of addr observed, so
-// repeated reads hit the redo log instead of the interconnect.
-func (l *TxLog) ForwardRead(lane int, addr uint64) (uint64, bool) {
-	if w := l.words.Find(addr); w != nil && w.readers.Bit(lane) {
-		return l.Reads[laneEntry(l.Reads, l.readNext, w.readHead, lane)].Value, true
-	}
-	return 0, false
-}
-
 // ForwardLoad answers a lane's load of addr from the redo log, in one
-// probe: the lane's own buffered write if it has one (Forward), else the
-// value its earlier read observed (ForwardRead).
+// probe: the lane's own buffered write if it has one (read-own-write
+// forwarding), else the value its earlier read observed, so repeated reads
+// hit the redo log instead of the interconnect.
 func (l *TxLog) ForwardLoad(lane int, addr uint64) (uint64, bool) {
 	w := l.words.Find(addr)
 	switch {
@@ -206,12 +189,6 @@ func (l *TxLog) ForwardLoad(lane int, addr uint64) (uint64, bool) {
 		return l.Reads[laneEntry(l.Reads, l.readNext, w.readHead, lane)].Value, true
 	}
 	return 0, false
-}
-
-// HasRead reports whether the lane already has a logged read of addr.
-func (l *TxLog) HasRead(lane int, addr uint64) bool {
-	w := l.words.Find(addr)
-	return w != nil && w.readers.Bit(lane)
 }
 
 // LaneWriteCount returns the number of distinct words the lane has written
@@ -230,39 +207,6 @@ func (l *TxLog) Conflicts(lane int, addr uint64, isWrite bool) isa.LaneMask {
 		m |= w.readers
 	}
 	return m.Clear(lane)
-}
-
-// DropLane removes a lane's entries (after an intra-warp or eager abort the
-// lane's accesses are replayed from scratch on retry). Write entries are
-// retained in the cleanup set by the caller before dropping. The address
-// table and its chains are rebuilt from the surviving entries.
-func (l *TxLog) DropLane(lane int) {
-	filter := func(entries []LogEntry) []LogEntry {
-		out := entries[:0]
-		for _, e := range entries {
-			if e.Lane != lane {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
-	l.Reads, l.Writes = filter(l.Reads), filter(l.Writes)
-	l.readNext, l.writeNext = l.readNext[:0], l.writeNext[:0]
-	l.words.Reset()
-	l.laneWrites = [isa.WarpWidth]int32{}
-	for i, e := range l.Reads {
-		w := l.words.Ensure(e.Addr)
-		w.readers = w.readers.Set(e.Lane)
-		l.readNext = append(l.readNext, w.readHead)
-		w.readHead = int32(i + 1)
-	}
-	for i, e := range l.Writes {
-		w := l.words.Ensure(e.Addr)
-		w.writers = w.writers.Set(e.Lane)
-		l.writeNext = append(l.writeNext, w.writeHead)
-		w.writeHead = int32(i + 1)
-		l.laneWrites[e.Lane]++
-	}
 }
 
 // LaneEntries returns the lane's read and write entries. It allocates and is

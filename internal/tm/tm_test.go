@@ -16,8 +16,11 @@ func TestTxLogReadRecording(t *testing.T) {
 	if len(l.Reads) != 2 {
 		t.Fatalf("reads = %d, want 2", len(l.Reads))
 	}
-	if !l.HasRead(3, 0x100) || l.HasRead(3, 0x108) {
-		t.Fatal("HasRead broken")
+	if v, ok := l.ForwardLoad(3, 0x100); !ok || v != 7 {
+		t.Fatal("a logged read should forward")
+	}
+	if _, ok := l.ForwardLoad(3, 0x108); ok {
+		t.Fatal("an unread word should not forward")
 	}
 }
 
@@ -28,10 +31,10 @@ func TestTxLogWriteCoalescing(t *testing.T) {
 	if len(l.Writes) != 1 || l.Writes[0].Value != 20 || l.Writes[0].Writes != 2 {
 		t.Fatalf("writes = %+v", l.Writes)
 	}
-	if v, ok := l.Forward(1, 0x80); !ok || v != 20 {
+	if v, ok := l.ForwardLoad(1, 0x80); !ok || v != 20 {
 		t.Fatal("forwarding should return latest write")
 	}
-	if _, ok := l.Forward(2, 0x80); ok {
+	if _, ok := l.ForwardLoad(2, 0x80); ok {
 		t.Fatal("forwarding must be lane-private")
 	}
 }
@@ -61,31 +64,6 @@ func TestTxLogConflicts(t *testing.T) {
 	}
 }
 
-func TestTxLogDropLane(t *testing.T) {
-	l := NewTxLog()
-	l.RecordRead(0, 0x40, 1)
-	l.RecordWrite(0, 0x48, 2)
-	l.RecordWrite(1, 0x48, 3)
-	l.DropLane(0)
-	if len(l.Reads) != 0 || len(l.Writes) != 1 || l.Writes[0].Lane != 1 {
-		t.Fatalf("after drop: reads=%v writes=%v", l.Reads, l.Writes)
-	}
-	if _, ok := l.Forward(0, 0x48); ok {
-		t.Fatal("dropped lane still forwards")
-	}
-	if v, ok := l.Forward(1, 0x48); !ok || v != 3 {
-		t.Fatal("surviving lane lost its write after reindex")
-	}
-	if l.HasRead(0, 0x40) {
-		t.Fatal("dropped lane still has reads")
-	}
-	// Subsequent writes by the surviving lane must keep coalescing correctly.
-	l.RecordWrite(1, 0x48, 4)
-	if len(l.Writes) != 1 || l.Writes[0].Value != 4 || l.Writes[0].Writes != 2 {
-		t.Fatalf("post-drop coalescing broken: %+v", l.Writes)
-	}
-}
-
 func TestTxLogReset(t *testing.T) {
 	l := NewTxLog()
 	l.RecordRead(0, 0x40, 1)
@@ -94,7 +72,7 @@ func TestTxLogReset(t *testing.T) {
 	if len(l.Reads) != 0 || len(l.Writes) != 0 {
 		t.Fatal("reset left entries")
 	}
-	if _, ok := l.Forward(0, 0x40); ok {
+	if _, ok := l.ForwardLoad(0, 0x40); ok {
 		t.Fatal("reset left forwarding state")
 	}
 	if l.Conflicts(1, 0x40, true) != 0 {
@@ -120,10 +98,10 @@ type laneAddr struct {
 	addr uint64
 }
 
-// Property: Forward returns exactly the last value written by that lane,
-// ForwardRead the value its first read observed, and ForwardLoad the former
-// if the lane wrote the word, else the latter. The addresses come from a
-// pool of 8 words, so every word's chains hold many lanes.
+// Property: ForwardLoad returns exactly the last value written by that lane
+// if it wrote the word, else the value its first read observed. The
+// addresses come from a pool of 8 words, so every word's chains hold many
+// lanes.
 func TestTxLogForwardProperty(t *testing.T) {
 	prop := func(accesses []struct {
 		Lane uint8
@@ -151,12 +129,6 @@ func TestTxLogForwardProperty(t *testing.T) {
 				k := laneAddr{lane, addr}
 				w, wok := lastWrite[k]
 				r, rok := firstRead[k]
-				if v, ok := l.Forward(lane, addr); ok != wok || v != w {
-					return false
-				}
-				if v, ok := l.ForwardRead(lane, addr); ok != rok || v != r {
-					return false
-				}
 				want, wantOK := r, rok
 				if wok {
 					want, wantOK = w, true

@@ -20,17 +20,6 @@ func newTxLogModel() *txLogModel {
 	return &txLogModel{readIdx: map[laneAddr]int{}, writeIdx: map[laneAddr]int{}}
 }
 
-func (m *txLogModel) reindex() {
-	clear(m.readIdx)
-	clear(m.writeIdx)
-	for i, e := range m.reads {
-		m.readIdx[laneAddr{e.Lane, e.Addr}] = i
-	}
-	for i, e := range m.writes {
-		m.writeIdx[laneAddr{e.Lane, e.Addr}] = i
-	}
-}
-
 func (m *txLogModel) recordRead(lane int, addr, v uint64) {
 	k := laneAddr{lane, addr}
 	if _, ok := m.readIdx[k]; !ok {
@@ -50,14 +39,11 @@ func (m *txLogModel) recordWrite(lane int, addr, v uint64) {
 	m.writes = append(m.writes, LogEntry{Lane: lane, Addr: addr, Value: v, Writes: 1})
 }
 
-func (m *txLogModel) forward(lane int, addr uint64) (uint64, bool) {
+// forwardLoad is the lane's own write to addr if it has one, else its read.
+func (m *txLogModel) forwardLoad(lane int, addr uint64) (uint64, bool) {
 	if i, ok := m.writeIdx[laneAddr{lane, addr}]; ok {
 		return m.writes[i].Value, true
 	}
-	return 0, false
-}
-
-func (m *txLogModel) forwardRead(lane int, addr uint64) (uint64, bool) {
 	if i, ok := m.readIdx[laneAddr{lane, addr}]; ok {
 		return m.reads[i].Value, true
 	}
@@ -89,15 +75,8 @@ func (m *txLogModel) laneWriteCount(lane int) int {
 	return n
 }
 
-func (m *txLogModel) dropLane(lane int) {
-	drop := func(e LogEntry) bool { return e.Lane == lane }
-	m.reads = slices.DeleteFunc(m.reads, drop)
-	m.writes = slices.DeleteFunc(m.writes, drop)
-	m.reindex()
-}
-
 // TxLog answers every query as the map model does, over 10,000 seeded
-// sequences of records, forwards, conflict checks, lane drops and resets.
+// sequences of records, forwards, conflict checks and resets.
 // Each sequence has 1 to 32 lanes on a pool of 1 to 8 words, so a word's
 // chains run up to 32 entries long; one log serves every sequence, as a
 // pooled log serves many attempts.
@@ -121,44 +100,21 @@ func TestTxLogMatchesMapModel(t *testing.T) {
 			case k < 60:
 				l.RecordWrite(lane, addr, v)
 				m.recordWrite(lane, addr, v)
-			case k < 68:
-				got, ok := l.Forward(lane, addr)
-				want, wantOK := m.forward(lane, addr)
-				if got != want || ok != wantOK {
-					t.Fatalf("seq %d op %d: Forward(%d, %#x) = %d, %v; want %d, %v", seq, op, lane, addr, got, ok, want, wantOK)
-				}
-			case k < 76:
-				got, ok := l.ForwardRead(lane, addr)
-				want, wantOK := m.forwardRead(lane, addr)
-				if got != want || ok != wantOK {
-					t.Fatalf("seq %d op %d: ForwardRead(%d, %#x) = %d, %v; want %d, %v", seq, op, lane, addr, got, ok, want, wantOK)
-				}
 			case k < 84:
 				got, ok := l.ForwardLoad(lane, addr)
-				want, wantOK := m.forward(lane, addr)
-				if !wantOK {
-					want, wantOK = m.forwardRead(lane, addr)
-				}
+				want, wantOK := m.forwardLoad(lane, addr)
 				if got != want || ok != wantOK {
 					t.Fatalf("seq %d op %d: ForwardLoad(%d, %#x) = %d, %v; want %d, %v", seq, op, lane, addr, got, ok, want, wantOK)
-				}
-			case k < 88:
-				_, want := m.readIdx[laneAddr{lane, addr}]
-				if got := l.HasRead(lane, addr); got != want {
-					t.Fatalf("seq %d op %d: HasRead(%d, %#x) = %v, want %v", seq, op, lane, addr, got, want)
 				}
 			case k < 95:
 				isWrite := rng.Intn(2) == 0
 				if got, want := l.Conflicts(lane, addr, isWrite), m.conflicts(lane, addr, isWrite); got != want {
 					t.Fatalf("seq %d op %d: Conflicts(%d, %#x, %v) = %032b, want %032b", seq, op, lane, addr, isWrite, got, want)
 				}
-			case k < 97:
+			case k < 99:
 				if got, want := l.LaneWriteCount(lane), m.laneWriteCount(lane); got != want {
 					t.Fatalf("seq %d op %d: LaneWriteCount(%d) = %d, want %d", seq, op, lane, got, want)
 				}
-			case k < 99:
-				l.DropLane(lane)
-				m.dropLane(lane)
 			default:
 				l.Reset()
 				m = newTxLogModel()
@@ -174,15 +130,10 @@ func TestTxLogMatchesMapModel(t *testing.T) {
 				if got, want := l.Conflicts(lane, addr, true), m.conflicts(lane, addr, true); got != want {
 					t.Fatalf("seq %d: final Conflicts(%d, %#x) = %032b, want %032b", seq, lane, addr, got, want)
 				}
-				got, ok := l.Forward(lane, addr)
-				want, wantOK := m.forward(lane, addr)
+				got, ok := l.ForwardLoad(lane, addr)
+				want, wantOK := m.forwardLoad(lane, addr)
 				if got != want || ok != wantOK {
-					t.Fatalf("seq %d: final Forward(%d, %#x) = %d, %v; want %d, %v", seq, lane, addr, got, ok, want, wantOK)
-				}
-				got, ok = l.ForwardRead(lane, addr)
-				want, wantOK = m.forwardRead(lane, addr)
-				if got != want || ok != wantOK {
-					t.Fatalf("seq %d: final ForwardRead(%d, %#x) = %d, %v; want %d, %v", seq, lane, addr, got, ok, want, wantOK)
+					t.Fatalf("seq %d: final ForwardLoad(%d, %#x) = %d, %v; want %d, %v", seq, lane, addr, got, ok, want, wantOK)
 				}
 			}
 		}

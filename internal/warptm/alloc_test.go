@@ -83,8 +83,8 @@ func TestWarpTMStepAllocs(t *testing.T) {
 		t.Fatalf("%d silent commits over 102 steps (want 102), write-back %d", h.proto.SilentCommits, h.img.Read(writeAddr))
 	}
 	for i, vu := range h.vus {
-		if vu.InFlight() != 0 {
-			t.Fatalf("vu %d holds %d in-flight commits after the steps", i, vu.InFlight())
+		if len(vu.inFlight) != 0 {
+			t.Fatalf("vu %d holds %d in-flight commits after the steps", i, len(vu.inFlight))
 		}
 	}
 	t.Run("pipelined", testPipelinedCommitAllocs)
@@ -147,7 +147,7 @@ func testPipelinedCommitAllocs(t *testing.T) {
 	peak := 0
 	var sample func()
 	sample = func() {
-		peak = max(peak, h.vus[0].InFlight())
+		peak = max(peak, len(h.vus[0].inFlight))
 		if h.eng.Pending() > 0 {
 			h.eng.Schedule(1, sample)
 		}
@@ -167,8 +167,8 @@ func testPipelinedCommitAllocs(t *testing.T) {
 			resumed, h.vus[1].HazardStalls, 101, h.img.Read(shared))
 	}
 	for i, vu := range h.vus {
-		if vu.InFlight() != 0 {
-			t.Fatalf("vu %d holds %d in-flight commits after the steps", i, vu.InFlight())
+		if len(vu.inFlight) != 0 {
+			t.Fatalf("vu %d holds %d in-flight commits after the steps", i, len(vu.inFlight))
 		}
 	}
 }

@@ -43,14 +43,15 @@ type Config struct {
 	// §II-B prose; BenchmarkAblationCommitPipelining sweeps it.
 	MaxInFlight int
 	// Eager enables the idealized WarpTM-EL variant: instant validation of
-	// the read log at every transactional access.
+	// the read log at every transactional access. Policy-matrix knob, set by
+	// policy.Build.
 	Eager bool
 	// LocalArb drops the global in-order commit retirement (the ring token):
 	// a core decides as soon as its own validation replies are in. The VU
 	// hazard windows still order conflicting commits, so commit-id order
-	// remains a valid serialization. Policy-matrix knob; excluded from JSON
-	// so store content addresses are unchanged.
-	LocalArb bool `json:"-"`
+	// remains a valid serialization. Policy-matrix knob, set by
+	// policy.Build.
+	LocalArb bool
 }
 
 // DefaultConfig mirrors the paper's WarpTM setup.

@@ -23,8 +23,8 @@ func TestEmptySubcommitRetiresWithoutConfirm(t *testing.T) {
 		t.Fatalf("commit failed: %+v", out)
 	}
 	for i, vu := range h.vus {
-		if vu.InFlight() != 0 {
-			t.Fatalf("vu %d holds %d in-flight txs after commit", i, vu.InFlight())
+		if len(vu.inFlight) != 0 {
+			t.Fatalf("vu %d holds %d in-flight txs after commit", i, len(vu.inFlight))
 		}
 	}
 	// The uninvolved VU never validated anything.

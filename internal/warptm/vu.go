@@ -347,6 +347,3 @@ func (v *VU) finishApply(st *txState) {
 	done()
 	v.tryStart()
 }
-
-// InFlight returns the number of unconfirmed transactions (tests).
-func (v *VU) InFlight() int { return len(v.inFlight) }

@@ -231,7 +231,7 @@ func TestWTMCommitIDOrderingAcrossPartitions(t *testing.T) {
 		t.Fatal("commits did not complete (id sequence stuck?)")
 	}
 	for _, vu := range h.vus {
-		if vu.InFlight() != 0 {
+		if len(vu.inFlight) != 0 {
 			t.Fatal("in-flight txs leaked")
 		}
 	}

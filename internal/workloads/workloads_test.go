@@ -3,6 +3,7 @@ package workloads
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestTMVariantHasTransactions(t *testing.T) {
 		k, _ := Build(name, TM, p)
 		found := false
 		for _, prog := range k.Programs {
-			if len(prog.TxBounds()) > 0 {
+			if slices.ContainsFunc(prog.Ops, func(op isa.Op) bool { return op.Kind == isa.TxBegin }) {
 				found = true
 				break
 			}

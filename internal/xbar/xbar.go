@@ -14,11 +14,9 @@ import (
 	"getm/internal/trace"
 )
 
-// Config describes one crossbar.
+// Config describes one crossbar's timing; its port counts come from the
+// machine (New).
 type Config struct {
-	// Ports is the number of input ports (sources) and output ports
-	// (destinations); the crossbar is full duplex between them.
-	SrcPorts, DstPorts int
 	// Latency is the fixed traversal time in cycles.
 	Latency sim.Cycle
 	// FlitBytes is the number of payload bytes transferred per cycle per
@@ -28,8 +26,8 @@ type Config struct {
 
 // DefaultConfig mirrors Table II: 5-cycle latency; 288 GB/s at 1.4 GHz over 6
 // partition ports is ~32 B/cycle per port.
-func DefaultConfig(srcPorts, dstPorts int) Config {
-	return Config{SrcPorts: srcPorts, DstPorts: dstPorts, Latency: 5, FlitBytes: 32}
+func DefaultConfig() Config {
+	return Config{Latency: 5, FlitBytes: 32}
 }
 
 // Crossbar is a single-direction interconnect.
@@ -103,9 +101,11 @@ func (x *Crossbar) SetTrace(rec *trace.Recorder, kind trace.Kind) {
 	x.traceKind = kind
 }
 
-// New creates a crossbar on the given engine.
-func New(eng *sim.Engine, cfg Config) *Crossbar {
-	if cfg.SrcPorts <= 0 || cfg.DstPorts <= 0 {
+// New creates a crossbar on the given engine with srcPorts input ports
+// (sources) and dstPorts output ports (destinations); it is full duplex
+// between them.
+func New(eng *sim.Engine, srcPorts, dstPorts int, cfg Config) *Crossbar {
+	if srcPorts <= 0 || dstPorts <= 0 {
 		panic("xbar: need at least one port each way")
 	}
 	if cfg.FlitBytes <= 0 {
@@ -114,8 +114,8 @@ func New(eng *sim.Engine, cfg Config) *Crossbar {
 	return &Crossbar{
 		cfg:     cfg,
 		eng:     eng,
-		srcFree: make([]sim.Cycle, cfg.SrcPorts),
-		dstFree: make([]sim.Cycle, cfg.DstPorts),
+		srcFree: make([]sim.Cycle, srcPorts),
+		dstFree: make([]sim.Cycle, dstPorts),
 	}
 }
 
@@ -130,7 +130,7 @@ func (x *Crossbar) Occupancy(size int) sim.Cycle {
 // Send transmits size payload bytes from src to dst and runs deliver when the
 // tail flit arrives. It returns the delivery cycle.
 func (x *Crossbar) Send(src, dst, size int, deliver func()) sim.Cycle {
-	if src < 0 || src >= x.cfg.SrcPorts || dst < 0 || dst >= x.cfg.DstPorts {
+	if src < 0 || src >= len(x.srcFree) || dst < 0 || dst >= len(x.dstFree) {
 		panic("xbar: port out of range")
 	}
 	now := x.eng.Now()
@@ -165,7 +165,7 @@ func (x *Crossbar) Send(src, dst, size int, deliver func()) sim.Cycle {
 // destination with its port id. Traffic is accounted per copy, and each copy
 // travels as a pooled delivery, so a broadcast allocates nothing.
 func (x *Crossbar) Broadcast(src, size int, deliver func(dst int)) {
-	for dst := 0; dst < x.cfg.DstPorts; dst++ {
+	for dst := range x.dstFree {
 		d := x.getDelivery()
 		d.deliver, d.dst = deliver, dst
 		x.Send(src, dst, size, d.fn)
@@ -181,11 +181,7 @@ type Pair struct {
 
 // NewPair builds both directions with the same flit width and latency.
 func NewPair(eng *sim.Engine, cores, partitions int, cfg Config) *Pair {
-	up := cfg
-	up.SrcPorts, up.DstPorts = cores, partitions
-	down := cfg
-	down.SrcPorts, down.DstPorts = partitions, cores
-	return &Pair{Up: New(eng, up), Down: New(eng, down)}
+	return &Pair{Up: New(eng, cores, partitions, cfg), Down: New(eng, partitions, cores, cfg)}
 }
 
 // Recycle stocks both directions' free lists (Crossbar.Recycle).

@@ -9,7 +9,7 @@ import (
 
 func TestOccupancy(t *testing.T) {
 	eng := sim.NewEngine()
-	x := New(eng, Config{SrcPorts: 1, DstPorts: 1, Latency: 5, FlitBytes: 32})
+	x := New(eng, 1, 1, Config{Latency: 5, FlitBytes: 32})
 	cases := map[int]sim.Cycle{0: 1, 1: 1, 32: 1, 33: 2, 64: 2, 65: 3}
 	for size, want := range cases {
 		if got := x.Occupancy(size); got != want {
@@ -20,7 +20,7 @@ func TestOccupancy(t *testing.T) {
 
 func TestSendLatency(t *testing.T) {
 	eng := sim.NewEngine()
-	x := New(eng, Config{SrcPorts: 2, DstPorts: 2, Latency: 5, FlitBytes: 32})
+	x := New(eng, 2, 2, Config{Latency: 5, FlitBytes: 32})
 	var arrived sim.Cycle
 	eng.Schedule(0, func() {
 		x.Send(0, 1, 16, func() { arrived = eng.Now() })
@@ -37,7 +37,7 @@ func TestSendLatency(t *testing.T) {
 
 func TestSourceSerialization(t *testing.T) {
 	eng := sim.NewEngine()
-	x := New(eng, Config{SrcPorts: 1, DstPorts: 2, Latency: 5, FlitBytes: 32})
+	x := New(eng, 1, 2, Config{Latency: 5, FlitBytes: 32})
 	var t1, t2 sim.Cycle
 	eng.Schedule(0, func() {
 		// Two 64-byte (2-flit) messages from the same source to different
@@ -56,7 +56,7 @@ func TestSourceSerialization(t *testing.T) {
 
 func TestDestinationSerialization(t *testing.T) {
 	eng := sim.NewEngine()
-	x := New(eng, Config{SrcPorts: 2, DstPorts: 1, Latency: 5, FlitBytes: 32})
+	x := New(eng, 2, 1, Config{Latency: 5, FlitBytes: 32})
 	var t1, t2 sim.Cycle
 	eng.Schedule(0, func() {
 		x.Send(0, 0, 64, func() { t1 = eng.Now() })
@@ -79,7 +79,7 @@ func TestPointToPointFIFOProperty(t *testing.T) {
 			return true
 		}
 		eng := sim.NewEngine()
-		x := New(eng, Config{SrcPorts: 3, DstPorts: 3, Latency: 5, FlitBytes: 32})
+		x := New(eng, 3, 3, Config{Latency: 5, FlitBytes: 32})
 		var order []int
 		when := sim.Cycle(0)
 		for i, s := range sizes {
@@ -107,7 +107,7 @@ func TestPointToPointFIFOProperty(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	eng := sim.NewEngine()
-	x := New(eng, Config{SrcPorts: 1, DstPorts: 4, Latency: 5, FlitBytes: 32})
+	x := New(eng, 1, 4, Config{Latency: 5, FlitBytes: 32})
 	got := map[int]bool{}
 	eng.Schedule(0, func() {
 		x.Broadcast(0, 8, func(dst int) { got[dst] = true })
@@ -123,7 +123,7 @@ func TestBroadcast(t *testing.T) {
 
 func TestNewPair(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewPair(eng, 15, 6, DefaultConfig(0, 0))
+	p := NewPair(eng, 15, 6, DefaultConfig())
 	var upArrived, downArrived bool
 	eng.Schedule(0, func() {
 		p.Up.Send(14, 5, 8, func() { upArrived = true })
@@ -141,11 +141,26 @@ func TestNewPair(t *testing.T) {
 
 func TestPortRangePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	x := New(eng, Config{SrcPorts: 1, DstPorts: 1, Latency: 1, FlitBytes: 8})
+	x := New(eng, 1, 1, Config{Latency: 1, FlitBytes: 8})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range port did not panic")
 		}
 	}()
 	x.Send(0, 3, 8, func() {})
+}
+
+// The port counts are New's arguments: a crossbar without a port on either
+// side is refused.
+func TestNewNeedsPorts(t *testing.T) {
+	for _, ports := range [][2]int{{0, 1}, {1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with %d source and %d destination ports did not panic", ports[0], ports[1])
+				}
+			}()
+			New(sim.NewEngine(), ports[0], ports[1], DefaultConfig())
+		}()
+	}
 }
