@@ -15,11 +15,12 @@ build:
 	$(GO) build ./...
 
 # Race-detect the concurrent layers: the memoizing runner and getm-sweep,
-# whose local sweeps run on the runner's worker pool, the event engine, the
-# SIMT core and the machine, whose array recyclers are shared by concurrent
-# runs (one kernel also runs on two machines at once here). Kept separate
-# from `short` so the (slower) instrumented run only covers the packages
-# with goroutines or process-wide pools.
+# whose local sweeps run on the runner's worker pool, the event engine and
+# its holders, the SIMT core and the machine, whose holders are shared by
+# concurrent runs (one kernel also runs on two machines at once here, and
+# the warm-run and array-reuse gates run too). Kept separate from `short`
+# so the (slower) instrumented run only covers the packages with
+# goroutines or process-wide holders.
 race:
 	$(GO) test -race ./internal/harness/ ./cmd/getm-sweep/ ./internal/sim/ ./internal/simt/ ./internal/gpu/
 
@@ -32,20 +33,26 @@ short:
 # compare); the GETM, WarpTM (pipelined commits included) and EAPG access
 # and commit paths, the SIMT core's transaction, critical-section and
 # store-then-load steps and the event queue must stay allocation-free in
-# steady state; a reset
-# engine must run as a new one; stocked free lists must come back whole; a
-# second run must reuse the first run's machine arrays, a warm run must
-# allocate fewer than 1,000 objects, and a finished machine must be garbage,
-# also while its Result.Trace is kept (DESIGN §6); and a traced end-to-end
-# run must keep producing valid output from every machine layer.
+# steady state, and the memory image's Read must inline; a reset
+# engine must run as a new one; holders must keep what they are given, and
+# no more objects than were wanted at once, and stocked free lists must
+# come back whole; runs on recycled machinery must match runs on fresh
+# machinery (each fresh arm in a child process that recycled nothing), also
+# after a run cut short; a second run must reuse a fresh first run's machine
+# arrays, a warm run must allocate fewer than 1,000 objects after two
+# collections, and a finished machine must be garbage, also while its
+# Result.Trace is kept (DESIGN §6); and a traced end-to-end run must keep
+# producing valid output from every machine layer.
 trace-gate:
-	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestEAPGStepAllocs|TestCoreTxStepAllocs|TestCoreLockStepAllocs|TestCoreStoreLoadStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestEngineResetMatchesNew|TestStock|TestSecondRunReusesMachineArrays|TestWarmRunAllocs|TestFinishedMachineIsGarbage' ./internal/core/ ./internal/warptm/ ./internal/eapg/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
+	$(GO) test -run 'TestGETMStepAllocs|TestWarpTMStepAllocs|TestEAPGStepAllocs|TestCoreTxStepAllocs|TestCoreLockStepAllocs|TestCoreStoreLoadStepAllocs|TestTxLogHotPathAllocs|TestEmitDisabledZeroAlloc|TestEngineSteadyStateZeroAlloc|TestEngineResetMatchesNew|TestHolder|TestRecycler|TestStock|TestFreshVsRecycledIdentical|TestCutShortRunLeavesNothingBehind|TestSecondRunReusesMachineArrays|TestWarmRunAllocs|TestFinishedMachineIsGarbage' ./internal/core/ ./internal/warptm/ ./internal/eapg/ ./internal/simt/ ./internal/tm/ ./internal/trace/ ./internal/sim/ ./internal/gpu/
+	$(GO) build -gcflags=-m ./internal/mem 2>&1 | grep -q 'can inline (\*Image).Read$$'
 	$(GO) test -run 'TestTraceSmoke' ./cmd/getm-sim/
 
 # Persistence & cancellation gate: every gpu.Config field must be either
 # keyed or on the key's non-result list (a reflective walk), the store keys
 # of every machine an edge builds must hold (a golden table), a key must
-# cost no more than 8 objects and 1,752 B, stored metrics must round-trip
+# cost no more than 8 objects and 1,752 B and a cached read less than one
+# key (the runner keys each job once), stored metrics must round-trip
 # exactly (bit-flips and truncation read as misses, never as data), a
 # resumed sweep must simulate only the missing cells with byte-identical
 # reports (getm-bench and getm-sweep resume through the runner), each cell
@@ -56,7 +63,7 @@ trace-gate:
 # CLI.
 store-gate:
 	$(GO) test -run 'TestStore|TestKey|TestLoadDir' ./internal/store/
-	$(GO) test -run 'TestRunnerStore|TestResume|TestRunnerCanceled|TestPrecomputeCellIdentity|TestGoldenStoreAddresses' ./internal/harness/
+	$(GO) test -run 'TestRunnerStore|TestResume|TestRunnerCanceled|TestPrecomputeCellIdentity|TestGoldenStoreAddresses|TestCachedRunKeysOnce' ./internal/harness/
 	$(GO) test -run 'TestCancelLatency|TestRunContext|TestCycleBudget|TestChunkedRun' ./internal/gpu/
 	$(GO) test -run 'TestRunContextCanceledMidRun|TestRunContextPreCanceled' .
 	$(GO) test -run 'TestStoreResume|TestTruncatedNoteOnStderr|TestTraceWrittenOnTimeout|TestStoreWriteFailureWarns' ./cmd/getm-sim/

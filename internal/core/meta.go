@@ -146,6 +146,9 @@ func (t *MetaTable) find(granule uint64) (e *Entry, inOverflow bool) {
 			return &t.stash[i], false
 		}
 	}
+	if len(t.overflow) == 0 {
+		return nil, false // the usual case: a miss skips the map probe
+	}
 	if e, ok := t.overflow[granule]; ok {
 		return e, true
 	}

@@ -1,38 +1,32 @@
 package gpu_test
 
 import (
-	"runtime/debug"
 	"testing"
 
 	. "getm/internal/gpu"
 	"getm/internal/policy"
 	"getm/internal/sim"
-	"getm/internal/workloads"
 )
 
 // A run cut short by its cycle budget stops with events pending, requests in
 // flight, warps mid-transaction or mid-critical-section and locks held. What
 // it hands on (its reset engine, its warps and free lists) must not carry
 // any of that into the next run: after it, the cell runs exactly as on
-// fresh machinery. GC is off so the stocks hand back what they are given.
+// fresh machinery (runFresh).
 func TestCutShortRunLeavesNothingBehind(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if arm, ok := freshArm(); ok {
+		cfg := recycledConfig(Protocol(arm))
+		reportFresh(t, metricsJSON(t, cfg, smallKernel(t, cfg.Protocol, "ht-h")))
+		return
+	}
 	protos := []Protocol{ProtoFGLock}
 	for _, p := range policy.Valid() {
 		protos = append(protos, ProtocolOf(p))
 	}
 	for _, proto := range protos {
-		variant := workloads.TM
-		if proto == ProtoFGLock {
-			variant = workloads.FGLock
-		}
-		k, err := workloads.Build("ht-h", variant, smallParams())
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := smallKernel(t, proto, "ht-h")
 		cfg := recycledConfig(proto)
-		emptyPools()
-		fresh := metricsJSON(t, cfg, k)
+		fresh := runFresh(t, string(proto))
 		full, err := Run(cfg, k)
 		if err != nil {
 			t.Fatal(err)

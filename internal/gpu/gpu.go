@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"getm/internal/core"
 	"getm/internal/isa"
@@ -173,8 +172,16 @@ func ScaledConfig(p Protocol) Config {
 var ErrInvalidConfig = errors.New("invalid config")
 
 // Validate reports whether the model runs this machine: Resolve's error for
-// the Protocol, or ErrInvalidConfig for a field an edge (the API, the CLIs,
-// getm-serve) can set outside its range (fields only tests set have none):
+// the Protocol, or ErrInvalidConfig for a field outside its range:
+//   - Partitions, Core.WarpsPerCore, Xbar.FlitBytes, Partition.DRAMBanks,
+//     Partition.ServiceRate, GETM.CuckooWays, GETM.ApproxWays, both
+//     CommitBytesPerCycle, WarpTM.TCDWays and
+//     WarpTM.ValidateEntriesPerCycle ≥ 1: each counts units or is a rate.
+//     At 0 a run panics mid-run, starts no warp (WarpsPerCore) and fails
+//     its kernel's verification, or runs as 1 under another store address
+//     (ServiceRate).
+//   - Partition.LLCBytes, LLCWays and LineBytes a geometry mem.CheckLLC
+//     accepts: NewLLC panics on any other.
 //   - Cores 1–56: 56 is the paper's largest machine (Fig 17).
 //   - Core.MaxTxWarps 0 to Core.WarpsPerCore: a larger cap runs as 0.
 //   - GETM.GranularityBytes a power of two, 8 (one word) to 4096: 0 divides
@@ -191,9 +198,31 @@ func (c Config) Validate() error {
 	if _, err := c.Protocol.Resolve(); err != nil {
 		return err
 	}
-	var err error
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Partitions", c.Partitions},
+		{"Core.WarpsPerCore", c.Core.WarpsPerCore},
+		{"Xbar.FlitBytes", c.Xbar.FlitBytes},
+		{"Partition.DRAMBanks", c.Partition.DRAMBanks},
+		{"Partition.ServiceRate", c.Partition.ServiceRate},
+		{"GETM.CuckooWays", c.GETM.CuckooWays},
+		{"GETM.ApproxWays", c.GETM.ApproxWays},
+		{"GETM.CommitBytesPerCycle", c.GETM.CommitBytesPerCycle},
+		{"WarpTM.TCDWays", c.WarpTM.TCDWays},
+		{"WarpTM.ValidateEntriesPerCycle", c.WarpTM.ValidateEntriesPerCycle},
+		{"WarpTM.CommitBytesPerCycle", c.WarpTM.CommitBytesPerCycle},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("%w: %s %d must be >= 1", ErrInvalidConfig, f.name, f.v)
+		}
+	}
+	err := mem.CheckLLC(c.Partition.LLCBytes, c.Partition.LLCWays, c.Partition.LineBytes)
 	g, minEntries := c.GETM.GranularityBytes, c.Partitions*c.GETM.CuckooWays
 	switch {
+	case err != nil:
+		err = fmt.Errorf("Partition LLC: %w", err)
 	case c.Cores < 1 || c.Cores > 56:
 		err = fmt.Errorf("Cores %d out of range [1, 56]", c.Cores)
 	case c.Core.MaxTxWarps < 0 || c.Core.MaxTxWarps > c.Core.WarpsPerCore:
@@ -294,7 +323,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 
 	// Every run takes a stocked engine, and hands it back reset once the run
 	// is over; a traced run's recorder lets go of it first (Finish).
-	eng, _ := engines.Get().(*sim.Engine)
+	eng := engines.Get()
 	if eng == nil {
 		eng = sim.NewEngine()
 	}
@@ -356,7 +385,7 @@ func RunContext(ctx context.Context, cfg Config, k *Kernel) (*Result, error) {
 
 // engines holds the reset event engines of finished runs for the next runs
 // in this process (DESIGN §6).
-var engines sync.Pool
+var engines sim.Holder[*sim.Engine]
 
 // runMachine is the run loop: it starts the cores, steps the engine to the
 // cycle limit, and turns the end state into a Result — canceled, truncated

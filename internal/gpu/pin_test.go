@@ -16,10 +16,10 @@ import (
 // stocked free lists and warps, the reset engine) keeps no pointer into it
 // (DESIGN §6). The probe is the run's memory image, which nothing but the
 // machine references after the kernel's Init returns, so its finalizer runs
-// only if the whole machine is unreachable. A sync.Pool keeps what it holds
-// through one collection, so a stocked object that still pointed at its
-// machine would keep the image alive through the first collection after the
-// run; the finalizer must run after that one. Every policy point and
+// only if the whole machine is unreachable. No collection empties the
+// holders, so a stocked object that still pointed at its machine would pin
+// the machine for good; the finalizer must run after the first collection
+// after the run. Every policy point and
 // fglock, so every component's stocks are exercised. The traced arm keeps
 // the run's Result.Trace reachable across the collection, as getm-serve's
 // span capture and getm-bench -trace do: the recorder must keep its rings

@@ -1,13 +1,8 @@
-// sync.Pool drops puts at random under the race detector, so this gate
-// builds only without it.
-
-//go:build !race
-
 package gpu_test
 
 import (
 	"runtime"
-	"runtime/debug"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -16,25 +11,37 @@ import (
 	"getm/internal/workloads"
 )
 
-// The second run of a cell reuses the first run's large arrays. With GC off
-// and the pools empty before the first run, the second allocates less than
-// the first by at least the arrays the configuration alone sizes: the LLC's
-// tags and LRU, plus GETM's metadata ways and approximate filters or
-// WarpTM's TCD filters. Register files, transaction logs and image pages
-// recycle on top of that bound.
+// The second run of a cell reuses the first run's large arrays. The first
+// run is fresh (runFresh), and the second follows a run of the same cell, so
+// the second allocates less than the first by at least the arrays the
+// configuration alone sizes: the LLC's tags and LRU, plus GETM's metadata
+// ways and approximate filters or WarpTM's TCD filters. Register files,
+// transaction logs and image pages recycle on top of that bound.
 func TestSecondRunReusesMachineArrays(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p := workloads.DefaultParams()
 	p.Scale = 0.1
 	k, err := workloads.Build("ht-h", workloads.TM, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, proto := range []Protocol{ProtoGETM, ProtoWarpTM} {
+	config := func(proto Protocol) Config {
 		cfg := DefaultConfig(proto)
 		cfg.Core.MaxTxWarps = 8
-		emptyPools()
-		first := allocBytes(t, cfg, k)
+		return cfg
+	}
+	if arm, ok := freshArm(); ok {
+		reportFresh(t, strconv.FormatUint(allocBytes(t, config(Protocol(arm)), k), 10))
+		return
+	}
+	for _, proto := range []Protocol{ProtoGETM, ProtoWarpTM} {
+		cfg := config(proto)
+		first, err := strconv.ParseUint(runFresh(t, string(proto)), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(cfg, k); err != nil {
+			t.Fatal(err)
+		}
 		second := allocBytes(t, cfg, k)
 		want := recyclableBytes(cfg)
 		if first < second || first-second < want {

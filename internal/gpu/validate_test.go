@@ -2,6 +2,7 @@ package gpu_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	. "getm/internal/gpu"
@@ -89,6 +90,52 @@ func TestConfigValidateRanges(t *testing.T) {
 	// An unknown protocol keeps its own identity.
 	if err := DefaultConfig("bogus").Validate(); !errors.Is(err, ErrUnknownProtocol) {
 		t.Errorf("unknown protocol: err = %v, want ErrUnknownProtocol", err)
+	}
+}
+
+// Every count and rate the model divides by or indexes with is refused at 0
+// (and below), with a reason that names the field, before anything runs:
+// each of these values once panicked mid-run, started no warp, or ran as 1
+// under another store address. So are LLC geometries NewLLC cannot build.
+func TestConfigValidateRejectsZeroCounts(t *testing.T) {
+	k, err := workloads.Build("ht-h", workloads.TM, smallParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		field string
+		set   func(*Config, int)
+		bad   []int
+	}{
+		{"Partitions", func(c *Config, v int) { c.Partitions = v }, []int{0, -1}},
+		{"Core.WarpsPerCore", func(c *Config, v int) { c.Core.WarpsPerCore = v }, []int{0, -1}},
+		{"Xbar.FlitBytes", func(c *Config, v int) { c.Xbar.FlitBytes = v }, []int{0, -32}},
+		{"Partition.DRAMBanks", func(c *Config, v int) { c.Partition.DRAMBanks = v }, []int{0, -1}},
+		{"Partition.ServiceRate", func(c *Config, v int) { c.Partition.ServiceRate = v }, []int{0, -1}},
+		{"Partition LLC", func(c *Config, v int) { c.Partition.LLCWays = v }, []int{0, -8, 3}},
+		{"Partition LLC", func(c *Config, v int) { c.Partition.LLCBytes = v }, []int{0, 1000, 96 << 10, -(128 << 10)}},
+		{"Partition LLC", func(c *Config, v int) { c.Partition.LineBytes = v }, []int{0, -128, 96}},
+		{"GETM.CuckooWays", func(c *Config, v int) { c.GETM.CuckooWays = v }, []int{0, -4}},
+		{"GETM.ApproxWays", func(c *Config, v int) { c.GETM.ApproxWays = v }, []int{0, -4}},
+		{"GETM.CommitBytesPerCycle", func(c *Config, v int) { c.GETM.CommitBytesPerCycle = v }, []int{0, -32}},
+		{"WarpTM.TCDWays", func(c *Config, v int) { c.WarpTM.TCDWays = v }, []int{0, -4}},
+		{"WarpTM.ValidateEntriesPerCycle", func(c *Config, v int) { c.WarpTM.ValidateEntriesPerCycle = v }, []int{0, -1}},
+		{"WarpTM.CommitBytesPerCycle", func(c *Config, v int) { c.WarpTM.CommitBytesPerCycle = v }, []int{0, -32}},
+	}
+	for _, c := range cases {
+		for _, proto := range []Protocol{ProtoGETM, ProtoWarpTM} {
+			for _, v := range c.bad {
+				cfg := DefaultConfig(proto)
+				c.set(&cfg, v)
+				err := cfg.Validate()
+				if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), c.field) {
+					t.Errorf("%s %d on %s: err = %v, want ErrInvalidConfig naming %s", c.field, v, proto, err, c.field)
+				}
+				if res, err := Run(cfg, k); res != nil || !errors.Is(err, ErrInvalidConfig) {
+					t.Errorf("%s %d on %s: Run gave res %v, err %v; want no result and ErrInvalidConfig", c.field, v, proto, res, err)
+				}
+			}
+		}
 	}
 }
 

@@ -1,12 +1,7 @@
-// sync.Pool drops puts at random under the race detector, so this gate
-// builds only without it.
-
-//go:build !race
-
 package gpu_test
 
 import (
-	"runtime/debug"
+	"runtime"
 	"testing"
 
 	. "getm/internal/gpu"
@@ -19,13 +14,14 @@ import (
 // its metrics maps), not anything that grows with the simulated work.
 const warmRunMaxAllocs = 1000
 
-// A run that follows a run of the same cell allocates almost nothing: free
-// lists, warps and the event engine's slab outlive their machine (DESIGN
-// §6), and the fglock lock path and EAPG's broadcasts allocate no closure
-// per event. Every policy point and fglock, on ht-h, atm and cc at scale
-// 0.1 and conc 8. GC is off so the stocks keep what they are given.
+// A run that follows a run of the same cell allocates almost nothing, however
+// often the collector has run in between: free lists, warps and the event
+// engine's slab outlive their machine in holders no collection empties
+// (DESIGN §6), and the fglock lock path and EAPG's broadcasts allocate no
+// closure per event. Every policy point and fglock, on ht-h, atm and cc at
+// scale 0.1 and conc 8; two collections run between the warm-up run and the
+// counted one.
 func TestWarmRunAllocs(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	protos := []Protocol{ProtoFGLock}
 	for _, p := range policy.Valid() {
 		protos = append(protos, ProtocolOf(p))
@@ -44,17 +40,31 @@ func TestWarmRunAllocs(t *testing.T) {
 			}
 			cfg := DefaultConfig(proto)
 			cfg.Core.MaxTxWarps = 8
-			// AllocsPerRun makes one warm-up run before the one it counts.
-			allocs := testing.AllocsPerRun(1, func() {
+			run := func() {
 				if _, err := Run(cfg, k); err != nil {
 					t.Fatalf("%s on %s: %v", proto, bench, err)
 				}
-			})
+			}
+			run()
+			runtime.GC()
+			runtime.GC()
+			allocs := mallocs(run)
 			if allocs >= warmRunMaxAllocs {
-				t.Errorf("%s on %s: warm run allocated %.0f objects, want fewer than %d",
+				t.Errorf("%s on %s: warm run allocated %d objects, want fewer than %d",
 					proto, bench, allocs, warmRunMaxAllocs)
 			}
-			t.Logf("%s on %s: %.0f objects", proto, bench, allocs)
+			t.Logf("%s on %s: %d objects", proto, bench, allocs)
 		}
 	}
+}
+
+// mallocs counts the objects one call of f allocates. Like
+// testing.AllocsPerRun, it runs f with GOMAXPROCS 1.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

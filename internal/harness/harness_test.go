@@ -21,6 +21,19 @@ func TestRunnerCaches(t *testing.T) {
 	}
 }
 
+// A cached read keys nothing. The experiments read cells back many times (a
+// scale-0.1 pass once made 1,155 reads for 297 simulations), and the runner
+// keys each job once, so a cache hit costs less than one store key does
+// (8 objects, store.TestKeyAllocs).
+func TestCachedRunKeysOnce(t *testing.T) {
+	r := tiny()
+	j := Job{Proto: gpu.ProtoGETM, Bench: "atm", Conc: 4}
+	r.Run(j)
+	if n := testing.AllocsPerRun(100, func() { r.Run(j) }); n >= 8 {
+		t.Errorf("a cached Run allocates %v objects, want fewer than a store key's 8", n)
+	}
+}
+
 func TestOptimalConcSearch(t *testing.T) {
 	r := tiny()
 	c := r.OptimalConc(gpu.ProtoWarpTM, "ht-h")

@@ -21,33 +21,37 @@ import (
 // cache hits. It returns the simulation failures from both waves, joined
 // (nil if every cell ran clean).
 func Precompute(r *Runner, workers int) error {
-	var wave1 []Cell
+	var cells []Cell
+	var keys []string
+	add := func(j Job) {
+		c, key := r.jobCell(j)
+		cells, keys = append(cells, c), append(keys, key)
+	}
 	for _, b := range Benchmarks() {
 		for _, p := range []gpu.Protocol{gpu.ProtoWarpTM, gpu.ProtoWarpTMEL, gpu.ProtoEAPG, gpu.ProtoGETM} {
 			for _, c := range ConcLevels {
-				wave1 = append(wave1, r.cell(Job{Proto: p, Bench: b, Conc: c}))
+				add(Job{Proto: p, Bench: b, Conc: c})
 			}
 		}
-		wave1 = append(wave1, r.cell(Job{Proto: gpu.ProtoFGLock, Bench: b}))
+		add(Job{Proto: gpu.ProtoFGLock, Bench: b})
 	}
-
-	err1 := r.RunCells(wave1, workers)
+	err1 := r.runCells(cells, keys, workers)
 
 	// Second wave: cells that depend on the optimal concurrency (now cached).
-	var wave2 []Cell
+	cells, keys = nil, nil
 	for _, b := range Benchmarks() {
 		getmConc := r.OptimalConc(gpu.ProtoGETM, b)
 		for _, entries := range []int{2048, 4096, 8192} {
-			wave2 = append(wave2, r.cell(Job{Proto: gpu.ProtoGETM, Bench: b, Conc: getmConc, MetaEntries: entries}))
+			add(Job{Proto: gpu.ProtoGETM, Bench: b, Conc: getmConc, MetaEntries: entries})
 		}
 		for _, g := range []int{16, 32, 64, 128} {
-			wave2 = append(wave2, r.cell(Job{Proto: gpu.ProtoGETM, Bench: b, Conc: getmConc, Granularity: g}))
+			add(Job{Proto: gpu.ProtoGETM, Bench: b, Conc: getmConc, Granularity: g})
 		}
 		for _, p := range []gpu.Protocol{gpu.ProtoWarpTM, gpu.ProtoEAPG, gpu.ProtoGETM} {
-			wave2 = append(wave2, r.cell(Job{Proto: p, Bench: b, Conc: r.OptimalConc(p, b), Cores: 56}))
+			add(Job{Proto: p, Bench: b, Conc: r.OptimalConc(p, b), Cores: 56})
 		}
 	}
-	err2 := r.RunCells(wave2, workers)
+	err2 := r.runCells(cells, keys, workers)
 	return errors.Join(err1, err2)
 }
 
@@ -61,18 +65,28 @@ func Precompute(r *Runner, workers int) error {
 // cancellation, not) exactly as RunCell would, so reading a cell back after
 // the batch is a cache hit or its cached failure.
 func (r *Runner) RunCells(cells []Cell, workers int) error {
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = c.StoreKey()
+	}
+	return r.runCells(cells, keys, workers)
+}
+
+// runCells is RunCells given each cell's store key, keys[i] for cells[i].
+func (r *Runner) runCells(cells []Cell, keys []string, workers int) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
 	seen := make(map[string]bool, len(cells))
 	var pending []Cell
-	for _, c := range cells {
-		id := c.ID()
+	var pendingKeys []string
+	for i, c := range cells {
+		id := c.idFor(keys[i])
 		if seen[id] || r.cached(id) {
 			continue
 		}
 		seen[id] = true
-		pending = append(pending, c)
+		pending, pendingKeys = append(pending, c), append(pendingKeys, keys[i])
 	}
 	if len(pending) == 0 {
 		return nil
@@ -86,13 +100,14 @@ func (r *Runner) RunCells(cells []Cell, workers int) error {
 	var done atomic.Int64
 	total := len(pending)
 	errCh := make(chan error, len(pending))
-	ch := make(chan Cell)
+	ch := make(chan int) // indices into pending
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range ch {
-				if _, err := r.runE(nil, c, kernels); err != nil {
+			for i := range ch {
+				c := pending[i]
+				if _, err := r.runE(nil, c, pendingKeys[i], kernels); err != nil {
 					errCh <- err
 				}
 				kernels.done(c)
@@ -102,8 +117,8 @@ func (r *Runner) RunCells(cells []Cell, workers int) error {
 			}
 		}()
 	}
-	for _, c := range pending {
-		ch <- c
+	for i := range pending {
+		ch <- i
 	}
 	close(ch)
 	wg.Wait()

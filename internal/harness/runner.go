@@ -41,9 +41,9 @@ var ConcLevels = []int{1, 2, 4, 8, 16, 0}
 // OptimalConc, Err, and Precompute are all safe to call from any number of
 // goroutines. Concurrent callers of one cell block until the one executing
 // simulation finishes and then share its (immutable) result. The
-// configuration fields (Scale, Seed, Verbose, Ctx, Store, StoreReuse) must
-// be set before the first Run* call and not mutated afterwards; Verbose may
-// be invoked from any worker goroutine.
+// configuration fields (Scale, Seed, Policy, Verbose, Ctx, Store,
+// StoreReuse) must be set before the first Run* call and not mutated
+// afterwards; Verbose may be invoked from any worker goroutine.
 type Runner struct {
 	// Scale shrinks the workloads jobs expand to (1.0 = full reproduction
 	// scale). Cells carry their own.
@@ -102,11 +102,13 @@ type Runner struct {
 	// safe for concurrent use.
 	Progress func(done, total int)
 
-	// cache, errCache and inflight are keyed by Cell.ID.
+	// cache, errCache and inflight are keyed by Cell.ID; jobs holds each
+	// job's cell and store key (jobCell).
 	mu       sync.Mutex
 	cache    map[string]*stats.Metrics
 	errCache map[string]error
 	inflight map[string]*inflightRun
+	jobs     map[Job]keyedCell
 	optC     map[string]int
 	errs     []error
 	simCount int // simulations actually executed (not cache or store hits)
@@ -132,6 +134,7 @@ func NewRunner(scale float64) *Runner {
 		cache:    make(map[string]*stats.Metrics),
 		errCache: make(map[string]error),
 		inflight: make(map[string]*inflightRun),
+		jobs:     make(map[Job]keyedCell),
 		optC:     make(map[string]int),
 	}
 }
@@ -246,7 +249,8 @@ func (j Job) Config() gpu.Config {
 // matching gpu.ErrCanceled. Canceled and truncated runs are cached in
 // neither tier.
 func (r *Runner) RunE(j Job) (*stats.Metrics, error) {
-	return r.runE(nil, r.cell(j), nil)
+	c, storeKey := r.jobCell(j)
+	return r.runE(nil, c, storeKey, nil)
 }
 
 // RunCell is RunE for a cell, with a per-call context: this call's
@@ -265,7 +269,7 @@ func (r *Runner) RunCell(ctx context.Context, c Cell) (*stats.Metrics, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return r.runE(ctx, c, nil)
+	return r.runE(ctx, c, c.StoreKey(), nil)
 }
 
 // cell expands a job at the runner's scale and seed. A Policy pin replaces
@@ -278,12 +282,35 @@ func (r *Runner) cell(j Job) Cell {
 	return j.Cell(r.Scale, r.Seed)
 }
 
-// runE is the shared two-tier cached singleflight path. ctx != nil marks a
-// per-call context (RunCell); nil falls back to the runner-wide Ctx. A
-// non-nil kernels is the RunCells batch's kernel table; nil builds the
-// kernel for this run alone.
-func (r *Runner) runE(ctx context.Context, cell Cell, kernels *kernelTable) (*stats.Metrics, error) {
-	storeKey := cell.StoreKey()
+// keyedCell is a cell with its store key.
+type keyedCell struct {
+	cell     Cell
+	storeKey string
+}
+
+// jobCell expands the job into its cell and store key, keying each job once:
+// the runner's Scale, Seed and Policy are fixed before the first run, so a
+// job names one cell for the runner's life, and the experiments read the
+// same jobs back many times.
+func (r *Runner) jobCell(j Job) (Cell, string) {
+	r.mu.Lock()
+	kc, ok := r.jobs[j]
+	r.mu.Unlock()
+	if !ok {
+		c := r.cell(j)
+		kc = keyedCell{c, c.StoreKey()}
+		r.mu.Lock()
+		r.jobs[j] = kc
+		r.mu.Unlock()
+	}
+	return kc.cell, kc.storeKey
+}
+
+// runE is the shared two-tier cached singleflight path for a cell and its
+// store key. ctx != nil marks a per-call context (RunCell); nil falls back
+// to the runner-wide Ctx. A non-nil kernels is the RunCells batch's kernel
+// table; nil builds the kernel for this run alone.
+func (r *Runner) runE(ctx context.Context, cell Cell, storeKey string, kernels *kernelTable) (*stats.Metrics, error) {
 	key := cell.idFor(storeKey)
 	perCall := ctx != nil
 	r.mu.Lock()

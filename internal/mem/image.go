@@ -6,7 +6,6 @@ package mem
 
 import (
 	"math/bits"
-	"sync"
 
 	"getm/internal/sim"
 )
@@ -20,6 +19,8 @@ const WordBytes = 8
 const (
 	pageWords = 512
 	pageShift = 9 // log2(pageWords)
+	// addrPageShift turns a byte address into its page number.
+	addrPageShift = pageShift + 3 // log2(WordBytes)
 )
 
 type page struct {
@@ -29,13 +30,13 @@ type page struct {
 	written [pageWords / 64]uint64
 }
 
-// pagePool holds the pages of recycled images (Image.Recycle) for the next
+// heldPages holds the pages of recycled images (Image.Recycle) for the next
 // image that writes a new page, on any goroutine.
-var pagePool sync.Pool
+var heldPages sim.Holder[*page]
 
-// newPage returns a zeroed page, recycled when one is pooled.
+// newPage returns a zeroed page, recycled when one is held.
 func newPage() *page {
-	if p, ok := pagePool.Get().(*page); ok {
+	if p := heldPages.Get(); p != nil {
 		*p = page{}
 		return p
 	}
@@ -53,6 +54,8 @@ type Image struct {
 	pages sim.Table[*page]
 	count int // words ever written
 	// One-entry page cache: consecutive accesses cluster heavily by page.
+	// It is either empty (lastNo ^0, which no address's page number
+	// reaches) or holds a page the table holds, so a hit needs no nil check.
 	lastNo   uint64
 	lastPage *page
 }
@@ -60,10 +63,8 @@ type Image struct {
 // NewImage returns an empty (all-zero) memory image.
 func NewImage() *Image { return &Image{lastNo: ^uint64(0)} }
 
-// pageFor returns the page holding wordNo, or nil. The cache check stays
-// small enough to inline into Read and Write; a miss probes the table. The
-// cache is either empty (lastNo ^0, which no word's page number reaches) or
-// holds a page the table holds, so a hit needs no nil check.
+// pageFor returns the page holding wordNo, or nil: the cached page, or else
+// a probe of the table.
 func (im *Image) pageFor(wordNo uint64) *page {
 	if no := wordNo >> pageShift; no != im.lastNo {
 		return im.findPage(no)
@@ -81,10 +82,23 @@ func (im *Image) findPage(no uint64) *page {
 	return *pp
 }
 
-// Read returns the word at the (word-aligned) byte address.
+// Read returns the word at the (word-aligned) byte address. A hit in the
+// page cache is small enough to inline into the callers; a miss takes
+// readMiss.
 func (im *Image) Read(addr uint64) uint64 {
+	if addr>>addrPageShift != im.lastNo {
+		return im.readMiss(addr)
+	}
+	return im.lastPage.words[addr/WordBytes&(pageWords-1)]
+}
+
+// readMiss is Read past a page-cache miss: a probe of the page table. It is
+// kept out of line so Read stays inlinable.
+//
+//go:noinline
+func (im *Image) readMiss(addr uint64) uint64 {
 	wordNo := addr / WordBytes
-	p := im.pageFor(wordNo)
+	p := im.findPage(wordNo >> pageShift)
 	if p == nil {
 		return 0
 	}
@@ -113,7 +127,7 @@ func (im *Image) Write(addr, val uint64) {
 // process and leaves the image empty.
 func (im *Image) Recycle() {
 	im.pages.Range(func(_ uint64, p **page) bool {
-		pagePool.Put(*p)
+		heldPages.Put(*p)
 		return true
 	})
 	im.pages = sim.Table[*page]{}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/bits"
 
 	"getm/internal/sim"
@@ -24,19 +25,31 @@ type LLC struct {
 	Misses uint64
 }
 
-// NewLLC builds a cache of capacityBytes with the given associativity and
-// line size. Capacity must divide evenly into sets, and the line size and
-// set count must be powers of two (Table II's 128 B lines with 128 or 512
-// sets are).
-func NewLLC(capacityBytes, ways, lineBytes int) *LLC {
-	if lineBytes <= 0 || ways <= 0 {
-		panic("mem: invalid LLC geometry")
+// CheckLLC reports why NewLLC refuses a cache of capacityBytes with the
+// given associativity and line size, or nil when it builds one. Capacity
+// must divide evenly into sets, and the line size and set count must be
+// powers of two (Table II's 128 B lines with 128 or 512 sets are).
+func CheckLLC(capacityBytes, ways, lineBytes int) error {
+	if lineBytes <= 0 || lineBytes&(lineBytes-1) != 0 {
+		return fmt.Errorf("line size %d B is not a power of two", lineBytes)
+	}
+	if ways <= 0 {
+		return fmt.Errorf("%d ways: a cache needs at least one", ways)
 	}
 	lines := capacityBytes / lineBytes
-	sets := lines / ways
-	if lines == 0 || lines%ways != 0 || lineBytes&(lineBytes-1) != 0 || sets&(sets-1) != 0 {
-		panic("mem: invalid LLC geometry")
+	if sets := lines / ways; lines == 0 || lines%ways != 0 || sets&(sets-1) != 0 {
+		return fmt.Errorf("%d B in %d B lines does not make a power-of-two number of %d-way sets", capacityBytes, lineBytes, ways)
 	}
+	return nil
+}
+
+// NewLLC builds a cache of capacityBytes with the given associativity and
+// line size, which CheckLLC must accept.
+func NewLLC(capacityBytes, ways, lineBytes int) *LLC {
+	if err := CheckLLC(capacityBytes, ways, lineBytes); err != nil {
+		panic("mem: invalid LLC geometry: " + err.Error())
+	}
+	sets := capacityBytes / lineBytes / ways
 	return &LLC{
 		ways:      ways,
 		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),

@@ -72,25 +72,18 @@ func NewPartition(id int, eng *sim.Engine, img *Image, cfg PartitionConfig) *Par
 }
 
 // serviceSlot reserves the next issue slot at the partition's service rate
-// and returns its cycle: each cycle admits ServiceRate starts (at least one),
-// and further requests queue into later cycles.
+// and returns its cycle: each cycle admits ServiceRate starts, and further
+// requests queue into later cycles.
 func (p *Partition) serviceSlot() sim.Cycle {
 	if now := p.Eng.Now(); now > p.nextService {
 		p.nextService, p.slotStarts = now, 0
 	}
 	start := p.nextService
 	p.slotStarts++
-	if p.slotStarts >= maxInt(p.Cfg.ServiceRate, 1) {
+	if p.slotStarts >= p.Cfg.ServiceRate {
 		p.nextService, p.slotStarts = start+1, 0
 	}
 	return start
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AccessDelay computes the completion delay for a data access to addr

@@ -1,28 +1,92 @@
 package sim
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Holder keeps the objects of finished machines for the next machines built
+// in this process, on any goroutine: a mutex-guarded LIFO stack. No garbage
+// collection empties it, so what a warm run allocates does not depend on
+// when the collector last ran.
+//
+// A getter takes from its holder before it builds anything new, so a holder
+// never keeps more objects than machines had out at once: an object is built
+// only while every object built before it is out. That peak-demand bound is
+// what limits a holder, not the collector (DESIGN §6).
+//
+// The zero value is ready to use. Whoever calls Put gives the object up: it
+// must hold no other reference to it, and the object must point at no
+// machine, or the holder would keep that machine alive for good.
+type Holder[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// reused counts the objects every holder has handed back (Reused).
+var reused atomic.Int64
+
+// Get takes the object put last, or returns the zero value when the holder
+// is empty.
+func (h *Holder[T]) Get() (x T) {
+	h.mu.Lock()
+	if n := len(h.items) - 1; n >= 0 {
+		var zero T
+		x, h.items[n] = h.items[n], zero
+		h.items = h.items[:n]
+		reused.Add(1)
+	}
+	h.mu.Unlock()
+	return x
+}
+
+// Put hands x to the next Get.
+func (h *Holder[T]) Put(x T) {
+	h.mu.Lock()
+	h.items = append(h.items, x)
+	h.mu.Unlock()
+}
+
+// Reused returns the number of objects holders have handed back in this
+// process: 0 means that every run so far was built from fresh objects.
+func Reused() int64 { return reused.Load() }
 
 // Recycler hands the large backing arrays of a finished run to the next run
 // that asks for an array of the same length, on any goroutine. Arrays are
-// pooled by length, so arrays of different lengths never mix, and Get zeroes
-// what it returns: a recycled array is indistinguishable from a fresh make,
-// so a machine built from recycled arrays starts in exactly the state a
-// freshly allocated one would. Each length's pool is a sync.Pool, so the
-// garbage collector still frees arrays nobody asks for again.
+// held by length, one Holder per length, so arrays of different lengths
+// never mix, and Get zeroes what it returns: a recycled array is
+// indistinguishable from a fresh make, so a machine built from recycled
+// arrays starts in exactly the state a freshly allocated one would. The
+// lengths the machine asks for are powers of two, so a Recycler keeps only
+// a few.
 //
 // The zero value is ready to use. Whoever calls Put gives the array up: it
 // must hold no other reference to it.
 type Recycler[T any] struct {
-	pools sync.Map // length -> *sync.Pool of *[]T
+	mu      sync.Mutex
+	lengths map[int]*Holder[[]T]
+}
+
+// holder returns the holder of arrays of length n.
+func (r *Recycler[T]) holder(n int) *Holder[[]T] {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h := r.lengths[n]
+	if h == nil {
+		if r.lengths == nil {
+			r.lengths = make(map[int]*Holder[[]T])
+		}
+		h = new(Holder[[]T])
+		r.lengths[n] = h
+	}
+	return h
 }
 
 // Get returns a zeroed slice of length n.
 func (r *Recycler[T]) Get(n int) []T {
-	if p, ok := r.pools.Load(n); ok {
-		if s, ok := p.(*sync.Pool).Get().(*[]T); ok {
-			clear(*s)
-			return *s
-		}
+	if s := r.holder(n).Get(); s != nil {
+		clear(s)
+		return s
 	}
 	return make([]T, n)
 }
@@ -32,11 +96,7 @@ func (r *Recycler[T]) Put(s []T) {
 	if len(s) == 0 {
 		return
 	}
-	p, ok := r.pools.Load(len(s))
-	if !ok {
-		p, _ = r.pools.LoadOrStore(len(s), new(sync.Pool))
-	}
-	p.(*sync.Pool).Put(&s)
+	r.holder(len(s)).Put(s)
 }
 
 // Stock keeps the free-list chains of finished machines for the next
@@ -49,18 +109,17 @@ func (r *Recycler[T]) Put(s []T) {
 //
 // Put cuts a list into chains of at most stockBatch nodes, and Get takes one
 // of them. So a machine that needs a few objects does not hoard a long list
-// a large machine grew while a concurrent machine builds anew, and, because
-// a Stock is a sync.Pool underneath (like Recycler), chains nobody took for
-// two garbage collections are freed: what the stocks hold follows what
-// recent machines used, not the largest machine ever built.
+// a large machine grew while a concurrent machine builds anew. A Stock is a
+// Holder of chain heads underneath, so it keeps no more nodes than machines
+// had out at once, spares on their own free lists included.
 //
 // Whoever stocks a chain gives it up, and must first clear every field that
 // points at the finished machine (a pooled closure reaches its owner only
 // through such a field), so a stocked chain never keeps a machine alive; the
 // taker points those fields at its own machine.
 type Stock[T any] struct {
-	pool sync.Pool // of *T, each the head of a chain of at most stockBatch nodes
-	link func(*T) **T
+	chains Holder[*T] // each the head of a chain of at most stockBatch nodes
+	link   func(*T) **T
 }
 
 // stockBatch bounds the nodes of one stocked chain: a machine holds at most
@@ -87,13 +146,10 @@ func (s *Stock[T]) Put(head *T) {
 		// goroutine's to take.
 		rest := *s.link(tail)
 		*s.link(tail) = nil
-		s.pool.Put(head)
+		s.chains.Put(head)
 		head = rest
 	}
 }
 
 // Get takes a stocked chain's head, or returns nil when none is stocked.
-func (s *Stock[T]) Get() *T {
-	head, _ := s.pool.Get().(*T)
-	return head
-}
+func (s *Stock[T]) Get() *T { return s.chains.Get() }

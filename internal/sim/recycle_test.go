@@ -1,26 +1,21 @@
 package sim
 
 import (
-	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-// Slices put back dirty come back zeroed, and a Get only ever returns a
-// slice of the length it asked for. GC is off so the pools keep what they
-// are given; several slices go in because sync.Pool may drop any one of
-// them (it does so at random under the race detector).
+// Arrays put back dirty come back zeroed, last in first out, and a Get only
+// ever returns an array of the length it asked for.
 func TestRecyclerZeroedAndKeyedByLength(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var r Recycler[uint64]
-	put := map[*uint64]bool{}
 	var dirty [][]uint64
 	for i := 0; i < 8; i++ {
 		s := r.Get(64)
 		for j := range s {
 			s[j] = ^uint64(0)
 		}
-		put[&s[0]] = true
 		dirty = append(dirty, s)
 	}
 	for _, s := range dirty {
@@ -29,17 +24,17 @@ func TestRecyclerZeroedAndKeyedByLength(t *testing.T) {
 
 	if s := r.Get(32); len(s) != 32 {
 		t.Fatalf("Get(32) returned length %d", len(s))
-	} else if put[&s[0]] {
-		t.Fatal("Get(32) returned a 64-word array")
-	}
-	reused := 0
-	for i := 0; i < 8; i++ {
-		s := r.Get(64)
-		if len(s) != 64 {
-			t.Fatalf("Get(64) returned length %d", len(s))
+	} else {
+		for _, d := range dirty {
+			if &s[0] == &d[0] {
+				t.Fatal("Get(32) returned a 64-word array")
+			}
 		}
-		if put[&s[0]] {
-			reused++
+	}
+	for i := len(dirty) - 1; i >= 0; i-- {
+		s := r.Get(64)
+		if len(s) != 64 || &s[0] != &dirty[i][0] {
+			t.Fatalf("Get(64) %d: not the array put back last", len(dirty)-i)
 		}
 		for j, v := range s {
 			if v != 0 {
@@ -47,10 +42,60 @@ func TestRecyclerZeroedAndKeyedByLength(t *testing.T) {
 			}
 		}
 	}
-	if reused == 0 {
-		t.Fatal("no array put back was reused")
-	}
 	r.Put(nil) // an empty slice is ignored
+	if s := r.Get(0); len(s) != 0 {
+		t.Fatalf("Get(0) returned length %d", len(s))
+	}
+}
+
+// Getters that take what a holder has before they build (run under -race):
+// the holder never keeps more objects than were wanted at once. Demand
+// counts an object from before the Get that asks for it to after the Put
+// that returns it, so an object built while another is on its way back
+// still counts against the peak. Every object built comes back, and none is
+// handed to two getters at once.
+func TestHolderKeepsAtMostPeakDemand(t *testing.T) {
+	type obj struct{ owner int }
+	var (
+		h                   Holder[*obj]
+		demand, peak, built atomic.Int64
+		wg                  sync.WaitGroup
+	)
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var mine []*obj
+			for i := 0; i < 300; i++ {
+				for n := 1 + (g+i)%5; n > 0; n-- {
+					d := demand.Add(1)
+					for p := peak.Load(); d > p && !peak.CompareAndSwap(p, d); p = peak.Load() {
+					}
+					o := h.Get()
+					if o == nil {
+						o = new(obj)
+						built.Add(1)
+					}
+					if o.owner != 0 {
+						t.Errorf("a held object kept its owner %d", o.owner)
+						return
+					}
+					o.owner = g
+					mine = append(mine, o)
+				}
+				for _, o := range mine {
+					o.owner = 0
+					h.Put(o)
+					demand.Add(-1)
+				}
+				mine = mine[:0]
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(h.items); int64(n) != built.Load() || int64(n) > peak.Load() {
+		t.Fatalf("holder keeps %d objects, %d built, peak demand %d", n, built.Load(), peak.Load())
+	}
 }
 
 // Concurrent Gets and Puts of several lengths (run under -race): every Get
@@ -112,11 +157,8 @@ func chainLen(head *stockNode) int {
 }
 
 // A stocked chain no longer than stockBatch comes back whole, by its head,
-// and an empty stock gives nil. GC is off so the pool keeps
-// what it is given; several chains go in because sync.Pool may drop any one
-// of them.
+// last in first out, and an empty stock gives nil.
 func TestStockKeepsChains(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := newNodeStock()
 	if s.Get() != nil {
 		t.Fatal("an empty stock returned a chain")
@@ -125,31 +167,26 @@ func TestStockKeepsChains(t *testing.T) {
 	if s.Get() != nil {
 		t.Fatal("a stocked nil came back")
 	}
-	heads := map[*stockNode]int{}
+	var heads []*stockNode
 	for i := 1; i <= 4; i++ {
 		h := chainOf(i)
-		heads[h] = i
+		heads = append(heads, h)
 		s.Put(h)
 	}
-	got := 0
-	for h := s.Get(); h != nil; h = s.Get() {
-		if want, ok := heads[h]; !ok || chainLen(h) != want {
-			t.Fatalf("took a chain of %d nodes (stocked: %v, want %d)", chainLen(h), ok, want)
+	for i := len(heads) - 1; i >= 0; i-- {
+		if h := s.Get(); h != heads[i] || chainLen(h) != i+1 {
+			t.Fatalf("took a chain of %d nodes, want the last stocked, of %d", chainLen(h), i+1)
 		}
-		delete(heads, h)
-		got++
 	}
-	if got == 0 {
-		t.Fatal("no stocked chain came back")
+	if s.Get() != nil {
+		t.Fatal("a chain came back twice")
 	}
 }
 
 // Put cuts a long list into chains of stockBatch nodes (the last one
-// shorter), so a getter that needs a few nodes leaves the rest to others,
-// and no node comes back twice. (sync.Pool may drop any chain, and under
-// the race detector it does so at random, so not every chain need return.)
+// shorter), so a getter that needs a few nodes leaves the rest to others;
+// every node comes back, and none twice.
 func TestStockCutsLongLists(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := newNodeStock()
 	const n = 3*stockBatch + 5
 	head := chainOf(n)
@@ -158,7 +195,6 @@ func TestStockCutsLongLists(t *testing.T) {
 		all[x] = true
 	}
 	s.Put(head)
-	chains := 0
 	for h := s.Get(); h != nil; h = s.Get() {
 		if l := chainLen(h); l != stockBatch && l != n%stockBatch {
 			t.Fatalf("Get took a chain of %d nodes, want %d or %d", l, stockBatch, n%stockBatch)
@@ -169,10 +205,9 @@ func TestStockCutsLongLists(t *testing.T) {
 			}
 			delete(all, x)
 		}
-		chains++
 	}
-	if chains == 0 {
-		t.Fatal("no stocked chain came back")
+	if len(all) != 0 {
+		t.Fatalf("%d stocked nodes never came back", len(all))
 	}
 }
 

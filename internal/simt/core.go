@@ -3,7 +3,6 @@ package simt
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"getm/internal/isa"
 	"getm/internal/sim"
@@ -549,16 +548,14 @@ func (c *Core) canBegin() bool {
 // the next cores built in this process, on any goroutine. A recycled log's
 // address table may be larger than a new log's, but the Reset that opens
 // every attempt invalidates all of its slots, and nothing iterates it.
-var txLogs sync.Pool
+var txLogs sim.Holder[*tm.TxLog]
 
 func (c *Core) startTx(w *Warp) {
 	c.txActive++
 	if n := len(c.logPool); n > 0 {
 		w.txLog = c.logPool[n-1]
 		c.logPool = c.logPool[:n-1]
-	} else if l, ok := txLogs.Get().(*tm.TxLog); ok {
-		w.txLog = l
-	} else {
+	} else if w.txLog = txLogs.Get(); w.txLog == nil {
 		w.txLog = tm.NewTxLog()
 	}
 	f := w.top()

@@ -1,7 +1,6 @@
 package simt
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"getm/internal/isa"
@@ -11,10 +10,8 @@ import (
 // transaction logs runs as it would on fresh ones: every register reads zero
 // when a program starts, and a recycled log carries nothing of its last
 // transaction. The machine-level differential cannot see the registers,
-// because every workload writes a register before reading it. GC is off so
-// the pools hand back what they are given.
+// because every workload writes a register before reading it.
 func TestRecycledCoreStartsClean(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	lanes := func(base uint64) []uint64 {
 		a := make([]uint64, isa.WarpWidth)
 		for l := range a {

@@ -3,7 +3,6 @@ package warptm
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"getm/internal/isa"
 	"getm/internal/mem"
@@ -93,11 +92,11 @@ type vuBooks struct {
 
 // books holds finished VUs' bookkeeping for the next VUs built in this
 // process, on any goroutine.
-var books sync.Pool
+var books sim.Holder[*vuBooks]
 
 // NewVU builds a validation unit over one partition.
 func NewVU(cfg Config, eng *sim.Engine, part *mem.Partition, rng *sim.RNG) *VU {
-	b, _ := books.Get().(*vuBooks)
+	b := books.Get()
 	if b == nil {
 		b = &vuBooks{}
 	}
@@ -250,9 +249,6 @@ func (v *VU) validate(st *txState) {
 	}
 	entries := len(st.msg.Reads)
 	rate := v.cfg.ValidateEntriesPerCycle
-	if rate <= 0 {
-		rate = 1
-	}
 	cycles := sim.Cycle((entries + rate - 1) / rate)
 	if cycles == 0 {
 		cycles = 1
